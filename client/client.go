@@ -80,7 +80,8 @@ var (
 	_ Conn = (*irsnet.Client)(nil)
 )
 
-// Encodings accepted by Dial, matching irsload's -encoding vocabulary.
+// Encodings accepted by Dial — the vocabulary of irsrouter's -node-encoding
+// flag and of the benchmark's workload table.
 const (
 	EncodingJSON   = "json"   // HTTP, JSON bodies
 	EncodingBinary = "binary" // HTTP, compact binary frames

@@ -13,6 +13,7 @@ import (
 	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/internal/alias"
 	"github.com/irsgo/irs/internal/metrics"
+	srv "github.com/irsgo/irs/internal/server"
 	"github.com/irsgo/irs/internal/xrand"
 	"github.com/irsgo/irs/server"
 )
@@ -107,6 +108,10 @@ type Router struct {
 
 	rngMu sync.Mutex
 	rng   *xrand.RNG
+
+	// The blocking forms of the two asynchronous operations wait here.
+	sampleWait srv.Blocking[[]float64]
+	insertWait srv.Blocking[int]
 }
 
 // newMapState assembles one topology generation.
@@ -257,62 +262,64 @@ func (s *mapState) resolve(dataset string) (string, error) {
 	return dataset, nil
 }
 
-// Resolve mirrors the single-node routing rule over the router's
-// registered dataset names.
-func (r *Router) Resolve(dataset string) (string, error) {
+// begin opens a request: it takes a reference on the current generation
+// and resolves the dataset name against it. On a nil error the caller owns
+// the reference and must release it once the request has been answered.
+func (r *Router) begin(dataset string) (*mapState, string, error) {
 	s := r.acquire()
 	if s == nil {
-		return "", server.ErrShuttingDown
-	}
-	defer s.release()
-	return s.resolve(dataset)
-}
-
-// SampleAppend answers t independent mass-proportional samples of
-// [lo, hi] drawn across every overlapping partition — see the package
-// comment for the exactness construction. When exactly one partition
-// overlaps, the request is forwarded verbatim, so a router over a single
-// node is sample-for-sample identical to that node.
-func (r *Router) SampleAppend(dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
-	if t <= 0 {
-		return dst, server.ErrInvalidCount
-	}
-	if hi < lo {
-		return dst, server.ErrInvalidRange
-	}
-	s := r.acquire()
-	if s == nil {
-		return dst, server.ErrShuttingDown
-	}
-	defer s.release()
-	name, err := s.resolve(dataset)
-	if err != nil {
-		return dst, err
-	}
-	return r.sampleResolved(s, name, dst, lo, hi, t)
-}
-
-// SampleAppendAsync is SampleAppend under the Backend async contract:
-// validation and routing errors return synchronously (done never runs);
-// otherwise done.Deliver runs exactly once from another goroutine. The
-// router has no coalescer to keep a reader goroutine out of — the fan-out
-// itself is the slow part — so async is a goroutine over the sync path.
-// The goroutine holds the generation reference until delivery, so a
-// concurrent SetMap cannot close the connections under it.
-func (r *Router) SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, done server.SampleReply) error {
-	if t <= 0 {
-		return server.ErrInvalidCount
-	}
-	if hi < lo {
-		return server.ErrInvalidRange
-	}
-	s := r.acquire()
-	if s == nil {
-		return server.ErrShuttingDown
+		return nil, "", server.ErrShuttingDown
 	}
 	name, err := s.resolve(dataset)
 	if err != nil {
 		s.release()
+		return nil, "", err
+	}
+	return s, name, nil
+}
+
+// Resolve mirrors the single-node routing rule over the router's
+// registered dataset names.
+func (r *Router) Resolve(dataset string) (string, error) {
+	s, name, err := r.begin(dataset)
+	if err != nil {
+		return "", err
+	}
+	s.release()
+	return name, nil
+}
+
+// SampleAppend is SampleAppendAsync plus a wait; on error dst is returned
+// unchanged.
+func (r *Router) SampleAppend(dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+	out, err := r.sampleWait.Do(func(done server.SampleReply) error {
+		return r.SampleAppendAsync(dataset, dst, lo, hi, t, done)
+	})
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// SampleAppendAsync answers t independent mass-proportional samples of
+// [lo, hi] drawn across every overlapping partition — see the package
+// comment for the exactness construction. When exactly one partition
+// overlaps, the request is forwarded verbatim, so a router over a single
+// node is sample-for-sample identical to that node.
+//
+// Under the Backend async contract an accepted request here is a goroutine
+// — the router has no coalescer queue to admit into; the fan-out itself is
+// the slow part — which holds the generation reference until delivery, so
+// a concurrent SetMap cannot close the connections under it.
+func (r *Router) SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, done server.SampleReply) error {
+	if t <= 0 {
+		return server.ErrInvalidCount
+	}
+	if !(lo <= hi) { // inverted, or a NaN bound
+		return server.ErrInvalidRange
+	}
+	s, name, err := r.begin(dataset)
+	if err != nil {
 		return err
 	}
 	go func() {
@@ -345,21 +352,9 @@ func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi 
 	// ranges, in parallel. Any unreachable node fails the request whole: a
 	// sample drawn from only the reachable partitions would be a sample of
 	// a different population.
-	n := last - first + 1
-	counts := make([]int, n)
-	masses := make([]float64, n)
-	if err := s.scatter(first, last, func(ctx context.Context, i int) error {
-		clo, chi, _ := s.m.Clip(i, lo, hi)
-		c, m, err := s.conns[i].RangeStats(ctx, name, clo, chi)
-		counts[i-first], masses[i-first] = c, m
-		return err
-	}); err != nil {
+	masses, total, totalMass, err := s.probe(name, first, last, lo, hi)
+	if err != nil {
 		return dst, err
-	}
-	total, totalMass := 0, 0.0
-	for k := range counts {
-		total += counts[k]
-		totalMass += masses[k]
 	}
 	if total == 0 || totalMass <= 0 {
 		return dst, server.ErrEmptyRange
@@ -369,11 +364,12 @@ func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi 
 	// per-partition masses, one draw per output position, tallied into
 	// per-partition sub-request sizes.
 	var weights []float64
-	var nonzero []int // partition offset (i-first) per alias column
+	col := make([]int, len(masses)) // alias column per partition offset, -1 for none
 	for k, m := range masses {
+		col[k] = -1
 		if m > 0 {
+			col[k] = len(weights)
 			weights = append(weights, m)
-			nonzero = append(nonzero, k)
 		}
 	}
 	table, err := alias.New(weights)
@@ -397,11 +393,12 @@ func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi 
 	// probe and sample surfaces as that node's error and fails the
 	// request, never as a silently short result).
 	segs := make([][]float64, cols)
-	if err := s.scatterCols(first, nonzero, func(ctx context.Context, k, i int) error {
-		want := tally[k]
-		if want == 0 {
+	if err := s.scatter(first, last, func(ctx context.Context, i int) error {
+		k := col[i-first]
+		if k < 0 || tally[k] == 0 {
 			return nil
 		}
+		want := tally[k]
 		clo, chi, _ := s.m.Clip(i, lo, hi)
 		seg, err := s.conns[i].SampleAppend(ctx, name, make([]float64, 0, want), clo, chi, want)
 		if err == nil && len(seg) != want {
@@ -427,13 +424,13 @@ func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi 
 }
 
 // scatter runs f for every partition in [first, last] concurrently, each
-// under its own call context, counting one upstream request per
-// partition. It returns the joined wrapped errors (nil when all succeed).
+// under its own call context, and returns the joined wrapped errors (nil
+// when all succeed). It counts no upstream requests itself: f may find a
+// partition needs no RPC, so callers that track s.requests do it in f.
 func (s *mapState) scatter(first, last int, f func(ctx context.Context, i int) error) error {
 	errs := make([]error, last-first+1)
 	var wg sync.WaitGroup
 	for i := first; i <= last; i++ {
-		s.requests[i].Inc()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -446,65 +443,48 @@ func (s *mapState) scatter(first, last int, f func(ctx context.Context, i int) e
 	return errors.Join(errs...)
 }
 
-// scatterCols is scatter over alias columns: cols[k] is the partition
-// offset from first, and f receives both the column and the absolute
-// partition index. Columns with no work may return nil without an RPC —
-// f decides; the request counter increments only when f is invoked with
-// work to do, so it counts issued RPCs, not potential ones.
-func (s *mapState) scatterCols(first int, cols []int, f func(ctx context.Context, k, i int) error) error {
-	errs := make([]error, len(cols))
-	var wg sync.WaitGroup
-	for k, off := range cols {
-		i := first + off
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := s.callCtx()
-			defer cancel()
-			errs[k] = s.wrap(i, f(ctx, k, i))
-		}()
+// probe asks every partition in [first, last] for the in-range
+// (count, mass) of its clip of [lo, hi], in parallel — RangeStats' whole
+// job and stage 1 of a cross-partition sample. masses[k] belongs to
+// partition first+k. Any unreachable node fails the probe whole.
+func (s *mapState) probe(name string, first, last int, lo, hi float64) (masses []float64, total int, totalMass float64, err error) {
+	counts := make([]int, last-first+1)
+	masses = make([]float64, last-first+1)
+	err = s.scatter(first, last, func(ctx context.Context, i int) error {
+		s.requests[i].Inc()
+		clo, chi, _ := s.m.Clip(i, lo, hi)
+		c, m, err := s.conns[i].RangeStats(ctx, name, clo, chi)
+		counts[i-first], masses[i-first] = c, m
+		return err
+	})
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	for k := range counts {
+		total += counts[k]
+		totalMass += masses[k]
+	}
+	return masses, total, totalMass, nil
 }
 
 // RangeStats sums the in-range (count, mass) probes of every overlapping
 // partition — the same numbers a single node holding the union would
 // report.
 func (r *Router) RangeStats(dataset string, lo, hi float64) (int, float64, error) {
-	if hi < lo {
+	if !(lo <= hi) { // inverted, or a NaN bound
 		return 0, 0, server.ErrInvalidRange
 	}
-	s := r.acquire()
-	if s == nil {
-		return 0, 0, server.ErrShuttingDown
-	}
-	defer s.release()
-	name, err := s.resolve(dataset)
+	s, name, err := r.begin(dataset)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer s.release()
 	first, last := s.m.Overlap(lo, hi)
 	if first > last {
 		return 0, 0, nil
 	}
-	n := last - first + 1
-	counts := make([]int, n)
-	masses := make([]float64, n)
-	if err := s.scatter(first, last, func(ctx context.Context, i int) error {
-		clo, chi, _ := s.m.Clip(i, lo, hi)
-		c, m, err := s.conns[i].RangeStats(ctx, name, clo, chi)
-		counts[i-first], masses[i-first] = c, m
-		return err
-	}); err != nil {
-		return 0, 0, err
-	}
-	total, totalMass := 0, 0.0
-	for k := range counts {
-		total += counts[k]
-		totalMass += masses[k]
-	}
-	return total, totalMass, nil
+	_, total, totalMass, err := s.probe(name, first, last, lo, hi)
+	return total, totalMass, err
 }
 
 // split groups items by owning partition. A key outside the map's
@@ -529,19 +509,19 @@ func (s *mapState) split(items []server.Item) (map[int][]server.Item, error) {
 // applied, and the error (wrapping server.ErrUnavailable per failed
 // partition) reports the rest — partial scatter failure never loses the
 // other partitions' results.
-func (s *mapState) mutate(groups map[int][]server.Item, op func(ctx context.Context, i int, items []server.Item) (int, error)) (int, error) {
+func mutate[T any](s *mapState, groups map[int][]T, op func(ctx context.Context, c client.Conn, part []T) (int, error)) (int, error) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	applied := 0
 	var errs []error
-	for i, items := range groups {
+	for i, part := range groups {
 		s.requests[i].Inc()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ctx, cancel := s.callCtx()
 			defer cancel()
-			n, err := op(ctx, i, items)
+			n, err := op(ctx, s.conns[i], part)
 			mu.Lock()
 			defer mu.Unlock()
 			applied += n
@@ -554,42 +534,24 @@ func (s *mapState) mutate(groups map[int][]server.Item, op func(ctx context.Cont
 	return applied, errors.Join(errs...)
 }
 
-// Insert routes each item to the partition owning its key and applies the
-// per-partition batches in parallel.
+// Insert is InsertAsync plus a wait.
 func (r *Router) Insert(dataset string, items []server.Item) (int, error) {
-	s := r.acquire()
-	if s == nil {
-		return 0, server.ErrShuttingDown
-	}
-	defer s.release()
-	name, err := s.resolve(dataset)
-	if err != nil {
-		return 0, err
-	}
-	groups, err := s.split(items)
-	if err != nil {
-		return 0, err
-	}
-	return s.mutate(groups, func(ctx context.Context, i int, items []server.Item) (int, error) {
-		return s.conns[i].InsertItems(ctx, name, items)
+	return r.insertWait.Do(func(done server.InsertReply) error {
+		return r.InsertAsync(dataset, items, done)
 	})
 }
 
-// InsertAsync is Insert under the Backend async contract: an empty batch
-// answers inline, routing errors return synchronously, and otherwise
-// done.Deliver runs exactly once from another goroutine.
+// InsertAsync routes each item to the partition owning its key and applies
+// the per-partition batches in parallel, under the Backend async contract
+// (an empty batch answers inline; an unroutable key is a synchronous
+// routing error).
 func (r *Router) InsertAsync(dataset string, items []server.Item, done server.InsertReply) error {
 	if len(items) == 0 {
 		done.Deliver(0, nil)
 		return nil
 	}
-	s := r.acquire()
-	if s == nil {
-		return server.ErrShuttingDown
-	}
-	name, err := s.resolve(dataset)
+	s, name, err := r.begin(dataset)
 	if err != nil {
-		s.release()
 		return err
 	}
 	groups, err := s.split(items)
@@ -599,8 +561,8 @@ func (r *Router) InsertAsync(dataset string, items []server.Item, done server.In
 	}
 	go func() {
 		defer s.release()
-		done.Deliver(s.mutate(groups, func(ctx context.Context, i int, items []server.Item) (int, error) {
-			return s.conns[i].InsertItems(ctx, name, items)
+		done.Deliver(mutate(s, groups, func(ctx context.Context, c client.Conn, part []server.Item) (int, error) {
+			return c.InsertItems(ctx, name, part)
 		}))
 	}()
 	return nil
@@ -609,64 +571,41 @@ func (r *Router) InsertAsync(dataset string, items []server.Item, done server.In
 // Delete routes each key to its owning partition and applies the
 // per-partition batches in parallel. Keys outside the map's coverage
 // cannot be stored anywhere, so they are skipped rather than rejected —
-// deleting the absent is a no-op on a single node too.
+// deleting the absent is a no-op on a single node too. A NaN key is
+// rejected, as a single node rejects it.
 func (r *Router) Delete(dataset string, keys []float64) (int, error) {
-	s := r.acquire()
-	if s == nil {
-		return 0, server.ErrShuttingDown
-	}
-	defer s.release()
-	name, err := s.resolve(dataset)
+	s, name, err := r.begin(dataset)
 	if err != nil {
 		return 0, err
 	}
+	defer s.release()
 	groups := make(map[int][]float64)
 	for _, k := range keys {
+		if k != k {
+			return 0, fmt.Errorf("%w: NaN key", server.ErrInvalidRange)
+		}
 		if i := s.m.Route(k); i >= 0 {
 			groups[i] = append(groups[i], k)
 		}
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	removed := 0
-	var errs []error
-	for i, ks := range groups {
-		s.requests[i].Inc()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := s.callCtx()
-			defer cancel()
-			n, err := s.conns[i].Delete(ctx, name, ks)
-			mu.Lock()
-			defer mu.Unlock()
-			removed += n
-			if err != nil {
-				errs = append(errs, s.wrap(i, err))
-			}
-		}()
-	}
-	wg.Wait()
-	return removed, errors.Join(errs...)
+	return mutate(s, groups, func(ctx context.Context, c client.Conn, part []float64) (int, error) {
+		return c.Delete(ctx, name, part)
+	})
 }
 
 // Update routes each re-weight to the partition owning its key.
 func (r *Router) Update(dataset string, items []server.Item) (int, error) {
-	s := r.acquire()
-	if s == nil {
-		return 0, server.ErrShuttingDown
-	}
-	defer s.release()
-	name, err := s.resolve(dataset)
+	s, name, err := r.begin(dataset)
 	if err != nil {
 		return 0, err
 	}
+	defer s.release()
 	groups, err := s.split(items)
 	if err != nil {
 		return 0, err
 	}
-	return s.mutate(groups, func(ctx context.Context, i int, items []server.Item) (int, error) {
-		return s.conns[i].Update(ctx, name, items)
+	return mutate(s, groups, func(ctx context.Context, c client.Conn, part []server.Item) (int, error) {
+		return c.Update(ctx, name, part)
 	})
 }
 
@@ -695,6 +634,7 @@ func (r *Router) Stats() server.Stats {
 	n := s.m.Len()
 	nodeStats := make([]*server.Stats, n)
 	_ = s.scatter(0, n-1, func(ctx context.Context, i int) error {
+		s.requests[i].Inc()
 		st, err := s.conns[i].Stats(ctx)
 		if err != nil {
 			return err
@@ -824,8 +764,3 @@ func (r *Router) Close() error {
 	s.release()
 	return err
 }
-
-// The router is the cluster-tier Backend — this assertion is the
-// contract that lets server.NewProxy and irsnet.NewServer serve it with
-// the node transports unchanged.
-var _ server.Backend = (*Router)(nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -371,6 +372,44 @@ func TestRouterSinglePartitionEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// sampleCh is the smallest async Reply: it hands the answer to a channel.
+type sampleCh chan sampleAnswer
+
+type sampleAnswer struct {
+	v   []float64
+	err error
+}
+
+func (c sampleCh) Deliver(v []float64, err error) { c <- sampleAnswer{v, err} }
+
+// TestRouterBlockingAsyncIdenticalSamples: Router.SampleAppend is
+// SampleAppendAsync plus a wait, so two identically seeded deployments —
+// one asked through each form — answer the same request sequence with the
+// same samples, bit for bit, on the single-partition forwarding path and
+// on the three-partition probe/split/sub-sample path alike.
+func TestRouterBlockingAsyncIdenticalSamples(t *testing.T) {
+	for _, bounds := range [][]float64{{0, 300}, {0, 100, 200, 300}} {
+		cfg := server.Config{Flushers: 1} // one RNG stream per node
+		blocking := startCluster(t, bounds, false, client.EncodingBinary, cfg).router
+		async := startCluster(t, bounds, false, client.EncodingBinary, cfg).router
+		done := make(sampleCh, 1)
+		for i := 0; i < 40; i++ {
+			lo, hi, n := float64(i*7%150), float64(150+i*11%150), 1+i%23
+			want, err := blocking.SampleAppend("d", nil, lo, hi, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := async.SampleAppendAsync("d", nil, lo, hi, n, done); err != nil {
+				t.Fatal(err)
+			}
+			got := <-done
+			if got.err != nil || !slices.Equal(got.v, want) {
+				t.Fatalf("%d partitions, request %d: async %v (%v), blocking %v", len(bounds)-1, i, got.v, got.err, want)
+			}
+		}
+	}
 }
 
 // TestRouterCrossPartitionMutations: inserts, deletes, and updates route

@@ -95,6 +95,42 @@ func TestSampleAppendZeroAllocsWithWindow(t *testing.T) {
 	}
 }
 
+// TestInsertZeroAllocs pins the blocking Insert wrapper beside the sample
+// pins: the pooled waiter and the closure handed to it cost no allocation.
+// Each insert is balanced by a delete of the same keys so the backend never
+// grows (growth is the one legitimate allocation, and not a per-request
+// cost).
+func TestInsertZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates and drops pool Puts")
+	}
+	core := newAllocCore(t, Config{Flushers: 1})
+	defer core.Close()
+
+	items := make([]Item[float64], 8)
+	keys := make([]float64, len(items))
+	for i := range items {
+		keys[i] = float64(i)*1000 + 0.5 // absent from the preload, spread across chunks
+		items[i] = Item[float64]{Key: keys[i]}
+	}
+	var err error
+	op := func() {
+		if _, err = core.Insert("u", items); err == nil {
+			_, err = core.Delete("u", keys)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	allocs := testing.AllocsPerRun(200, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state insert+delete allocates %.1f times per round, want 0", allocs)
+	}
+}
+
 // newDurableAllocCore is newAllocCore with SyncAlways persistence
 // attached: the full group-commit write path — encode, stage, apply,
 // committer fsync, ACK — under the dataset the alloc regressions drive.

@@ -2,16 +2,14 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// chanReply adapts a channel to Reply for tests.
-type chanReply[R any] struct {
-	ch chan result[R]
-}
-
-func (r *chanReply[R]) Deliver(v R, err error) { r.ch <- result[R]{v: v, err: err} }
+// newWaiter builds the production blocking Reply with room for n
+// undelivered answers, so one waiter can collect a burst of submissions.
+func newWaiter[R any](n int) *waiter[R] { return &waiter[R]{ch: make(chan result[R], n)} }
 
 // TestAsyncSubmission covers the async contract end to end: accepted
 // requests deliver exactly once through Reply, synchronous failures
@@ -25,7 +23,7 @@ func TestAsyncSubmission(t *testing.T) {
 	}
 	defer core.Close()
 
-	sr := &chanReply[[]int]{ch: make(chan result[[]int], 1)}
+	sr := newWaiter[[]int](1)
 	if err := core.SampleAppendAsync("d", nil, 5, 10, 3, sr); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +42,7 @@ func TestAsyncSubmission(t *testing.T) {
 		t.Fatalf("async sample append: %v, %v", res.v, res.err)
 	}
 
-	ir := &chanReply[int]{ch: make(chan result[int], 1)}
+	ir := newWaiter[int](1)
 	if err := core.InsertAsync("d", []Item[int]{{Key: 1, Weight: 1}, {Key: 2, Weight: 1}}, ir); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestAsyncDrainOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sr := &chanReply[[]int]{ch: make(chan result[[]int], n)}
+	sr := newWaiter[[]int](n)
 	accepted := 0
 	for i := 0; i < n; i++ {
 		if err := core.SampleAppendAsync("d", nil, i, i+10, 2, sr); err != nil {
@@ -144,7 +142,7 @@ func TestAsyncOverload(t *testing.T) {
 	defer core.Close()
 	st := core.byName["d"]
 
-	sr := &chanReply[[]int]{ch: make(chan result[[]int], 8)}
+	sr := newWaiter[[]int](8)
 	submitted := 0
 	// Fill flusher + batch buffer + gatherer hand + queue (see
 	// TestQueueFullBackpressure for the deterministic staging).
@@ -176,5 +174,31 @@ func TestAsyncOverload(t *testing.T) {
 	s := core.Stats().Datasets[0]
 	if s.SampleRequests != uint64(submitted)+1 || s.SampleRejected != 1 {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// TestBlockingAsyncIdenticalSamples: the blocking forms are the async forms
+// plus a wait, so for one seed and one request sequence the two return the
+// same samples, bit for bit.
+func TestBlockingAsyncIdenticalSamples(t *testing.T) {
+	blocking := newAllocCore(t, Config{Flushers: 1})
+	defer blocking.Close()
+	async := newAllocCore(t, Config{Flushers: 1})
+	defer async.Close()
+
+	w := newWaiter[[]float64](1)
+	for i := 0; i < 50; i++ {
+		lo, hi, n := float64(i*37%5000), float64(5000+i*91%5000), 1+i%17
+		want, err := blocking.SampleAppend("u", nil, lo, hi, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := async.SampleAppendAsync("u", nil, lo, hi, n, w); err != nil {
+			t.Fatal(err)
+		}
+		got := <-w.ch
+		if got.err != nil || !slices.Equal(got.v, want) {
+			t.Fatalf("request %d: async %v (%v), blocking %v", i, got.v, got.err, want)
+		}
 	}
 }

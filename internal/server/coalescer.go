@@ -5,42 +5,70 @@ import (
 	"time"
 )
 
-// Reply receives one asynchronous answer from a coalescer. Implementations
-// are typically pooled pointer-structs (a pointer already on the heap boxes
-// into the interface without allocating), which is what keeps the async
-// path — used by the persistent TCP transport, whose reader goroutine must
-// not block on a flush — as allocation-free as the blocking one.
+// Reply receives the answer to one asynchronous submission. Every function
+// that takes a Reply follows one contract: a validation, routing, or
+// admission error is returned synchronously and the Reply is never invoked;
+// on a nil return Deliver is invoked exactly once — from another goroutine,
+// or inline when the answer needs no work — and a drain (Close, Remove)
+// still answers everything accepted before it.
+//
+// Implementations are typically pooled pointer-structs (a pointer already
+// on the heap boxes into the interface without allocating), which keeps
+// submission allocation-free for every caller: the persistent TCP
+// transport, whose reader goroutine must not block on a flush, hands in a
+// Reply that encodes the response; a caller that wants to block goes
+// through Blocking.
 type Reply[R any] interface {
-	// Deliver is called exactly once per accepted request, from a flusher
-	// goroutine. It must not block for long: it runs inside the flush loop
-	// that answers every other request in the batch.
+	// Deliver must not block for long: it runs inside the flush loop that
+	// answers every other request in the batch.
 	Deliver(v R, err error)
 }
 
-// request is one caller waiting inside a coalescer: a payload plus exactly
-// one answer path — a 1-buffered reply channel its flush writes one result
-// into (blocking submit), or a Reply callback (submitAsync). The reply
-// channel is pooled: every accepted request is answered exactly once, so
-// after the submitter has received, the channel is empty and safe to hand
-// to the next submitter.
+// request is one caller waiting inside a coalescer: a payload plus the
+// Reply its flush answers through.
 type request[Q, R any] struct {
 	q    Q
-	out  chan result[R] // blocking submitters
-	done Reply[R]       // async submitters; nil when out is set
-}
-
-// reply answers the request on whichever path it carries.
-func (r *request[Q, R]) reply(res result[R]) {
-	if r.done != nil {
-		r.done.Deliver(res.v, res.err)
-		return
-	}
-	r.out <- res
+	done Reply[R]
 }
 
 type result[R any] struct {
 	v   R
 	err error
+}
+
+// waiter is the Reply a blocking caller parks on: Deliver drops the answer
+// into a 1-buffered channel, so the flusher never waits for the caller to
+// be scheduled.
+type waiter[R any] struct {
+	ch chan result[R]
+}
+
+func (w *waiter[R]) Deliver(v R, err error) { w.ch <- result[R]{v: v, err: err} }
+
+// Blocking is the one place a caller blocks for an answer: it turns a
+// submission under the Reply contract into a call that returns the answer.
+// Waiters are pooled — every accepted request is answered exactly once, so
+// after Do has received, the channel is empty and safe to hand to the next
+// caller — which keeps a blocking round trip as allocation-free as an
+// async one. The zero value is ready to use.
+type Blocking[R any] struct {
+	pool sync.Pool // *waiter[R]
+}
+
+// Do calls submit with a pooled waiter as its Reply and, unless submit
+// fails synchronously, blocks until the answer is delivered.
+func (b *Blocking[R]) Do(submit func(done Reply[R]) error) (R, error) {
+	w, ok := b.pool.Get().(*waiter[R])
+	if !ok {
+		w = &waiter[R]{ch: make(chan result[R], 1)}
+	}
+	defer b.pool.Put(w)
+	if err := submit(w); err != nil {
+		var zero R
+		return zero, err
+	}
+	res := <-w.ch
+	return res.v, res.err
 }
 
 // batch is one gatherer-formed batch travelling to a flusher. It is a
@@ -54,10 +82,12 @@ type batch[Q, R any] struct {
 
 // coalescer merges concurrently-arriving requests into batches:
 //
-//   - Admission is a bounded queue. submit fails fast with ErrOverloaded
-//     when the queue is full and ErrShuttingDown after close — the
-//     backpressure contract a transport maps to 503s — and otherwise blocks
-//     until its batch has been flushed.
+//   - Admission is a bounded queue with a single entry, submit: it fails
+//     fast with ErrOverloaded when the queue is full and ErrShuttingDown
+//     after close — the backpressure contract a transport maps to 503s —
+//     and otherwise returns at once; the answer arrives through the
+//     request's Reply when its batch has been flushed. Whether the caller
+//     blocks for it is the Reply's business (see Blocking), not the queue's.
 //   - One gatherer goroutine forms batches: it takes a queued request,
 //     drains everything else already waiting, lingers up to window for more
 //     when configured, and stops a batch at maxBatch requests.
@@ -69,16 +99,15 @@ type batch[Q, R any] struct {
 //
 // Each flusher owns private state (in particular its sampling RNG and
 // result scratch) through the newFlush factory, so flushes need no locking
-// of their own. Everything per-request on the steady-state path — the reply
-// channel, the batch slice, the gatherer's linger timer — is pooled or
-// reused, so a coalesced round trip performs no heap allocation of its own.
+// of their own. Everything per-request on the steady-state path — the batch
+// slice, the gatherer's linger timer — is pooled or reused, so a coalesced
+// round trip performs no heap allocation of its own.
 type coalescer[Q, R any] struct {
 	reqs     chan request[Q, R]
 	batches  chan *batch[Q, R]
 	window   time.Duration
 	maxBatch int
 
-	outPool   sync.Pool // chan result[R], recycled across submits
 	batchPool sync.Pool // *batch[Q, R], recycled across flushes
 
 	mu       sync.RWMutex // guards closed; held shared around every send
@@ -112,13 +141,6 @@ func newCoalescer[Q, R any](queueDepth, maxBatch, workers int, window time.Durat
 	return c
 }
 
-func (c *coalescer[Q, R]) getOut() chan result[R] {
-	if out, ok := c.outPool.Get().(chan result[R]); ok {
-		return out
-	}
-	return make(chan result[R], 1)
-}
-
 func (c *coalescer[Q, R]) getBatch() *batch[Q, R] {
 	if b, ok := c.batchPool.Get().(*batch[Q, R]); ok {
 		return b
@@ -126,8 +148,8 @@ func (c *coalescer[Q, R]) getBatch() *batch[Q, R] {
 	return &batch[Q, R]{reqs: make([]request[Q, R], 0, 8)}
 }
 
-// putBatch clears the flushed batch — dropping its references to reply
-// channels and payloads so the pool retains only the backing array — and
+// putBatch clears the flushed batch — dropping its references to replies
+// and payloads so the pool retains only the backing array — and
 // recycles it.
 func (c *coalescer[Q, R]) putBatch(b *batch[Q, R]) {
 	clear(b.reqs)
@@ -143,51 +165,20 @@ func (c *coalescer[Q, R]) depth() int { return len(c.reqs) }
 // capacity reports the queue bound (Config.QueueDepth).
 func (c *coalescer[Q, R]) capacity() int { return cap(c.reqs) }
 
-// submit enqueues q and blocks until its batch is flushed. Every accepted
-// request is answered exactly once, including requests still queued when
-// close begins (close drains before returning).
-func (c *coalescer[Q, R]) submit(q Q) (R, error) {
-	out := c.getOut()
-	r := request[Q, R]{q: q, out: out}
+// submit enqueues q under the Reply contract: a full queue answers
+// ErrOverloaded, a closed coalescer ErrShuttingDown, and an accepted request
+// is answered from a flusher goroutine — close drains the queue before it
+// returns.
+func (c *coalescer[Q, R]) submit(q Q, done Reply[R]) error {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if c.closed {
-		c.mu.RUnlock()
-		c.outPool.Put(out)
-		var zero R
-		return zero, ErrShuttingDown
-	}
-	select {
-	case c.reqs <- r:
-		c.mu.RUnlock()
-	default:
-		c.mu.RUnlock()
-		c.outPool.Put(out)
-		var zero R
-		return zero, ErrOverloaded
-	}
-	res := <-out
-	c.outPool.Put(out)
-	return res.v, res.err
-}
-
-// submitAsync enqueues q without blocking for the flush. Admission follows
-// the same contract as submit — a full queue answers ErrOverloaded, a
-// closed coalescer ErrShuttingDown, both returned synchronously — and on a
-// nil return, done.Deliver is invoked exactly once from a flusher
-// goroutine (close still drains, so acceptance guarantees an answer).
-func (c *coalescer[Q, R]) submitAsync(q Q, done Reply[R]) error {
-	r := request[Q, R]{q: q, done: done}
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
 		return ErrShuttingDown
 	}
 	select {
-	case c.reqs <- r:
-		c.mu.RUnlock()
+	case c.reqs <- request[Q, R]{q: q, done: done}:
 		return nil
 	default:
-		c.mu.RUnlock()
 		return ErrOverloaded
 	}
 }

@@ -72,27 +72,21 @@ type Dataset[K cmp.Ordered] interface {
 	NewStream() *xrand.RNG
 }
 
-// unweightedDataset adapts *shard.Concurrent (= irs.Concurrent). keyPool
-// recycles the key buffers InsertItems strips items into, so the durable
-// insert flush stays allocation-free end to end (InsertBatch does not
-// retain its argument).
+// unweightedDataset adapts *shard.Concurrent (= irs.Concurrent). The
+// embedded structure's own SampleMany, SampleManyAppend, RangeStats,
+// KeyBounds, Len, Stats, and NewStream satisfy Dataset as they are; only
+// the item-shaped methods need adapting. keyPool recycles the key buffers
+// InsertItems strips items into, so the durable insert flush stays
+// allocation-free end to end (InsertBatch does not retain its argument).
 type unweightedDataset[K cmp.Ordered] struct {
-	c       *shard.Concurrent[K]
+	*shard.Concurrent[K]
 	keyPool sync.Pool // *[]K
 }
 
 // NewUnweightedDataset wraps a Concurrent as a servable Dataset. Insert
 // weights are ignored: every key has unit sampling mass.
 func NewUnweightedDataset[K cmp.Ordered](c *shard.Concurrent[K]) Dataset[K] {
-	return &unweightedDataset[K]{c: c}
-}
-
-func (d *unweightedDataset[K]) SampleMany(queries []shard.Query[K], rng *xrand.RNG) ([][]K, error) {
-	return d.c.SampleMany(queries, rng)
-}
-
-func (d *unweightedDataset[K]) SampleManyAppend(dst []K, starts []int, queries []shard.Query[K], rng *xrand.RNG) ([]K, []int, error) {
-	return d.c.SampleManyAppend(dst, starts, queries, rng)
+	return &unweightedDataset[K]{Concurrent: c}
 }
 
 func (d *unweightedDataset[K]) InsertItems(items []Item[K]) error {
@@ -104,7 +98,7 @@ func (d *unweightedDataset[K]) InsertItems(items []Item[K]) error {
 	for _, it := range items {
 		keys = append(keys, it.Key)
 	}
-	d.c.InsertBatch(keys)
+	d.InsertBatch(keys)
 	if cap(keys) <= maxRetainedScratch {
 		*kp = keys[:0]
 		d.keyPool.Put(kp)
@@ -115,41 +109,27 @@ func (d *unweightedDataset[K]) InsertItems(items []Item[K]) error {
 func (d *unweightedDataset[K]) UpdateWeights(items []Item[K]) int { return 0 }
 
 func (d *unweightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
-	keys := d.c.AppendKeys(make([]K, 0, d.c.Len()))
+	keys := d.AppendKeys(make([]K, 0, d.Len()))
 	for _, k := range keys {
 		dst = append(dst, Item[K]{Key: k, Weight: 1})
 	}
 	return dst
 }
 
-func (d *unweightedDataset[K]) RangeStats(lo, hi K) (int, float64) { return d.c.RangeStats(lo, hi) }
-func (d *unweightedDataset[K]) KeyBounds() (K, K, bool)            { return d.c.KeyBounds() }
-
-func (d *unweightedDataset[K]) DeleteKeys(keys []K) int { return d.c.DeleteBatch(keys) }
-func (d *unweightedDataset[K]) Len() int                { return d.c.Len() }
-func (d *unweightedDataset[K]) Stats() shard.Stats      { return d.c.Stats() }
+func (d *unweightedDataset[K]) DeleteKeys(keys []K) int { return d.DeleteBatch(keys) }
 func (d *unweightedDataset[K]) Weighted() bool          { return false }
-func (d *unweightedDataset[K]) NewStream() *xrand.RNG   { return d.c.NewStream() }
 
-// weightedDataset adapts *shard.WeightedConcurrent (= irs.WeightedConcurrent).
-// itemPool recycles the weighted-item buffers InsertItems converts into,
-// mirroring unweightedDataset's keyPool.
+// weightedDataset adapts *shard.WeightedConcurrent (= irs.WeightedConcurrent)
+// the same way. itemPool recycles the weighted-item buffers InsertItems
+// converts into, mirroring unweightedDataset's keyPool.
 type weightedDataset[K cmp.Ordered] struct {
-	w        *shard.WeightedConcurrent[K]
+	*shard.WeightedConcurrent[K]
 	itemPool sync.Pool // *[]weighted.Item[K]
 }
 
 // NewWeightedDataset wraps a WeightedConcurrent as a servable Dataset.
 func NewWeightedDataset[K cmp.Ordered](w *shard.WeightedConcurrent[K]) Dataset[K] {
-	return &weightedDataset[K]{w: w}
-}
-
-func (d *weightedDataset[K]) SampleMany(queries []shard.Query[K], rng *xrand.RNG) ([][]K, error) {
-	return d.w.SampleMany(queries, rng)
-}
-
-func (d *weightedDataset[K]) SampleManyAppend(dst []K, starts []int, queries []shard.Query[K], rng *xrand.RNG) ([]K, []int, error) {
-	return d.w.SampleManyAppend(dst, starts, queries, rng)
+	return &weightedDataset[K]{WeightedConcurrent: w}
 }
 
 func (d *weightedDataset[K]) InsertItems(items []Item[K]) error {
@@ -161,7 +141,7 @@ func (d *weightedDataset[K]) InsertItems(items []Item[K]) error {
 	for _, it := range items {
 		witems = append(witems, weighted.Item[K]{Key: it.Key, Weight: it.Weight})
 	}
-	err := d.w.InsertBatch(witems)
+	err := d.InsertBatch(witems)
 	if cap(witems) <= maxRetainedScratch {
 		*wp = witems[:0]
 		d.itemPool.Put(wp)
@@ -173,7 +153,7 @@ func (d *weightedDataset[K]) UpdateWeights(items []Item[K]) int {
 	n := 0
 	for _, it := range items {
 		// Weights were validated by the Core before submission.
-		ok, err := d.w.UpdateWeight(it.Key, it.Weight)
+		ok, err := d.UpdateWeight(it.Key, it.Weight)
 		if err == nil && ok {
 			n++
 		}
@@ -182,18 +162,12 @@ func (d *weightedDataset[K]) UpdateWeights(items []Item[K]) int {
 }
 
 func (d *weightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
-	witems := d.w.AppendItems(make([]weighted.Item[K], 0, d.w.Len()))
+	witems := d.AppendItems(make([]weighted.Item[K], 0, d.Len()))
 	for _, it := range witems {
 		dst = append(dst, Item[K]{Key: it.Key, Weight: it.Weight})
 	}
 	return dst
 }
 
-func (d *weightedDataset[K]) RangeStats(lo, hi K) (int, float64) { return d.w.RangeStats(lo, hi) }
-func (d *weightedDataset[K]) KeyBounds() (K, K, bool)            { return d.w.KeyBounds() }
-
-func (d *weightedDataset[K]) DeleteKeys(keys []K) int { return d.w.DeleteBatch(keys) }
-func (d *weightedDataset[K]) Len() int                { return d.w.Len() }
-func (d *weightedDataset[K]) Stats() shard.Stats      { return d.w.Stats() }
+func (d *weightedDataset[K]) DeleteKeys(keys []K) int { return d.DeleteBatch(keys) }
 func (d *weightedDataset[K]) Weighted() bool          { return true }
-func (d *weightedDataset[K]) NewStream() *xrand.RNG   { return d.w.NewStream() }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/irsgo/irs/internal/persist"
-	"github.com/irsgo/irs/internal/weighted"
 )
 
 // Durability: a dataset registered with AddDurable carries a
@@ -61,10 +60,8 @@ func (c *Core[K]) Update(name string, items []Item[K]) (int, error) {
 	if !st.ds.Weighted() {
 		return 0, ErrNotWeighted
 	}
-	for _, it := range items {
-		if !weighted.ValidWeight(it.Weight) {
-			return 0, ErrInvalidWeight
-		}
+	if err := validItems(items, true); err != nil {
+		return 0, err
 	}
 	st.counters.updateRequests.Add(1)
 	if len(items) == 0 {
@@ -78,29 +75,16 @@ func (c *Core[K]) Update(name string, items []Item[K]) (int, error) {
 	return n, nil
 }
 
-// applyUpdate stages and applies one weight-update batch under the same
-// stage → apply → wait discipline as applyInsert.
+// applyUpdate applies one weight-update batch, write-ahead logged on
+// durable datasets.
 func (st *dsState[K]) applyUpdate(items []Item[K]) (int, error) {
 	if st.store == nil {
 		return st.ds.UpdateWeights(items), nil
 	}
 	sp := st.getEntries()
-	entries := appendEntries((*sp)[:0], items)
-	*sp = entries
-	st.logMu.Lock()
-	t, err := st.store.StageUpdate(entries)
-	if err != nil {
-		st.logMu.Unlock()
-		st.putEntries(sp)
-		return 0, logErr(err)
-	}
-	n := st.ds.UpdateWeights(items)
-	st.logMu.Unlock()
-	st.putEntries(sp)
-	if err := st.store.WaitDurable(t); err != nil {
-		return 0, logErr(err)
-	}
-	return n, nil
+	defer st.putEntries(sp)
+	*sp = appendEntries(*sp, items)
+	return st.commit(st.store.StageUpdate, *sp, func() (int, error) { return st.ds.UpdateWeights(items), nil })
 }
 
 // SnapshotInfo reports one committed snapshot.

@@ -34,6 +34,7 @@ package server
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -56,7 +57,8 @@ var (
 	ErrAmbiguousDataset = errors.New("server: dataset name required when several are registered")
 	// ErrDuplicateDataset: Add was called with a name already in use.
 	ErrDuplicateDataset = errors.New("server: dataset already registered")
-	// ErrInvalidRange: a query with lo > hi.
+	// ErrInvalidRange: a query with lo > hi or a NaN bound, or a mutation
+	// carrying a NaN key.
 	ErrInvalidRange = errors.New("server: inverted range (lo > hi)")
 	// ErrInvalidCount: a sample request with t <= 0.
 	ErrInvalidCount = errors.New("server: sample count must be positive")
@@ -123,6 +125,10 @@ type Core[K cmp.Ordered] struct {
 	mu     sync.RWMutex // guards byName and closed
 	byName map[string]*dsState[K]
 	closed bool
+
+	// The blocking forms of the two coalesced operations wait here.
+	sampleWait Blocking[[]K]
+	insertWait Blocking[int]
 }
 
 // Per-dataset lifecycle states, mirroring the process-level /readyz
@@ -293,7 +299,14 @@ func (c *Core[K]) Remove(name string, snapshot bool) error {
 	c.mu.Unlock()
 
 	st.dropped.Store(true)
-	st.state.Store(DatasetDraining)
+	return st.drain(snapshot)
+}
+
+// drain is the teardown Remove and Close share: both coalescers close —
+// answering every request the dataset has accepted — then the store, if
+// any, is synced and closed, after a final snapshot when asked.
+func (st *dsState[K]) drain(snapshot bool) error {
+	st.state.CompareAndSwap(DatasetServing, DatasetDraining)
 	st.samples.close()
 	st.inserts.close()
 	var errs []error
@@ -378,47 +391,32 @@ func (c *Core[K]) Sample(name string, lo, hi K, t int) ([]K, error) {
 }
 
 // SampleAppend is Sample appending into dst — the allocation-free spelling
-// for callers that reuse a buffer across requests (the HTTP handler's
-// pooled response buffers do). A steady-state round trip through the core
-// performs zero heap allocations per request: the reply channel, batch
-// slice, flusher scratch, and backend query scratch are all pooled or
-// flusher-owned, and the samples land directly in dst. On error dst is
-// returned unchanged.
+// for callers that reuse a buffer across requests. It is SampleAppendAsync
+// plus a wait, so a steady-state round trip through the core performs zero
+// heap allocations per request: the waiter, batch slice, flusher scratch,
+// and backend query scratch are all pooled or flusher-owned, and the
+// samples land directly in dst. On error dst is returned unchanged.
 func (c *Core[K]) SampleAppend(name string, dst []K, lo, hi K, t int) ([]K, error) {
-	if t <= 0 {
-		return dst, ErrInvalidCount
-	}
-	if hi < lo {
-		return dst, ErrInvalidRange
-	}
-	st, err := c.lookup(name)
+	out, err := c.sampleWait.Do(func(done Reply[[]K]) error {
+		return c.SampleAppendAsync(name, dst, lo, hi, t, done)
+	})
 	if err != nil {
 		return dst, err
-	}
-	st.counters.sampleRequests.Add(1)
-	out, err := st.samples.submit(sampleArg[K]{q: shard.Query[K]{Lo: lo, Hi: hi, T: t}, dst: dst})
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			st.counters.sampleRejected.Add(1)
-		}
-		return dst, st.dropErr(err)
 	}
 	return out, nil
 }
 
-// SampleAppendAsync is SampleAppend without the blocking wait: the request
-// joins the same coalescer queue, and its samples (appended to dst) or its
-// error arrive through done.Deliver from a flusher goroutine. Validation,
-// routing, and admission errors are returned synchronously, in which case
-// done is never invoked; on a nil return done.Deliver runs exactly once.
-// This is the submission path for transports that multiplex many requests
-// over one connection — the connection's reader goroutine must not park on
-// a flush, or one slow batch would stall every pipelined request behind it.
+// SampleAppendAsync is the one body of the sample operation, under the
+// Reply contract: the request joins the dataset's coalescer queue, and its
+// samples (appended to dst) or its error arrive through done. Transports
+// that multiplex many requests over one connection submit here directly —
+// the connection's reader goroutine must not park on a flush, or one slow
+// batch would stall every pipelined request behind it.
 func (c *Core[K]) SampleAppendAsync(name string, dst []K, lo, hi K, t int, done Reply[[]K]) error {
 	if t <= 0 {
 		return ErrInvalidCount
 	}
-	if hi < lo {
+	if !(lo <= hi) { // inverted, or a NaN bound: NaN fails every comparison
 		return ErrInvalidRange
 	}
 	st, err := c.lookup(name)
@@ -426,7 +424,7 @@ func (c *Core[K]) SampleAppendAsync(name string, dst []K, lo, hi K, t int, done 
 		return err
 	}
 	st.counters.sampleRequests.Add(1)
-	err = st.samples.submitAsync(sampleArg[K]{q: shard.Query[K]{Lo: lo, Hi: hi, T: t}, dst: dst}, done)
+	err = st.samples.submit(sampleArg[K]{q: shard.Query[K]{Lo: lo, Hi: hi, T: t}, dst: dst}, done)
 	if errors.Is(err, ErrOverloaded) {
 		st.counters.sampleRejected.Add(1)
 	}
@@ -472,54 +470,35 @@ func (f *sampleFlusher[K]) flush(batch []request[sampleArg[K], []K]) {
 	for i, r := range batch {
 		switch {
 		case err != nil:
-			r.reply(result[[]K]{err: err})
+			r.done.Deliver(nil, err)
 		case starts[i+1] == starts[i]:
 			// T was validated positive, so an empty segment means the range
 			// had no sampling mass at flush time.
-			r.reply(result[[]K]{err: ErrEmptyRange})
+			r.done.Deliver(nil, ErrEmptyRange)
 		default:
 			seg := flat[starts[i]:starts[i+1]]
 			st.counters.samplesReturned.Add(uint64(len(seg)))
-			r.reply(result[[]K]{v: append(r.q.dst, seg...)})
+			r.done.Deliver(append(r.q.dst, seg...), nil)
 		}
 	}
 }
 
-// Insert stores items in the named dataset, coalescing with concurrently-
-// arriving insert requests into one backend InsertBatch call. Weights are
-// validated before admission on weighted datasets (unweighted datasets
-// ignore them), so a merged batch cannot fail validation. It returns the
-// number of items stored. The items slice must not be mutated until Insert
-// returns.
+// Insert stores items in the named dataset, returning the number stored:
+// InsertAsync plus a wait. The items slice must not be mutated until
+// Insert returns.
 func (c *Core[K]) Insert(name string, items []Item[K]) (int, error) {
-	st, err := c.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	if len(items) == 0 {
-		return 0, nil
-	}
-	if st.ds.Weighted() {
-		for _, it := range items {
-			if !weighted.ValidWeight(it.Weight) {
-				return 0, ErrInvalidWeight
-			}
-		}
-	}
-	st.counters.insertRequests.Add(1)
-	n, err := st.inserts.submit(items)
-	if errors.Is(err, ErrOverloaded) {
-		st.counters.insertRejected.Add(1)
-	}
-	return n, st.dropErr(err)
+	return c.insertWait.Do(func(done Reply[int]) error {
+		return c.InsertAsync(name, items, done)
+	})
 }
 
-// InsertAsync is Insert without the blocking wait, under the same contract
-// as SampleAppendAsync: validation, routing, and admission errors return
-// synchronously (done never runs); on a nil return done.Deliver runs
-// exactly once with the stored count. An empty items slice is answered
-// inline — done.Deliver(0, nil) runs before InsertAsync returns. The items
-// slice must stay unmutated until done is invoked.
+// InsertAsync is the one body of the insert operation, under the Reply
+// contract: it coalesces with concurrently-arriving insert requests into
+// one backend InsertBatch call and delivers the stored count. Keys (no NaN)
+// and, on weighted datasets, weights are validated before admission
+// (unweighted datasets ignore weights), so a merged batch cannot fail
+// validation. An empty items slice is answered inline. The items slice must
+// stay unmutated until done is invoked.
 func (c *Core[K]) InsertAsync(name string, items []Item[K], done Reply[int]) error {
 	st, err := c.lookup(name)
 	if err != nil {
@@ -529,19 +508,33 @@ func (c *Core[K]) InsertAsync(name string, items []Item[K], done Reply[int]) err
 		done.Deliver(0, nil)
 		return nil
 	}
-	if st.ds.Weighted() {
-		for _, it := range items {
-			if !weighted.ValidWeight(it.Weight) {
-				return ErrInvalidWeight
-			}
-		}
+	if err := validItems(items, st.ds.Weighted()); err != nil {
+		return err
 	}
 	st.counters.insertRequests.Add(1)
-	err = st.inserts.submitAsync(items, done)
+	err = st.inserts.submit(items, done)
 	if errors.Is(err, ErrOverloaded) {
 		st.counters.insertRejected.Add(1)
 	}
 	return st.dropErr(err)
+}
+
+// errNaNKey rejects a NaN key. NaN has no place in the key order: stored,
+// it would break the sorted invariants range counts, deletes, and draws
+// rely on. Only float key types can trip it.
+var errNaNKey = fmt.Errorf("%w: NaN key", ErrInvalidRange)
+
+// validItems checks every key and, when weights matter, every weight.
+func validItems[K cmp.Ordered](items []Item[K], weights bool) error {
+	for _, it := range items {
+		if it.Key != it.Key {
+			return errNaNKey
+		}
+		if weights && !weighted.ValidWeight(it.Weight) {
+			return ErrInvalidWeight
+		}
+	}
+	return nil
 }
 
 // insertFlusher is one insert flush worker's private state: the reusable
@@ -577,9 +570,9 @@ func (f *insertFlusher[K]) flush(batch []request[[]Item[K], int]) {
 	}
 	for _, r := range batch {
 		if err != nil {
-			r.reply(result[int]{err: err})
+			r.done.Deliver(0, err)
 		} else {
-			r.reply(result[int]{v: len(r.q)})
+			r.done.Deliver(len(r.q), nil)
 		}
 	}
 }
@@ -593,6 +586,11 @@ func (c *Core[K]) Delete(name string, keys []K) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	for _, k := range keys {
+		if k != k {
+			return 0, errNaNKey
+		}
+	}
 	st.counters.deleteRequests.Add(1)
 	n, err := st.applyDelete(keys)
 	if err != nil {
@@ -602,13 +600,29 @@ func (c *Core[K]) Delete(name string, keys []K) (int, error) {
 	return n, nil
 }
 
-// applyInsert stages (durable datasets) and applies one merged insert
-// batch under the durability order: logMu covers exactly (stage, apply) —
-// assigning the batch its WAL position and mutating memory in the same
-// order — while the fsync wait runs after logMu is released, so a slow
-// disk flush never serializes other flushers behind this batch. The
-// caller's scratch buffer carries the encoded entries and is trimmed back
-// under the retention bound.
+// commit runs one mutation of a durable dataset under the durability
+// order: logMu covers exactly (stage, apply) — assigning the batch its WAL
+// position and mutating memory in the same order — while the fsync wait
+// runs after logMu is released, so a slow disk flush never serializes
+// other writers behind this batch.
+func (st *dsState[K]) commit(stage func([]persist.Entry[K]) (persist.Ticket, error), entries []persist.Entry[K], apply func() (int, error)) (int, error) {
+	st.logMu.Lock()
+	t, err := stage(entries)
+	if err != nil {
+		st.logMu.Unlock()
+		return 0, logErr(err)
+	}
+	n, err := apply()
+	st.logMu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	return n, logErr(st.store.WaitDurable(t))
+}
+
+// applyInsert applies one merged insert batch, write-ahead logged on
+// durable datasets. The caller's scratch buffer carries the encoded
+// entries and is trimmed back under the retention bound.
 func (st *dsState[K]) applyInsert(items []Item[K], scratch *[]persist.Entry[K]) error {
 	if st.store == nil {
 		return st.ds.InsertItems(items)
@@ -619,46 +633,22 @@ func (st *dsState[K]) applyInsert(items []Item[K], scratch *[]persist.Entry[K]) 
 	} else {
 		*scratch = nil
 	}
-	st.logMu.Lock()
-	t, err := st.store.StageInsert(entries)
-	if err != nil {
-		st.logMu.Unlock()
-		return logErr(err)
-	}
-	err = st.ds.InsertItems(items)
-	st.logMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return logErr(st.store.WaitDurable(t))
+	_, err := st.commit(st.store.StageInsert, entries, func() (int, error) { return 0, st.ds.InsertItems(items) })
+	return err
 }
 
-// applyDelete stages (durable datasets) and applies one delete batch under
-// the same stage → apply → wait discipline as applyInsert.
+// applyDelete applies one delete batch, write-ahead logged on durable
+// datasets.
 func (st *dsState[K]) applyDelete(keys []K) (int, error) {
 	if st.store == nil {
 		return st.ds.DeleteKeys(keys), nil
 	}
 	sp := st.getEntries()
-	entries := (*sp)[:0]
+	defer st.putEntries(sp)
 	for _, k := range keys {
-		entries = append(entries, persist.Entry[K]{Key: k})
+		*sp = append(*sp, persist.Entry[K]{Key: k})
 	}
-	*sp = entries
-	st.logMu.Lock()
-	t, err := st.store.StageDelete(entries)
-	if err != nil {
-		st.logMu.Unlock()
-		st.putEntries(sp)
-		return 0, logErr(err)
-	}
-	n := st.ds.DeleteKeys(keys)
-	st.logMu.Unlock()
-	st.putEntries(sp)
-	if err := st.store.WaitDurable(t); err != nil {
-		return 0, logErr(err)
-	}
-	return n, nil
+	return st.commit(st.store.StageDelete, *sp, func() (int, error) { return st.ds.DeleteKeys(keys), nil })
 }
 
 // logErr maps WAL append failures to the serving vocabulary: a store
@@ -679,7 +669,7 @@ func logErr(err error) error {
 // across nodes in proportion to in-range mass. It bypasses the coalescer:
 // the engines answer it in O(shards · log n) under read locks.
 func (c *Core[K]) RangeStats(name string, lo, hi K) (int, float64, error) {
-	if hi < lo {
+	if !(lo <= hi) { // inverted, or a NaN bound
 		return 0, 0, ErrInvalidRange
 	}
 	st, err := c.lookup(name)
@@ -722,15 +712,7 @@ func (c *Core[K]) Close() error {
 	c.mu.Unlock()
 	var errs []error
 	for _, st := range states {
-		st.state.CompareAndSwap(DatasetServing, DatasetDraining)
-		st.samples.close()
-		st.inserts.close()
-		if st.store != nil {
-			if err := st.store.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		st.state.Store(DatasetClosed)
+		errs = append(errs, st.drain(false))
 	}
 	return errors.Join(errs...)
 }

@@ -4,14 +4,14 @@ import (
 	srv "github.com/irsgo/irs/internal/server"
 )
 
-// SampleReply and InsertReply receive asynchronous answers from
-// SampleAsync and InsertAsync. Deliver is called exactly once per accepted
-// request, from a serving-core flusher goroutine, and must not block for
-// long — it runs inside the flush loop that answers every other coalesced
-// request in the batch. Implementations meant for hot paths should be
-// pooled pointer-structs: a pointer already on the heap boxes into the
-// interface without allocating, which is how the TCP transport keeps its
-// per-request path allocation-free.
+// SampleReply and InsertReply receive the answers of SampleAsync and
+// InsertAsync, under the contract stated at Backend. Deliver runs on a
+// serving-core flusher goroutine and must not block for long — it is
+// inside the flush loop that answers every other coalesced request in the
+// batch. Implementations meant for hot paths should be pooled
+// pointer-structs: a pointer already on the heap boxes into the interface
+// without allocating, which is how the TCP transport keeps its per-request
+// path allocation-free.
 type (
 	SampleReply = srv.Reply[[]float64]
 	InsertReply = srv.Reply[int]
@@ -19,20 +19,15 @@ type (
 
 // SampleAsync submits a sample request without blocking for the coalesced
 // flush: the samples — appended to dst, which may be nil — or the error
-// arrive through done.Deliver. Validation, routing, and admission errors
-// (ErrOverloaded, ErrShuttingDown, ...) are returned synchronously, in
-// which case done is never invoked; on a nil return done.Deliver runs
-// exactly once. This is the submission surface for transports that
+// arrive through done. This is the submission surface for transports that
 // multiplex many requests over one connection, where the connection's
 // reader goroutine must never park behind a flush.
 func (s *Server) SampleAsync(dataset string, dst []float64, lo, hi float64, t int, done SampleReply) error {
 	return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, done)
 }
 
-// InsertAsync submits an insert without blocking for the coalesced flush,
-// under the same contract as SampleAsync. An empty items slice is answered
-// inline (done.Deliver(0, nil) runs before InsertAsync returns). The items
-// slice must stay unmutated until done is invoked.
+// InsertAsync submits an insert without blocking for the coalesced flush.
+// The items slice must stay unmutated until done is invoked.
 func (s *Server) InsertAsync(dataset string, items []Item, done InsertReply) error {
 	return s.backend.InsertAsync(dataset, items, done)
 }

@@ -78,110 +78,77 @@ type DurableOptions struct {
 // records replay through persist's reused decode buffer — so boot-time
 // memory is the dataset itself, not a second copy of it.
 func (s *Server) AddDurableUnweighted(name string, opts DurableOptions) (*irs.Concurrent[float64], Recovery, error) {
-	if s.core == nil {
-		return nil, Recovery{}, ErrProxy
-	}
-	begin := time.Now()
-	var (
-		keys []float64
-		c    *irs.Concurrent[float64]
-		ds   srv.Dataset[float64]
-		ra   srv.ReplayApplier[float64]
-	)
-	// Snapshot entries stream in key order before the first WAL record, so
-	// the structure bulk-loads sorted exactly once — at the first record,
-	// or after recovery if the tail is empty.
-	build := func() error {
-		var err error
-		c, err = irs.NewConcurrentFromSortedSeeded(keys, max(opts.Shards, 1), opts.Seed)
-		if err != nil {
-			return err
-		}
-		keys = nil
-		ds = srv.NewUnweightedDataset(c)
-		return nil
-	}
-	store, stats, err := persist.OpenStream(opts.Dir, persist.Float64Keys(), persist.Options{
-		Kind:         persist.KindUnweighted,
-		Sync:         opts.Sync,
-		SyncInterval: opts.SyncInterval,
-		OpenFile:     opts.OpenFile,
-	}, persist.RecoverySink[float64]{
-		SnapshotStart: func(count int) error {
-			keys = make([]float64, 0, count)
-			return nil
+	return addDurable(s, name, opts, persist.KindUnweighted,
+		func(e persist.Entry[float64]) float64 { return e.Key },
+		func(keys []float64) (*irs.Concurrent[float64], error) {
+			return irs.NewConcurrentFromSortedSeeded(keys, max(opts.Shards, 1), opts.Seed)
 		},
-		SnapshotEntry: func(e persist.Entry[float64]) error {
-			keys = append(keys, e.Key)
-			return nil
-		},
-		Record: func(rec persist.Record[float64]) error {
-			if ds == nil {
-				if err := build(); err != nil {
-					return err
-				}
-			}
-			return ra.Apply(ds, rec)
-		},
-	})
-	if err != nil {
-		return nil, Recovery{}, err
-	}
-	if ds == nil {
-		if err := build(); err != nil {
-			store.Close()
-			return nil, Recovery{}, err
-		}
-	}
-	if err := s.core.AddDurable(name, ds, store, stats); err != nil {
-		store.Close()
-		return nil, Recovery{}, err
-	}
-	s.noteRecovery(name, time.Since(begin))
-	return c, stats, nil
+		srv.NewUnweightedDataset)
 }
 
 // AddDurableWeighted is AddDurableUnweighted for a weighted dataset:
 // weight updates are logged too, and recovery restores the exact
 // (key, weight) multiset.
 func (s *Server) AddDurableWeighted(name string, opts DurableOptions) (*irs.WeightedConcurrent[float64], Recovery, error) {
+	return addDurable(s, name, opts, persist.KindWeighted,
+		func(e persist.Entry[float64]) weighted.Item[float64] {
+			return weighted.Item[float64]{Key: e.Key, Weight: e.Weight}
+		},
+		func(items []weighted.Item[float64]) (*irs.WeightedConcurrent[float64], error) {
+			return irs.NewWeightedConcurrentFromSortedItems(items, max(opts.Shards, 1), opts.Seed)
+		},
+		srv.NewWeightedDataset)
+}
+
+// addDurable is the recovery both durable constructors run, generic over
+// what differs between them: the element a snapshot entry becomes (elem),
+// the engine's sorted bulk-load constructor (build), and the serving
+// adapter over the built structure (adapt).
+func addDurable[E any, S any](s *Server, name string, opts DurableOptions, kind uint8,
+	elem func(persist.Entry[float64]) E,
+	build func(sorted []E) (S, error),
+	adapt func(S) srv.Dataset[float64],
+) (S, Recovery, error) {
+	var (
+		none   S
+		sorted []E
+		live   S
+		ds     srv.Dataset[float64]
+		ra     srv.ReplayApplier[float64]
+	)
 	if s.core == nil {
-		return nil, Recovery{}, ErrProxy
+		return none, Recovery{}, ErrProxy
 	}
 	begin := time.Now()
-	var (
-		items []weighted.Item[float64]
-		w     *irs.WeightedConcurrent[float64]
-		ds    srv.Dataset[float64]
-		ra    srv.ReplayApplier[float64]
-	)
-	build := func() error {
+	// Snapshot entries stream in key order before the first WAL record, so
+	// the structure bulk-loads sorted exactly once — at the first record,
+	// or after recovery if the tail is empty.
+	load := func() error {
 		var err error
-		w, err = irs.NewWeightedConcurrentFromSortedItems(items, max(opts.Shards, 1), opts.Seed)
-		if err != nil {
+		if live, err = build(sorted); err != nil {
 			return err
 		}
-		items = nil
-		ds = srv.NewWeightedDataset(w)
+		sorted = nil
+		ds = adapt(live)
 		return nil
 	}
 	store, stats, err := persist.OpenStream(opts.Dir, persist.Float64Keys(), persist.Options{
-		Kind:         persist.KindWeighted,
+		Kind:         kind,
 		Sync:         opts.Sync,
 		SyncInterval: opts.SyncInterval,
 		OpenFile:     opts.OpenFile,
 	}, persist.RecoverySink[float64]{
 		SnapshotStart: func(count int) error {
-			items = make([]weighted.Item[float64], 0, count)
+			sorted = make([]E, 0, count)
 			return nil
 		},
 		SnapshotEntry: func(e persist.Entry[float64]) error {
-			items = append(items, weighted.Item[float64]{Key: e.Key, Weight: e.Weight})
+			sorted = append(sorted, elem(e))
 			return nil
 		},
 		Record: func(rec persist.Record[float64]) error {
 			if ds == nil {
-				if err := build(); err != nil {
+				if err := load(); err != nil {
 					return err
 				}
 			}
@@ -189,18 +156,18 @@ func (s *Server) AddDurableWeighted(name string, opts DurableOptions) (*irs.Weig
 		},
 	})
 	if err != nil {
-		return nil, Recovery{}, err
+		return none, Recovery{}, err
 	}
 	if ds == nil {
-		if err := build(); err != nil {
+		if err := load(); err != nil {
 			store.Close()
-			return nil, Recovery{}, err
+			return none, Recovery{}, err
 		}
 	}
 	if err := s.core.AddDurable(name, ds, store, stats); err != nil {
 		store.Close()
-		return nil, Recovery{}, err
+		return none, Recovery{}, err
 	}
 	s.noteRecovery(name, time.Since(begin))
-	return w, stats, nil
+	return live, stats, nil
 }

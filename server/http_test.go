@@ -11,7 +11,16 @@ import (
 	"time"
 
 	irs "github.com/irsgo/irs"
+	"github.com/irsgo/irs/internal/cluster"
+	srv "github.com/irsgo/irs/internal/server"
 	"github.com/irsgo/irs/server"
+)
+
+// The contract that lets one set of transports serve a node and a cluster:
+// the local core and the router both satisfy Backend.
+var (
+	_ server.Backend = (*srv.Core[float64])(nil)
+	_ server.Backend = (*cluster.Router)(nil)
 )
 
 // newTestDaemon spins up the full HTTP stack: a Server with an unweighted

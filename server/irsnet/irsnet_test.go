@@ -13,6 +13,7 @@ import (
 	"time"
 
 	irs "github.com/irsgo/irs"
+	srv "github.com/irsgo/irs/internal/server"
 	"github.com/irsgo/irs/server"
 	"github.com/irsgo/irs/server/irsnet"
 )
@@ -245,6 +246,151 @@ func TestTCPErrorPaths(t *testing.T) {
 			t.Errorf("%s: api error = %+v, want status %d", tc.name, api, tc.status)
 		}
 	}
+}
+
+// coreConn presents the in-process serving core through the client method
+// set, so TestNaNRejected drives it with the table the wire clients get.
+type coreConn struct{ core *srv.Core[float64] }
+
+func (c coreConn) Sample(_ context.Context, ds string, lo, hi float64, t int) ([]float64, error) {
+	return c.core.Sample(ds, lo, hi, t)
+}
+func (c coreConn) InsertItems(_ context.Context, ds string, items []server.Item) (int, error) {
+	return c.core.Insert(ds, items)
+}
+func (c coreConn) Delete(_ context.Context, ds string, keys []float64) (int, error) {
+	return c.core.Delete(ds, keys)
+}
+func (c coreConn) Update(_ context.Context, ds string, items []server.Item) (int, error) {
+	return c.core.Update(ds, items)
+}
+func (c coreConn) RangeStats(_ context.Context, ds string, lo, hi float64) (int, float64, error) {
+	return c.core.RangeStats(ds, lo, hi)
+}
+
+// TestNaNRejected: NaN has no place in the key order, so a NaN key or
+// bound is refused with ErrInvalidRange before it can reach a structure —
+// through the core and through both transports whose frames carry raw
+// float64s (JSON cannot spell NaN). The datasets are left untouched, and
+// the neighbouring legal values — infinite bounds, both zeros as keys —
+// are still served.
+func TestNaNRejected(t *testing.T) {
+	type conn interface {
+		Sample(ctx context.Context, dataset string, lo, hi float64, t int) ([]float64, error)
+		InsertItems(ctx context.Context, dataset string, items []server.Item) (int, error)
+		Delete(ctx context.Context, dataset string, keys []float64) (int, error)
+		Update(ctx context.Context, dataset string, items []server.Item) (int, error)
+		RangeStats(ctx context.Context, dataset string, lo, hi float64) (int, float64, error)
+	}
+	ctx := context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+
+	check := func(t *testing.T, cl conn, rawMutations bool) {
+		lens := func() (u, w int) {
+			u, _, err := cl.RangeStats(ctx, "u", -inf, inf)
+			if err != nil {
+				t.Fatalf("rangestats(-Inf, +Inf) on u: %v", err)
+			}
+			w, _, err = cl.RangeStats(ctx, "w", -inf, inf)
+			if err != nil {
+				t.Fatalf("rangestats(-Inf, +Inf) on w: %v", err)
+			}
+			return u, w
+		}
+		u0, w0 := lens()
+		if u0 != 1000 || w0 != 100 {
+			t.Fatalf("preload: u=%d w=%d", u0, w0)
+		}
+
+		cases := []struct {
+			name string
+			raw  bool // carried as raw float64 only on irsnet and in process
+			do   func() error
+		}{
+			{"sample lo", false, func() error { _, err := cl.Sample(ctx, "u", nan, 10, 1); return err }},
+			{"sample hi", false, func() error { _, err := cl.Sample(ctx, "u", 0, nan, 1); return err }},
+			{"rangestats lo", false, func() error { _, _, err := cl.RangeStats(ctx, "u", nan, 10); return err }},
+			{"rangestats hi", false, func() error { _, _, err := cl.RangeStats(ctx, "w", 0, nan); return err }},
+			{"insert", false, func() error {
+				_, err := cl.InsertItems(ctx, "u", []server.Item{{Key: nan, Weight: 1}, {Key: 5.5, Weight: 1}, {Key: nan, Weight: 1}})
+				return err
+			}},
+			{"insert weighted", false, func() error {
+				_, err := cl.InsertItems(ctx, "w", []server.Item{{Key: 5.5, Weight: 1}, {Key: nan, Weight: 1}})
+				return err
+			}},
+			{"delete", true, func() error { _, err := cl.Delete(ctx, "u", []float64{5, nan}); return err }},
+			{"update", true, func() error {
+				_, err := cl.Update(ctx, "w", []server.Item{{Key: 5, Weight: 2}, {Key: nan, Weight: 2}})
+				return err
+			}},
+		}
+		for _, tc := range cases {
+			if tc.raw && !rawMutations {
+				continue
+			}
+			if err := tc.do(); !errors.Is(err, server.ErrInvalidRange) {
+				t.Errorf("%s: err = %v, want ErrInvalidRange", tc.name, err)
+			}
+		}
+		if u, w := lens(); u != u0 || w != w0 {
+			t.Fatalf("rejected requests changed the datasets: u %d -> %d, w %d -> %d", u0, u, w0, w)
+		}
+
+		// The legal neighbours of NaN.
+		if out, err := cl.Sample(ctx, "u", -inf, inf, 8); err != nil || len(out) != 8 {
+			t.Fatalf("sample(-Inf, +Inf): %v, %v", out, err)
+		}
+		zeros := []server.Item{{Key: negZero, Weight: 1}, {Key: 0, Weight: 1}}
+		if n, err := cl.InsertItems(ctx, "u", zeros); err != nil || n != 2 {
+			t.Fatalf("insert -0, +0: %d, %v", n, err)
+		}
+		if n, _, err := cl.RangeStats(ctx, "u", negZero, 0); err != nil || n != 3 {
+			t.Fatalf("rangestats(-0, +0) = %d, %v, want the preloaded 0 plus both zeros", n, err)
+		}
+		if n, err := cl.Delete(ctx, "u", []float64{negZero, 0}); err != nil || n != 2 {
+			t.Fatalf("delete -0, +0: %d, %v", n, err)
+		}
+	}
+
+	t.Run("core", func(t *testing.T) {
+		core := srv.NewCore[float64](srv.Config{})
+		defer core.Close()
+		keys := make([]float64, 1000)
+		for i := range keys {
+			keys[i] = float64(i)
+		}
+		u, err := irs.NewConcurrentFromSortedSeeded(keys, 4, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := irs.NewWeightedConcurrent[float64](4, 11)
+		for i := 0; i < 100; i++ {
+			if err := w.Insert(float64(i), float64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := errors.Join(core.Add("u", srv.NewUnweightedDataset(u)), core.Add("w", srv.NewWeightedDataset(w))); err != nil {
+			t.Fatal(err)
+		}
+		check(t, coreConn{core}, true)
+	})
+	t.Run("binary-http", func(t *testing.T) {
+		s := newBackend(t, server.Config{}, 1000, 11)
+		defer s.Close()
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		cl := server.NewClient(ts.URL)
+		cl.Binary = true
+		// /delete and /update are JSON on this transport, and JSON has no NaN.
+		check(t, cl, false)
+	})
+	t.Run("irsnet", func(t *testing.T) {
+		cl, _, stop := newTCPDaemon(t, server.Config{}, 1000, 11, irsnet.Options{})
+		defer stop()
+		check(t, cl, true)
+	})
 }
 
 // TestTCPMalformedFrames speaks the raw protocol: malformed frames inside

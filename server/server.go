@@ -102,15 +102,21 @@ const maxBodyBytes = 8 << 20
 // buffers — stays above this line, so irsrouter serves the exact protocols
 // irsd does without duplicating a handler.
 //
-// Contract notes: SampleAppend appends to dst and returns dst unchanged on
-// error; the Async forms follow internal/server's Reply contract
-// (synchronous validation errors mean done never runs, otherwise
-// done.Deliver runs exactly once); Stats omits the ServerInfo block (the
-// transport layer that knows the process identity fills it in).
+// The two coalesced operations, sample and insert, exist in one form only —
+// asynchronous — so a backend writes each once. Their contract is
+// internal/server.Reply's: validation, routing, and admission errors
+// (ErrInvalidRange, ErrUnknownDataset, ErrOverloaded, ...) return
+// synchronously and done never runs; on a nil return done.Deliver runs
+// exactly once with the samples appended to dst, or the stored count, or
+// the error (an empty insert is answered inline); and Close drains, so
+// every accepted request is still answered. irsnet's reader hands in a
+// Reply that encodes the response; the HTTP handlers, which want the
+// answer as a return value, wait on the same call through srv.Blocking.
+// The remaining methods are rare or cheap enough to block their caller.
+// Stats omits the ServerInfo block (the transport layer that knows the
+// process identity fills it in).
 type Backend interface {
-	SampleAppend(dataset string, dst []float64, lo, hi float64, t int) ([]float64, error)
 	SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, done SampleReply) error
-	Insert(dataset string, items []Item) (int, error)
 	InsertAsync(dataset string, items []Item, done InsertReply) error
 	Delete(dataset string, keys []float64) (int, error)
 	Update(dataset string, items []Item) (int, error)
@@ -132,6 +138,10 @@ type Server struct {
 	mux     *http.ServeMux
 	obs     observe
 	adm     admin
+
+	// The HTTP handlers answer in their own goroutine, so they wait here.
+	sampleWait srv.Blocking[[]float64]
+	insertWait srv.Blocking[int]
 }
 
 // New returns a Server with no datasets.
@@ -232,6 +242,20 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
+// sample and insert are the HTTP handlers' blocking view of the backend's
+// two asynchronous operations.
+func (s *Server) sample(dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+	return s.sampleWait.Do(func(done SampleReply) error {
+		return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, done)
+	})
+}
+
+func (s *Server) insert(dataset string, items []Item) (int, error) {
+	return s.insertWait.Do(func(done InsertReply) error {
+		return s.backend.InsertAsync(dataset, items, done)
+	})
+}
+
 // ServeHTTP implements http.Handler. The four data endpoints are timed
 // into the per-encoding request-latency histograms; infrastructure
 // endpoints (/stats, /metrics, probes, /snapshot — which has its own
@@ -320,12 +344,12 @@ func (s *Server) handleSampleBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	dst := wire.GetF64()
 	defer wire.PutF64(dst)
-	samples, err := s.backend.SampleAppend(req.Dataset, (*dst)[:0], req.Lo, req.Hi, req.T)
-	*dst = samples[:0] // keep any growth for the next request
+	samples, err := s.sample(req.Dataset, (*dst)[:0], req.Lo, req.Hi, req.T)
 	if err != nil {
 		writeCoreError(w, err)
 		return
 	}
+	*dst = samples[:0] // keep any growth for the next request
 	// The request frame is fully decoded, so its buffer doubles as the
 	// response frame; the (usually larger) grown buffer stays pooled.
 	frame := wire.EncodeSampleResponse(body[:0], samples)
@@ -353,7 +377,7 @@ func (s *Server) handleInsertBinary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	*items = all[:0]
-	n, err := s.backend.Insert(string(name), all)
+	n, err := s.insert(string(name), all)
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -369,15 +393,11 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SampleRequest
-	if !readJSON(w, r, &req) {
+	name, ok := s.readNamed(w, r, &req, &req.Dataset)
+	if !ok {
 		return
 	}
-	name, err := s.resolveName(req.Dataset)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	samples, err := s.backend.SampleAppend(name, nil, req.Lo, req.Hi, req.T)
+	samples, err := s.sample(name, nil, req.Lo, req.Hi, req.T)
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -391,12 +411,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	name, err := s.resolveName(req.Dataset)
-	if err != nil {
-		writeCoreError(w, err)
+	name, ok := s.readNamed(w, r, &req, &req.Dataset)
+	if !ok {
 		return
 	}
 	items := make([]Item, 0, len(req.Keys)+len(req.Items))
@@ -404,7 +420,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		items = append(items, Item{Key: k, Weight: 1})
 	}
 	items = append(items, req.Items...)
-	n, err := s.backend.Insert(name, items)
+	n, err := s.insert(name, items)
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -414,12 +430,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	name, err := s.resolveName(req.Dataset)
-	if err != nil {
-		writeCoreError(w, err)
+	name, ok := s.readNamed(w, r, &req, &req.Dataset)
+	if !ok {
 		return
 	}
 	n, err := s.backend.Delete(name, req.Keys)
@@ -432,12 +444,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	name, err := s.resolveName(req.Dataset)
-	if err != nil {
-		writeCoreError(w, err)
+	name, ok := s.readNamed(w, r, &req, &req.Dataset)
+	if !ok {
 		return
 	}
 	n, err := s.backend.Update(name, req.Items)
@@ -476,12 +484,8 @@ func (s *Server) handleRangeStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RangeStatsRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	name, err := s.resolveName(req.Dataset)
-	if err != nil {
-		writeCoreError(w, err)
+	name, ok := s.readNamed(w, r, &req, &req.Dataset)
+	if !ok {
 		return
 	}
 	count, mass, err := s.backend.RangeStats(name, req.Lo, req.Hi)
@@ -494,12 +498,8 @@ func (s *Server) handleRangeStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req SnapshotRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	name, err := s.resolveName(req.Dataset)
-	if err != nil {
-		writeCoreError(w, err)
+	name, ok := s.readNamed(w, r, &req, &req.Dataset)
+	if !ok {
 		return
 	}
 	info, err := s.backend.Snapshot(name)
@@ -516,6 +516,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.Stats())
+}
+
+// readNamed is readJSON followed by resolveName on the request's dataset
+// field, answering either failure itself.
+func (s *Server) readNamed(w http.ResponseWriter, r *http.Request, req any, dataset *string) (name string, ok bool) {
+	if !readJSON(w, r, req) {
+		return "", false
+	}
+	name, err := s.resolveName(*dataset)
+	if err != nil {
+		writeCoreError(w, err)
+		return "", false
+	}
+	return name, true
 }
 
 // readJSON decodes a strict JSON body into dst, answering the error itself
