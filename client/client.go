@@ -74,7 +74,7 @@ type Conn interface {
 }
 
 // Both concrete clients must satisfy the full surface — this is the
-// compile-time contract the router and the load harness rely on.
+// compile-time contract the router and the benchmark rely on.
 var (
 	_ Conn = (*server.Client)(nil)
 	_ Conn = (*irsnet.Client)(nil)

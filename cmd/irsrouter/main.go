@@ -1,66 +1,40 @@
 // Command irsrouter is the IRS cluster router: it fronts a set of irsd
 // nodes, each owning one contiguous key range, and serves the exact same
 // protocols a single node speaks — HTTP/JSON, HTTP binary frames, and
-// (with -tcp-addr) the persistent multiplexed binary TCP transport — so
-// clients talk to a cluster exactly as they talk to one daemon.
-//
-// Usage:
+// (with -tcp-addr) the irsnet TCP transport — so clients talk to a cluster
+// exactly as they talk to one daemon. DESIGN.md "Cluster (extension)"
+// describes the exact cross-partition split and the failure contract;
+// "Daemon runtime" the process lifecycle (scraped stdout lines, signals,
+// drain order, exit codes) it shares with irsd through internal/daemon.
 //
 //	irsrouter -addr 127.0.0.1:9090 \
 //	  -partitions '127.0.0.1:8081@0:1e6,127.0.0.1:8082@1e6:2e6,127.0.0.1:8083@2e6:+inf' \
 //	  -datasets events
 //
 // Partitions are "addr@lo:hi" specs (internal/spec grammar): contiguous
-// ascending key ranges, '@' separating the node address from the range
-// because addresses contain ':'. Bounds accept -inf/+inf. Each node must
-// serve the configured datasets over -node-encoding (json, binary, or
-// tcp).
+// ascending key ranges, bounds accepting -inf/+inf. Each node must serve
+// the configured datasets over -node-encoding (json, binary, or tcp).
 //
 // With -config the topology (partition lines and dataset lines, same
-// grammar, one element per line or comma, # comments) comes from a config
-// file instead of -partitions/-datasets, and SIGHUP re-reads it and swaps
-// the partition map atomically: the new map is fully validated and its
-// node connections dialed before the swap, a failed reload keeps the
-// current topology, requests in flight finish on the map they started on,
-// and new requests route by the new map — zero requests dropped across a
-// repartition.
-//
-// Cross-partition sample requests are split exactly: per-partition
-// in-range (count, mass) probes, a multinomial draw over partition
-// masses, per-partition sub-samples, and a scatter back into draw order —
-// the same construction the in-process sharded sampler uses, one level
-// up, so samples through the router are distributed identically to a
-// single node holding the union. Mutations route by key range. A request
-// touching an unreachable node answers the typed "unavailable" error
-// while other partitions keep serving.
-//
-// /stats aggregates the nodes' views; /metrics adds per-partition request
-// and failure counters plus refreshed per-partition key/mass gauges
-// (-refresh sets the cadence); /healthz and /readyz behave as on irsd,
-// with readiness dropping the moment a drain begins. The chosen addresses
-// print as "irsrouter: serving on http://..." and "irsrouter: tcp on ..."
-// for wrappers to scrape, and SIGINT/SIGTERM drain gracefully.
+// grammar) comes from a config file instead of -partitions/-datasets, and
+// SIGHUP re-reads it and swaps the partition map atomically; see
+// reloadConfig. -refresh sets the cadence of the per-partition key/mass
+// gauges on /metrics.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
 	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/internal/cluster"
+	"github.com/irsgo/irs/internal/daemon"
 	"github.com/irsgo/irs/internal/spec"
 	"github.com/irsgo/irs/server"
-	"github.com/irsgo/irs/server/irsnet"
 )
 
 // version is the build identity reported by /stats, /metrics, and the
@@ -69,217 +43,63 @@ import (
 //	go build -ldflags "-X main.version=v1.2.3" ./cmd/irsrouter
 var version = "dev"
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(daemon.Main(app())) }
 
-// newLogger mirrors irsd: slog text or JSON on stderr; the machine-scraped
-// stdout lines stay plain prints.
-func newLogger(format string) *slog.Logger {
-	if format == "json" {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
-}
-
-func run() int {
+// app is irsrouter's half of the daemon: its flags, its topology boot, its
+// map-swapping reload and the partition-gauge refresh job.
+func app() daemon.App {
+	fs := flag.NewFlagSet("irsrouter", flag.ContinueOnError)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:9090", "listen address (port 0 picks a free port)")
-		tcpAddr    = flag.String("tcp-addr", "", "persistent binary TCP listen address (empty disables; port 0 picks a free port)")
-		tcpReadBuf = flag.Int("tcp-read-buf", 0, "per-connection read buffer for the binary TCP transport, bytes (0 = default)")
-		partitions = flag.String("partitions", "", "comma-separated addr@lo:hi partition specs, contiguous and ascending (required unless -config)")
-		datasets   = flag.String("datasets", "demo", "comma-separated name[:weighted|:unweighted] specs the cluster serves")
-		config     = flag.String("config", "", "config file naming the partitions and datasets (spec grammar, one per line, '#' comments); mutually exclusive with -partitions/-datasets, reloaded on SIGHUP")
-		encoding   = flag.String("node-encoding", "binary", "wire encoding toward the nodes: json, binary, or tcp")
-		seed       = flag.Uint64("seed", 1, "seed for the cross-partition multinomial split")
-		timeout    = flag.Duration("node-timeout", 10*time.Second, "per-node request deadline (0 = none)")
-		refresh    = flag.Duration("refresh", 15*time.Second, "partition stats refresh period for /metrics gauges (0 disables)")
-
-		readHdrTimeout = flag.Duration("read-header-timeout", 5*time.Second, "HTTP header read deadline per request")
-		idleTimeout    = flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle connection deadline")
-
-		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
-		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP address")
+		partitions = fs.String("partitions", "", "comma-separated addr@lo:hi partition specs, contiguous and ascending (required unless -config)")
+		datasets   = fs.String("datasets", "demo", "comma-separated name[:weighted|:unweighted] specs the cluster serves")
+		encoding   = fs.String("node-encoding", "binary", "wire encoding toward the nodes: json, binary, or tcp")
+		seed       = fs.Uint64("seed", 1, "seed for the cross-partition multinomial split")
+		timeout    = fs.Duration("node-timeout", 10*time.Second, "per-node request deadline (0 = none)")
+		refresh    = fs.Duration("refresh", 15*time.Second, "partition stats refresh period for /metrics gauges (0 disables)")
 	)
-	flag.Parse()
-
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateFlags(explicit, *partitions, *logFormat, *readHdrTimeout, *idleTimeout, *tcpAddr, *tcpReadBuf, *config); err != nil {
-		newLogger("text").Error("invalid flags", "err", err)
-		return 2
-	}
-	logger := newLogger(*logFormat)
-	logger.Info("irsrouter starting", "version", version, "go", runtime.Version(), "pid", os.Getpid())
-
-	topo, err := bootTopology(*config, *partitions, *datasets)
-	if err != nil {
-		logger.Error("boot failed", "err", err)
-		return 1
-	}
-	m, conns, names, err := buildTopology(topo, *encoding)
-	if err != nil {
-		logger.Error("boot failed", "err", err)
-		return 1
-	}
-	router, err := cluster.NewRouter(m, conns, cluster.Options{
-		Datasets: names,
-		Seed:     *seed,
-		Timeout:  *timeout,
-	})
-	if err != nil {
-		logger.Error("boot failed", "err", err)
-		return 1
-	}
-	for i := 0; i < router.Map().Len(); i++ {
-		p := router.Map().At(i)
-		logger.Info("partition", "index", i, "addr", p.Addr, "lo", p.Lo, "hi", p.Hi)
-	}
-
-	s := server.NewProxy(router)
-	s.SetVersion(version)
-	if *enablePprof {
-		s.EnablePprof()
-	}
-	// Prime the partition gauges once, best-effort: a node still booting
-	// must not fail the router's boot — requests to it answer
-	// "unavailable" until it appears.
-	_ = router.Stats()
-	// The boot topology is config epoch 1; each applied reload advances it.
-	s.NoteReload(true)
-	s.SetReady()
-
-	refreshStop := make(chan struct{})
-	refreshDone := make(chan struct{})
-	if *refresh > 0 {
-		go func() {
-			defer close(refreshDone)
-			t := time.NewTicker(*refresh)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					_ = router.Stats() // refreshes the map's cached (count, mass)
-				case <-refreshStop:
-					return
-				}
-			}
-		}()
-	} else {
-		close(refreshDone)
-	}
-	stopRefresh := func() {
-		close(refreshStop)
-		<-refreshDone
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
-		stopRefresh()
-		_ = s.Close()
-		return 1
-	}
-	var tln net.Listener
-	if *tcpAddr != "" {
-		tln, err = net.Listen("tcp", *tcpAddr)
+	build := func(c *daemon.Common, logger *slog.Logger) (daemon.Instance, error) {
+		topo, err := bootTopology(c.Config, *partitions, *datasets)
 		if err != nil {
-			logger.Error("tcp listen failed", "addr", *tcpAddr, "err", err)
-			_ = ln.Close()
-			stopRefresh()
-			_ = s.Close()
-			return 1
+			return daemon.Instance{}, err
 		}
-		fmt.Printf("irsrouter: tcp on %s\n", tln.Addr())
-	}
-	fmt.Printf("irsrouter: serving on http://%s\n", ln.Addr())
-
-	httpSrv := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: *readHdrTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
-
-	var tcpSrv *irsnet.Server
-	var tcpDone chan error
-	if tln != nil {
-		tcpSrv = irsnet.NewServerOpts(s, irsnet.ServerOptions{ReadBufferSize: *tcpReadBuf})
-		s.RegisterMetrics(tcpSrv)
-		tcpDone = make(chan error, 1)
-		go func() { tcpDone <- tcpSrv.Serve(tln) }()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	exit := 0
-	var serveErr, tcpErr error
-	shutdownBoth := func() {
-		s.SetDraining()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			logger.Error("http shutdown failed", "err", err)
+		m, conns, names, err := buildTopology(topo, *encoding)
+		if err != nil {
+			return daemon.Instance{}, err
 		}
-		if tcpSrv != nil {
-			if err := tcpSrv.Shutdown(shutCtx); err != nil {
-				logger.Error("tcp shutdown failed", "err", err)
-			}
+		router, err := cluster.NewRouter(m, conns, cluster.Options{
+			Datasets: names,
+			Seed:     *seed,
+			Timeout:  *timeout,
+		})
+		if err != nil {
+			return daemon.Instance{}, err
 		}
-	}
-	// SIGHUP reloads the config file: the new partition map and fresh node
-	// connections are built and validated first, then swapped in atomically
-	// — requests in flight finish on the map they were routed with, and the
-	// old generation's connections close when its last request completes.
-	// Zero requests are dropped by a swap.
-	hup := make(chan os.Signal, 1)
-	if *config != "" {
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
-	}
-serve:
-	for {
-		select {
-		case <-ctx.Done():
-			logger.Info("signal received, draining")
-			shutdownBoth()
-			serveErr = <-done
-			if tcpDone != nil {
-				tcpErr = <-tcpDone
-			}
-			break serve
-		case serveErr = <-done:
-			shutdownBoth()
-			if tcpDone != nil {
-				tcpErr = <-tcpDone
-			}
-			break serve
-		case tcpErr = <-tcpDone:
-			shutdownBoth()
-			serveErr = <-done
-			break serve
-		case <-hup:
-			logger.Info("SIGHUP received, reloading config", "config", *config)
-			reloadConfig(s, router, logger, *config, *encoding)
+		for i := 0; i < router.Map().Len(); i++ {
+			p := router.Map().At(i)
+			logger.Info("partition", "index", i, "addr", p.Addr, "lo", p.Lo, "hi", p.Hi)
 		}
-	}
-	if serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
-		logger.Error("http serve failed", "err", serveErr)
-		exit = 1
-	}
-	if tcpErr != nil {
-		logger.Error("tcp serve failed", "err", tcpErr)
-		exit = 1
-	}
-	stopRefresh()
-	// Close the proxy: the backend Close releases the node connections.
-	if err := s.Close(); err != nil {
-		logger.Error("close failed", "err", err)
-		if exit == 0 {
-			exit = 1
+		// Closing the proxy closes the router, which releases the node
+		// connections.
+		s := server.NewProxy(router)
+		// Stats refreshes the map's cached per-partition (count, mass).
+		// Prime it once, best-effort: a node still booting must not fail the
+		// router's boot — requests to it answer "unavailable" until it appears.
+		refreshGauges := func() { _ = router.Stats() }
+		refreshGauges()
+		inst := daemon.Instance{Server: s, Jobs: []daemon.Job{{Every: *refresh, Run: refreshGauges}}}
+		if c.Config != "" {
+			inst.Reload = func() error { return reloadConfig(router, logger, c.Config, *encoding) }
 		}
+		return inst, nil
 	}
-	fmt.Println("irsrouter: drained, bye")
-	return exit
+	return daemon.App{
+		Flags:          fs,
+		Version:        version,
+		Addr:           "127.0.0.1:9090",
+		ConfigReplaces: []string{"partitions", "datasets"},
+		Validate:       func(c *daemon.Common) error { return validateFlags(c.Config, *partitions) },
+		Build:          build,
+	}
 }
 
 // bootTopology resolves the boot topology: the -config file when given,
@@ -341,60 +161,34 @@ func buildTopology(f spec.File, encoding string) (*cluster.Map, []client.Conn, [
 
 // reloadConfig rebuilds the topology from the config file and swaps it
 // into the router. Everything validates before the swap — an unreadable
-// file, a malformed map, or a failed dial rejects the reload whole and
-// the router keeps serving the old topology, counted as
-// irsd_config_reloads_total{status="error"}.
-func reloadConfig(s *server.Server, router *cluster.Router, logger *slog.Logger, path, encoding string) {
-	fail := func(err error) {
-		s.NoteReload(false)
-		logger.Error("config reload rejected, keeping current topology", "config", path, "err", err)
-	}
+// file, a malformed map, or a failed dial rejects the reload whole with an
+// error and the router keeps serving the old topology.
+func reloadConfig(router *cluster.Router, logger *slog.Logger, path, encoding string) error {
 	f, err := bootTopology(path, "", "")
 	if err != nil {
-		fail(err)
-		return
+		return err
 	}
 	m, conns, names, err := buildTopology(f, encoding)
 	if err != nil {
-		fail(err)
-		return
+		return err
 	}
 	if err := router.SetMap(m, conns, names); err != nil {
 		for _, c := range conns {
 			_ = c.Close()
 		}
-		fail(err)
-		return
+		return err
 	}
-	s.NoteReload(true)
 	// Prime the new map's partition gauges, best-effort.
 	_ = router.Stats()
-	logger.Info("config reloaded", "config", path, "partitions", m.Len(),
-		"datasets", names, "map_epoch", router.Epoch(), "config_epoch", s.ConfigEpoch())
+	logger.Info("topology swapped", "config", path, "partitions", m.Len(), "datasets", names, "map_epoch", router.Epoch())
+	return nil
 }
 
-// validateFlags rejects contradictions before any connection is dialed.
-func validateFlags(explicit map[string]bool, partitions, logFormat string, readHeaderTimeout, idleTimeout time.Duration, tcpAddr string, tcpReadBuf int, config string) error {
-	if explicit["config"] && (explicit["partitions"] || explicit["datasets"]) {
-		return errors.New("-config and -partitions/-datasets are mutually exclusive (the config file is the topology)")
-	}
+// validateFlags rejects a router with no topology source before any
+// connection is dialed.
+func validateFlags(config, partitions string) error {
 	if config == "" && partitions == "" {
 		return errors.New("-partitions is required (comma-separated addr@lo:hi specs), or give -config")
-	}
-	if logFormat != "text" && logFormat != "json" {
-		return fmt.Errorf("-log-format %q: want text or json", logFormat)
-	}
-	if readHeaderTimeout <= 0 {
-		return errors.New("-read-header-timeout must be positive")
-	}
-	if idleTimeout <= 0 {
-		return errors.New("-idle-timeout must be positive")
-	}
-	if tcpReadBuf < 0 {
-		return errors.New("-tcp-read-buf must be >= 0 (0 means the default size)")
-	}
-	if tcpReadBuf > 0 && tcpAddr == "" {
-		return errors.New("-tcp-read-buf has no effect without -tcp-addr")
 	}
 	return nil
 }

@@ -1,52 +1,22 @@
 package main
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestValidateFlags pins the router's flag-combination validation,
-// including the -config / -partitions / -datasets mutual exclusion: the
-// config file is the topology, so giving both would leave two sources of
-// truth disagreeing after the first reload.
+// TestValidateFlags pins the router's own flag rule: a topology source is
+// required. The rules both daemons share, including -config's exclusion of
+// -partitions/-datasets, are pinned in internal/daemon.
 func TestValidateFlags(t *testing.T) {
-	set := func(names ...string) map[string]bool {
-		m := make(map[string]bool, len(names))
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
-	const okTimeout = 5 * time.Second
-	const parts = "127.0.0.1:8081@0:10"
 	cases := []struct {
-		name       string
-		explicit   map[string]bool
-		partitions string
-		logFormat  string
-		readHdrTO  time.Duration
-		idleTO     time.Duration
-		tcpAddr    string
-		tcpReadBuf int
-		config     string
-		wantErr    bool
+		name               string
+		config, partitions string
+		wantErr            bool
 	}{
-		{"partitions given", set("partitions"), parts, "text", okTimeout, okTimeout, "", 0, "", false},
-		{"nothing given", set(), "", "text", okTimeout, okTimeout, "", 0, "", true},
-		{"config instead of partitions", set("config"), "", "text", okTimeout, okTimeout, "", 0, "/tmp/irs.conf", false},
-		{"config with partitions", set("config", "partitions"), parts, "text", okTimeout, okTimeout, "", 0, "/tmp/irs.conf", true},
-		{"config with datasets", set("config", "datasets"), "", "text", okTimeout, okTimeout, "", 0, "/tmp/irs.conf", true},
-		{"log-format json", set("partitions", "log-format"), parts, "json", okTimeout, okTimeout, "", 0, "", false},
-		{"log-format unknown", set("partitions", "log-format"), parts, "logfmt", okTimeout, okTimeout, "", 0, "", true},
-		{"zero read-header-timeout", set("partitions"), parts, "text", 0, okTimeout, "", 0, "", true},
-		{"zero idle-timeout", set("partitions"), parts, "text", okTimeout, 0, "", 0, "", true},
-		{"tcp-read-buf without tcp-addr", set("partitions", "tcp-read-buf"), parts, "text", okTimeout, okTimeout, "", 64 << 10, "", true},
-		{"tcp-read-buf with tcp-addr", set("partitions", "tcp-addr", "tcp-read-buf"), parts, "text", okTimeout, okTimeout, "127.0.0.1:0", 64 << 10, "", false},
-		{"negative tcp-read-buf", set("partitions", "tcp-addr", "tcp-read-buf"), parts, "text", okTimeout, okTimeout, "127.0.0.1:0", -1, "", true},
+		{"partitions given", "", "127.0.0.1:8081@0:10", false},
+		{"nothing given", "", "", true},
+		{"config instead of partitions", "/tmp/irs.conf", "", false},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.explicit, tc.partitions, tc.logFormat, tc.readHdrTO, tc.idleTO, tc.tcpAddr, tc.tcpReadBuf, tc.config)
-		if (err != nil) != tc.wantErr {
+		if err := validateFlags(tc.config, tc.partitions); (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", tc.name, err, tc.wantErr)
 		}
 	}

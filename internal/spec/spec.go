@@ -1,6 +1,6 @@
 // Package spec parses the small configuration grammars the irs daemons
 // share on their command lines: dataset specs ("name[:weighted|:unweighted]",
-// used by irsd and irsload) and partition specs ("addr@lo:hi", used by
+// used by both daemons) and partition specs ("addr@lo:hi", used by
 // irsrouter). Each parser returns typed errors and each parsed value
 // round-trips through String(), so flag defaults, log lines, and error
 // messages all speak the same grammar.
@@ -18,6 +18,8 @@ import (
 var (
 	// ErrEmptySpec rejects an empty spec or an empty spec list.
 	ErrEmptySpec = fmt.Errorf("spec: empty spec")
+	// ErrBadName rejects a dataset name CheckName does not accept.
+	ErrBadName = fmt.Errorf("spec: invalid dataset name")
 	// ErrBadKind rejects a dataset kind outside weighted/unweighted.
 	ErrBadKind = fmt.Errorf("spec: unknown dataset kind")
 	// ErrBadPartition rejects a malformed partition spec.
@@ -41,6 +43,30 @@ func (d Dataset) String() string {
 	return d.Name + ":unweighted"
 }
 
+// CheckName is the one dataset-name rule, applied wherever a name enters
+// the system (flags, config files, POST /datasets). A name is a single
+// path element — a durable irsd stores the dataset under <data-dir>/<name>
+// — that fits the binary frames' u8 length prefix and survives this
+// package's grammar: non-empty, at most 255 bytes, not "." or "..", and
+// free of '/', '\\', control bytes (NUL included) and the separators
+// ':' ',' '@' '#'.
+func CheckName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("%w: empty", ErrBadName)
+	case len(name) > 255:
+		return fmt.Errorf("%w: %d bytes (max 255)", ErrBadName, len(name))
+	case name == "." || name == "..":
+		return fmt.Errorf("%w: %q", ErrBadName, name)
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c < 0x20 || c == 0x7f || strings.IndexByte(`/\:,@#`, c) >= 0 {
+			return fmt.Errorf("%w: %q contains %q", ErrBadName, name, c)
+		}
+	}
+	return nil
+}
+
 // ParseDataset parses one "name[:kind]" spec; an omitted kind means
 // unweighted.
 func ParseDataset(raw string) (Dataset, error) {
@@ -51,6 +77,9 @@ func ParseDataset(raw string) (Dataset, error) {
 	name, kind, ok := strings.Cut(raw, ":")
 	if name == "" {
 		return Dataset{}, fmt.Errorf("%w: %q has no dataset name", ErrEmptySpec, raw)
+	}
+	if err := CheckName(name); err != nil {
+		return Dataset{}, err
 	}
 	if !ok || kind == "" {
 		return Dataset{Name: name}, nil

@@ -3,6 +3,7 @@ package spec
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,49 @@ func TestParseDatasetErrors(t *testing.T) {
 	}
 	if _, err := ParseDataset("demo:treap"); !errors.Is(err, ErrBadKind) {
 		t.Errorf("bad kind: got %v, want ErrBadKind", err)
+	}
+}
+
+// TestDatasetNameRule pins the one name rule: a name is a single path
+// element (a durable irsd stores it as <data-dir>/<name>) that fits a u8
+// length prefix and contains none of the grammar's separators. The rule
+// holds through every entry point: a bare name, a spec, a spec list and a
+// config file.
+func TestDatasetNameRule(t *testing.T) {
+	long := strings.Repeat("n", 255)
+	for _, name := range []string{"demo", "a.b", "..c", "with space", "Ünïcode", "x-y_z", long} {
+		if err := CheckName(name); err != nil {
+			t.Errorf("CheckName(%q) = %v, want nil", name, err)
+		}
+		if d, err := ParseDataset(name + ":weighted"); err != nil || d.Name != name {
+			t.Errorf("ParseDataset(%q:weighted) = %+v, %v", name, d, err)
+		}
+	}
+	bad := []string{
+		"../escaped", "a/b", "/abs", `a\b`, ".", "..", "nul\x00byte", "tab\there", "del\x7f",
+		"a@b", "a#b", long + "n",
+	}
+	for _, name := range bad {
+		if err := CheckName(name); !errors.Is(err, ErrBadName) {
+			t.Errorf("CheckName(%q) = %v, want ErrBadName", name, err)
+		}
+		if _, err := ParseDataset(name); err == nil {
+			t.Errorf("ParseDataset(%q) accepted the name", name)
+		}
+		if _, err := ParseDatasets("ok," + name + ":weighted"); err == nil {
+			t.Errorf("ParseDatasets accepted %q", name)
+		}
+	}
+	// The separators a spec or a config line would split on never reach
+	// ParseDataset as part of a name, so the bare rule covers them.
+	for _, name := range []string{"", "a:b", "a,b"} {
+		if err := CheckName(name); !errors.Is(err, ErrBadName) {
+			t.Errorf("CheckName(%q) = %v, want ErrBadName", name, err)
+		}
+	}
+	// A config file carrying one bad name is rejected whole.
+	if _, err := Parse("good\n../escaped\n"); !errors.Is(err, ErrBadName) {
+		t.Errorf("Parse with a path-escaping name: got %v, want ErrBadName", err)
 	}
 }
 

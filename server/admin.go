@@ -1,12 +1,14 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
 
 	irs "github.com/irsgo/irs"
+	"github.com/irsgo/irs/internal/spec"
 )
 
 // Admin surface: the dataset registry over HTTP.
@@ -26,6 +28,8 @@ import (
 // Errors use the shared wire vocabulary (duplicate_dataset on a name
 // collision, unknown_dataset on dropping an absent name), so errors.Is
 // against the exported sentinels works exactly as on the data endpoints.
+// A name spec.CheckName rejects answers bad_request (400) before the
+// Provisioner runs — on a durable daemon the name becomes a directory.
 // Proxy servers answer not_supported (501): the registry lives on the
 // nodes, not the router.
 
@@ -62,13 +66,14 @@ func (s *Server) defaultProvisioner(name string, weighted bool) error {
 
 // AddDataset creates and registers a dataset at runtime through the
 // installed Provisioner — the in-process form of POST /datasets. A name
-// already registered answers ErrDuplicateDataset; proxy servers ErrProxy.
+// already registered answers ErrDuplicateDataset; a name spec.CheckName
+// rejects, its error; proxy servers ErrProxy.
 func (s *Server) AddDataset(name string, weighted bool) error {
 	if s.core == nil {
 		return ErrProxy
 	}
-	if name == "" {
-		return ErrUnknownDataset
+	if err := spec.CheckName(name); err != nil {
+		return err
 	}
 	s.adm.mu.RLock()
 	p := s.adm.provision
@@ -117,10 +122,6 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		if !readJSON(w, r, &req) {
 			return
 		}
-		if req.Dataset == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "dataset name required")
-			return
-		}
 		if err := s.AddDataset(req.Dataset, req.Weighted); err != nil {
 			writeAdminError(w, err)
 			return
@@ -154,13 +155,17 @@ func (s *Server) handleDatasetItem(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DropDatasetResponse{Dataset: name, Dropped: true})
 }
 
-// writeAdminError maps admin-path errors: ErrProxy gets its own 501 (the
-// wire table is the data-path vocabulary shared with the TCP transport;
-// proxies never produce it there), everything else the shared table.
+// writeAdminError maps admin-path errors: ErrProxy gets its own 501 and a
+// rejected name 400 (the wire table is the data-path vocabulary shared
+// with the TCP transport; neither arises there), everything else the
+// shared table.
 func writeAdminError(w http.ResponseWriter, err error) {
-	if err == ErrProxy {
+	switch {
+	case err == ErrProxy:
 		writeError(w, http.StatusNotImplemented, "not_supported", ErrProxy.Error())
-		return
+	case errors.Is(err, spec.ErrBadName):
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	default:
+		writeCoreError(w, err)
 	}
-	writeCoreError(w, err)
 }

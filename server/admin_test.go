@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,6 +118,52 @@ func TestAdminEndpointErrors(t *testing.T) {
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s %s: status = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
 		}
+	}
+}
+
+// TestAdminRejectsBadNames: on a durable daemon the dataset name becomes
+// a directory under the data dir, so POST /datasets must refuse — before
+// the provisioner runs — any name that is not a single path element:
+// 400 bad_request, nothing created on disk, registry unchanged.
+func TestAdminRejectsBadNames(t *testing.T) {
+	root := t.TempDir()
+	dataDir := filepath.Join(root, "data")
+	s := server.New(server.Config{})
+	// The provisioner cmd/irsd installs under -data-dir.
+	s.SetProvisioner(func(name string, weighted bool) error {
+		_, _, err := s.AddDurableUnweighted(name, server.DurableOptions{Dir: filepath.Join(dataDir, name)})
+		return err
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer s.Close()
+	cl := server.NewClient(ts.URL)
+	ctx := context.Background()
+	if err := cl.AddDataset(ctx, "good", false); err != nil {
+		t.Fatalf("AddDataset good: %v", err)
+	}
+
+	for _, name := range []string{"../escaped", "a/b", `a\b`, "..", ".", "a:b", "a,b", "a@b", "a#b", "nul\x00", strings.Repeat("n", 256)} {
+		err := cl.AddDataset(ctx, name, false)
+		var apiErr *server.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_request" {
+			t.Errorf("add %q: err = %v, want 400 bad_request", name, err)
+		}
+		if err := s.AddDataset(name, false); err == nil {
+			t.Errorf("in-process add %q: accepted", name)
+		}
+	}
+	for dir, want := range map[string]string{root: "data", dataDir: "good"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != want {
+			t.Errorf("%s holds %v, want only %q", dir, entries, want)
+		}
+	}
+	if got := s.Datasets(); len(got) != 1 || got[0] != "good" {
+		t.Errorf("registry = %v, want [good]", got)
 	}
 }
 

@@ -38,9 +38,9 @@ func NewClient(base string) *Client {
 // http.DefaultTransport allows only DefaultMaxIdleConnsPerHost (2) idle
 // connections to one host: a 64-way concurrent caller keeps 64 connections
 // busy, but the moment a burst ends, all but 2 are torn down and the next
-// burst pays full TCP re-dial latency — which polluted the committed
-// BENCH_serving latency numbers. A typed client talks to exactly one host,
-// so idle-per-host may match the total idle pool.
+// burst pays full TCP re-dial latency, which shows up as a latency tail
+// under bursty load. A typed client talks to exactly one host, so
+// idle-per-host may match the total idle pool.
 func newPooledHTTPClient() *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 256
