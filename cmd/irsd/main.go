@@ -60,7 +60,7 @@ func app() daemon.App {
 		preload  = fs.Int("preload", 0, "keys preloaded per dataset, uniform in [0, 1e6)")
 		queue    = fs.Int("queue", 0, "pending-request bound per dataset and path (0 = default)")
 		maxBatch = fs.Int("max-batch", 0, "max coalesced requests per backend call (0 = default)")
-		window   = fs.Duration("coalesce-window", 100*time.Microsecond, "linger time for batch-mates (0 = opportunistic only)")
+		window   = fs.Duration("coalesce-window", 0, "deprecated: linger this long for batch-mates, adding at least that latency to every request (0 = batch only what queued while the flushers were busy)")
 		flushers = fs.Int("flushers", 0, "parallel backend calls per dataset and path (0 = GOMAXPROCS)")
 
 		dataDir     = fs.String("data-dir", "", "durability root: one WAL+snapshot directory per dataset (empty = memory-only)")

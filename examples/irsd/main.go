@@ -1,8 +1,11 @@
 // irsd end to end: the serving layer as a client sees it. The demo drives
 // a live irsd daemon through the typed Go client — inserts a key
 // population, fires bursts of concurrent sample queries (which the daemon
-// coalesces into far fewer backend SampleMany calls), deletes a slice of
-// the keys, and reads the serving stats back to show the coalescing ratio.
+// coalesces into shared backend SampleMany calls whenever they queue up
+// behind busy flushers), deletes a slice of the keys, and reads the serving
+// stats back to show the coalescing ratio — 1.0x when every request found a
+// flusher idle and was served at once, higher the more the daemon was
+// saturated.
 //
 // By default it self-hosts: an in-process daemon on a kernel-assigned
 // port, so the example is a one-command run. Point it at an external
@@ -125,8 +128,9 @@ func main() {
 	}
 	fmt.Printf("warm-up sample of [%g, %g]: %v\n", lo, hi, samples)
 
-	// 3. The point of the daemon: concurrent independent clients whose
-	// requests coalesce into shared SampleMany batches server-side.
+	// 3. The point of the daemon: concurrent independent clients, whose
+	// requests share SampleMany batches server-side once they outrun the
+	// flushers and are answered at once, unbatched, while they do not.
 	var wg sync.WaitGroup
 	var served, rejected atomic.Int64
 	start := time.Now()
@@ -176,7 +180,7 @@ func main() {
 // selfHost starts an in-process daemon with one empty unweighted dataset
 // on a kernel-assigned port, returning its base URL and a stop function.
 func selfHost() (string, func(), error) {
-	s := server.New(server.Config{CoalesceWindow: 200 * time.Microsecond})
+	s := server.New(server.Config{})
 	if err := s.AddUnweighted("demo", irs.NewConcurrentSeeded[float64](8, 42)); err != nil {
 		return "", nil, err
 	}

@@ -8,10 +8,9 @@ import (
 )
 
 // newAllocCore builds a single-dataset core shaped like a steady-state
-// deployment: preloaded keys across several shards, one flusher (so the
-// measurement isn't racing a second worker's warm-up), and no linger
-// window (the linger timer itself is reuse-tested separately — a window
-// would add wall-clock, not allocations).
+// deployment: preloaded keys across several shards, under cfg — which the
+// pins leave at its zero value, the configuration the daemons ship (the
+// deprecated linger window's timer reuse is pinned separately).
 func newAllocCore(t testing.TB, cfg Config) *Core[float64] {
 	t.Helper()
 	keys := make([]float64, 10_000)
@@ -33,18 +32,18 @@ func newAllocCore(t testing.TB, cfg Config) *Core[float64] {
 // SampleAppend round trip through the core — admission, coalescing, the
 // backend SampleManyAppend, scatter, reply — performs zero heap
 // allocations per request. AllocsPerRun counts mallocs process-wide, so
-// the gatherer and flusher goroutines are covered, not just the caller.
+// the flusher goroutines are covered, not just the caller.
 func TestSampleAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates and drops pool Puts")
 	}
-	core := newAllocCore(t, Config{Flushers: 1})
+	core := newAllocCore(t, Config{})
 	defer core.Close()
 
 	var dst []float64
 	var err error
-	// Warm up every pooled/reusable buffer: reply channel, batch slice,
-	// flusher scratch, backend query scratch, and dst itself.
+	// Warm up every pooled/reusable buffer: reply channel, each flusher's
+	// batch slice and scratch, backend query scratch, and dst itself.
 	for i := 0; i < 64; i++ {
 		dst, err = core.SampleAppend("u", dst[:0], 0, 9_999, 16)
 		if err != nil {
@@ -66,7 +65,7 @@ func TestSampleAppendZeroAllocs(t *testing.T) {
 }
 
 // TestSampleAppendZeroAllocsWithWindow repeats the regression with a
-// configured linger window: the gatherer's timer must be Reset, not
+// configured linger window: the flusher's timer must be Reset, not
 // re-allocated, per batch. The window is a single nanosecond so the test
 // pays (almost) no wall-clock for it.
 func TestSampleAppendZeroAllocsWithWindow(t *testing.T) {
@@ -104,7 +103,7 @@ func TestInsertZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates and drops pool Puts")
 	}
-	core := newAllocCore(t, Config{Flushers: 1})
+	core := newAllocCore(t, Config{})
 	defer core.Close()
 
 	items := make([]Item[float64], 8)
@@ -149,7 +148,7 @@ func newDurableAllocCore(t testing.TB) *Core[float64] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := NewCore[float64](Config{Flushers: 1})
+	core := NewCore[float64](Config{})
 	if err := core.AddDurable("u", NewUnweightedDataset(u), store, rec.Stats); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func BenchmarkCoreDurableInsert(b *testing.B) {
 // BenchmarkCoreSampleAppend is the core-level serving benchmark the alloc
 // regression is derived from; -benchmem reports the same 0 allocs/op.
 func BenchmarkCoreSampleAppend(b *testing.B) {
-	core := newAllocCore(b, Config{Flushers: 1})
+	core := newAllocCore(b, Config{})
 	defer core.Close()
 	var dst []float64
 	var err error

@@ -131,48 +131,46 @@ func TestAsyncDrainOnClose(t *testing.T) {
 	}
 }
 
-// TestAsyncOverload: a wedged pipeline rejects async submissions
-// synchronously with ErrOverloaded, without consuming the Reply.
+// TestAsyncOverload: async submissions are accepted up to exactly
+// QueueDepth + Flushers outstanding and the next is rejected synchronously
+// with ErrOverloaded, without consuming the Reply.
 func TestAsyncOverload(t *testing.T) {
+	const depth = 2
 	ds := &stubDataset{sampleGate: make(chan struct{})}
-	core := NewCore[int](Config{QueueDepth: 2, MaxBatch: 1, Flushers: 1})
+	core := NewCore[int](Config{QueueDepth: depth, MaxBatch: 1, Flushers: 1})
 	if err := core.Add("d", ds); err != nil {
 		t.Fatal(err)
 	}
 	defer core.Close()
 	st := core.byName["d"]
 
-	sr := newWaiter[[]int](8)
-	submitted := 0
-	// Fill flusher + batch buffer + gatherer hand + queue (see
-	// TestQueueFullBackpressure for the deterministic staging).
-	for i := 0; i < 5; i++ {
-		if err := core.SampleAppendAsync("d", nil, 0, 10, 1, sr); err != nil {
+	sr := newWaiter[[]int](depth + 1)
+	submit := func() error { return core.SampleAppendAsync("d", nil, 0, 10, 1, sr) }
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the flusher in the backend", func() bool { s, _ := ds.calls(); return len(s) == 1 })
+	// The flusher is blocked, so submissions land in the queue and stay.
+	for i := 1; i <= depth; i++ {
+		if err := submit(); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		submitted++
-		switch i {
-		case 0:
-			waitFor(t, "first backend call", func() bool { s, _ := ds.calls(); return len(s) == 1 })
-		case 1:
-			waitFor(t, "batch buffered", func() bool { return len(st.samples.batches) == 1 })
-		case 2:
-			waitFor(t, "gatherer hand", func() bool { return len(st.samples.reqs) == 0 })
+		if d := st.samples.depth(); d != i {
+			t.Fatalf("queue depth = %d after %d queued submissions", d, i)
 		}
 	}
-	waitFor(t, "queue full", func() bool { return len(st.samples.reqs) == 2 })
-	if err := core.SampleAppendAsync("d", nil, 0, 10, 1, sr); !errors.Is(err, ErrOverloaded) {
+	if err := submit(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 
 	close(ds.sampleGate)
-	for i := 0; i < submitted; i++ {
+	for i := 0; i < depth+1; i++ {
 		if res := <-sr.ch; res.err != nil {
 			t.Fatalf("accepted async request failed: %v", res.err)
 		}
 	}
 	s := core.Stats().Datasets[0]
-	if s.SampleRequests != uint64(submitted)+1 || s.SampleRejected != 1 {
+	if s.SampleRequests != depth+2 || s.SampleRejected != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
 }

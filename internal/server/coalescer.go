@@ -71,16 +71,8 @@ func (b *Blocking[R]) Do(submit func(done Reply[R]) error) (R, error) {
 	return res.v, res.err
 }
 
-// batch is one gatherer-formed batch travelling to a flusher. It is a
-// pointer-carried struct (not a bare slice) so the flusher can return the
-// backing array to the pool after flushing — the slice may have grown in
-// the gatherer's hands, and a pooled pointer round-trips that growth
-// without an allocation per Put.
-type batch[Q, R any] struct {
-	reqs []request[Q, R]
-}
-
-// coalescer merges concurrently-arriving requests into batches:
+// coalescer merges concurrently-arriving requests into batches, late and
+// opportunistically:
 //
 //   - Admission is a bounded queue with a single entry, submit: it fails
 //     fast with ErrOverloaded when the queue is full and ErrShuttingDown
@@ -88,73 +80,53 @@ type batch[Q, R any] struct {
 //     and otherwise returns at once; the answer arrives through the
 //     request's Reply when its batch has been flushed. Whether the caller
 //     blocks for it is the Reply's business (see Blocking), not the queue's.
-//   - One gatherer goroutine forms batches: it takes a queued request,
-//     drains everything else already waiting, lingers up to window for more
-//     when configured, and stops a batch at maxBatch requests.
-//   - A pool of flusher workers executes batches, so coalescing never
-//     serializes independent backend calls behind one core: under light
-//     load batches are small and flush in parallel; under heavy load the
-//     workers saturate, the queue backs up, and batches grow toward
-//     maxBatch — coalescing intensifies exactly when amortization pays.
+//   - Each flusher worker pulls its own batches straight from that queue:
+//     it takes one request, drains without blocking whatever else is
+//     already queued (up to maxBatch), flushes, and repeats. A request that
+//     finds a flusher idle is flushed at once, alone; batches form only
+//     from what accumulated while every flusher was busy — under light load
+//     they are small and flush in parallel, under heavy load the queue
+//     backs up and they grow toward maxBatch, so coalescing intensifies
+//     exactly when amortization pays and never costs an idle request a wait.
+//   - Nothing sits between the queue and a flusher, so the admission bound
+//     is exact: at most queueDepth requests queued plus the batches the
+//     flushers hold inside the backend.
 //
-// Each flusher owns private state (in particular its sampling RNG and
-// result scratch) through the newFlush factory, so flushes need no locking
-// of their own. Everything per-request on the steady-state path — the batch
-// slice, the gatherer's linger timer — is pooled or reused, so a coalesced
-// round trip performs no heap allocation of its own.
+// A positive window (deprecated; see Config.CoalesceWindow) makes a flusher
+// linger that long for batch-mates after its non-blocking drain; a zero
+// window never constructs or touches a timer.
+//
+// Each flusher owns private state — its batch slice, its linger timer, and
+// through the newFlush factory its sampling RNG and result scratch — so
+// flushes need no locking of their own and a coalesced round trip performs
+// no heap allocation of its own.
 type coalescer[Q, R any] struct {
 	reqs     chan request[Q, R]
-	batches  chan *batch[Q, R]
 	window   time.Duration
 	maxBatch int
 
-	batchPool sync.Pool // *batch[Q, R], recycled across flushes
-
 	mu       sync.RWMutex // guards closed; held shared around every send
 	closed   bool
-	loopDone chan struct{}
 	flushers sync.WaitGroup
 }
 
-// newCoalescer starts the gatherer and workers flusher goroutines, each
-// flushing batches through its own closure from newFlush.
+// newTimer constructs a flusher's linger timer; tests swap it to observe
+// that the zero-window path never builds one.
+var newTimer = time.NewTimer
+
+// newCoalescer starts workers flusher goroutines, each flushing the batches
+// it pulls through its own closure from newFlush.
 func newCoalescer[Q, R any](queueDepth, maxBatch, workers int, window time.Duration, newFlush func() func([]request[Q, R])) *coalescer[Q, R] {
 	c := &coalescer[Q, R]{
 		reqs:     make(chan request[Q, R], queueDepth),
-		batches:  make(chan *batch[Q, R], workers),
 		window:   window,
 		maxBatch: maxBatch,
-		loopDone: make(chan struct{}),
 	}
 	c.flushers.Add(workers)
 	for i := 0; i < workers; i++ {
-		go func() {
-			defer c.flushers.Done()
-			flush := newFlush()
-			for b := range c.batches {
-				flush(b.reqs)
-				c.putBatch(b)
-			}
-		}()
+		go c.run(newFlush())
 	}
-	go c.loop()
 	return c
-}
-
-func (c *coalescer[Q, R]) getBatch() *batch[Q, R] {
-	if b, ok := c.batchPool.Get().(*batch[Q, R]); ok {
-		return b
-	}
-	return &batch[Q, R]{reqs: make([]request[Q, R], 0, 8)}
-}
-
-// putBatch clears the flushed batch — dropping its references to replies
-// and payloads so the pool retains only the backing array — and
-// recycles it.
-func (c *coalescer[Q, R]) putBatch(b *batch[Q, R]) {
-	clear(b.reqs)
-	b.reqs = b.reqs[:0]
-	c.batchPool.Put(b)
 }
 
 // depth reports how many accepted requests are waiting in the queue
@@ -183,89 +155,79 @@ func (c *coalescer[Q, R]) submit(q Q, done Reply[R]) error {
 	}
 }
 
-// close stops admission, waits until every accepted request has been
-// flushed, and stops the goroutines. Safe to call more than once.
+// close stops admission and waits until the flushers have answered every
+// accepted request and exited. Safe to call more than once.
 func (c *coalescer[Q, R]) close() {
 	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	c.mu.Unlock()
-	if !already {
+	if !c.closed {
+		c.closed = true
 		// No submit can be mid-send: sends happen under the read lock, and
 		// every new submit now observes closed first.
 		close(c.reqs)
 	}
-	<-c.loopDone
+	c.mu.Unlock()
 	c.flushers.Wait()
 }
 
-// loop is the gatherer: batch formation only, never backend work. Its
-// linger timer is created once and Reset per batch (Go 1.23+ timer
-// semantics make Reset safe without draining), so a configured window does
-// not cost a timer allocation per batch.
-func (c *coalescer[Q, R]) loop() {
-	defer close(c.loopDone)
-	defer close(c.batches)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
+// run is one flusher: take a request, add whatever else is already queued,
+// flush, repeat — until the queue has been closed and drained. A closed
+// queue keeps yielding its backlog, so shutdown needs no protocol beyond
+// the close itself.
+func (c *coalescer[Q, R]) run(flush func([]request[Q, R])) {
+	defer c.flushers.Done()
+	batch := make([]request[Q, R], 0, 8)
+	var timer *time.Timer // only with a window: built once, Reset per linger
+	if c.window > 0 {
+		timer = newTimer(c.window)
+		timer.Stop()
+	}
+	for r := range c.reqs {
+		batch = c.drain(append(batch, r))
+		if timer != nil && len(batch) < c.maxBatch {
+			batch = c.linger(batch, timer)
 		}
-	}()
-	for {
-		r, ok := <-c.reqs
-		if !ok {
-			return
-		}
-		b := c.getBatch()
-		b.reqs = append(b.reqs, r)
-		alive := c.gather(&b.reqs, &timer)
-		c.batches <- b
-		if !alive {
-			return
-		}
+		flush(batch)
+		// Drop the references to replies and payloads; keep the array.
+		clear(batch)
+		batch = batch[:0]
 	}
 }
 
-// gather fills batch with whatever else is queued: everything immediately
-// available, then — when a linger window is configured — whatever arrives
-// before the window closes, stopping early at maxBatch requests. It reports
-// false once the queue has been closed and drained.
-func (c *coalescer[Q, R]) gather(batch *[]request[Q, R], timer **time.Timer) bool {
-	for len(*batch) < c.maxBatch {
+// drain extends batch, without blocking, with what is queued right now,
+// stopping at maxBatch requests.
+func (c *coalescer[Q, R]) drain(batch []request[Q, R]) []request[Q, R] {
+	for len(batch) < c.maxBatch {
 		select {
 		case r, ok := <-c.reqs:
 			if !ok {
-				return false
+				return batch
 			}
-			*batch = append(*batch, r)
-			continue
+			batch = append(batch, r)
 		default:
+			return batch
 		}
-		break
 	}
-	if c.window <= 0 || len(*batch) >= c.maxBatch {
-		return true
-	}
-	t := *timer
-	if t == nil {
-		t = time.NewTimer(c.window)
-		*timer = t
-	} else {
-		t.Reset(c.window)
-	}
-	for len(*batch) < c.maxBatch {
+	return batch
+}
+
+// linger extends batch with whatever arrives before the window closes,
+// stopping early at maxBatch requests or a closed queue. Go 1.23+ timer
+// semantics make Reset and Stop safe without draining, so a configured
+// window costs one timer per flusher, not one per batch.
+func (c *coalescer[Q, R]) linger(batch []request[Q, R], t *time.Timer) []request[Q, R] {
+	t.Reset(c.window)
+	for len(batch) < c.maxBatch {
 		select {
 		case r, ok := <-c.reqs:
 			if !ok {
 				t.Stop()
-				return false
+				return batch
 			}
-			*batch = append(*batch, r)
+			batch = append(batch, r)
 		case <-t.C:
-			return true
+			return batch
 		}
 	}
 	t.Stop()
-	return true
+	return batch
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"cmp"
+	"slices"
 	"sync"
 
 	"github.com/irsgo/irs/internal/shard"
@@ -110,6 +111,7 @@ func (d *unweightedDataset[K]) UpdateWeights(items []Item[K]) int { return 0 }
 
 func (d *unweightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
 	keys := d.AppendKeys(make([]K, 0, d.Len()))
+	dst = slices.Grow(dst, len(keys))
 	for _, k := range keys {
 		dst = append(dst, Item[K]{Key: k, Weight: 1})
 	}
@@ -163,6 +165,7 @@ func (d *weightedDataset[K]) UpdateWeights(items []Item[K]) int {
 
 func (d *weightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
 	witems := d.AppendItems(make([]weighted.Item[K], 0, d.Len()))
+	dst = slices.Grow(dst, len(witems))
 	for _, it := range witems {
 		dst = append(dst, Item[K]{Key: it.Key, Weight: it.Weight})
 	}

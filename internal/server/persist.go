@@ -129,11 +129,15 @@ func (st *dsState[K]) snapshotNow() (SnapshotInfo, error) {
 	items := st.ds.ExportItems(nil)
 	st.logMu.Unlock()
 
-	if err := commit(appendEntries(nil, items)); err != nil {
+	// The export is last used here, so it is garbage — not a third live
+	// copy of the dataset — while commit serializes the entries.
+	n := len(items)
+	entries := appendEntries(make([]persist.Entry[K], 0, n), items)
+	if err := commit(entries); err != nil {
 		return SnapshotInfo{}, err
 	}
 	st.counters.snapshotSeconds.Observe(time.Since(start))
-	return SnapshotInfo{Seq: seq, Items: len(items)}, nil
+	return SnapshotInfo{Seq: seq, Items: n}, nil
 }
 
 // ReplayApplier applies recovered WAL records to a Dataset one at a time,

@@ -10,14 +10,17 @@
 // The core's central mechanism is the coalescer (coalescer.go): sample
 // requests that arrive concurrently for one dataset are merged into a
 // single SampleMany call, and insert requests into a single InsertBatch
-// call, with per-request scatter of the results. This is statistically
-// free: SampleMany already guarantees that every query in a batch gets
-// exactly uniform (or exactly weight-proportional), mutually independent
-// samples against one consistent snapshot — which queries share a batch is
-// invisible in the output distribution. So coalescing changes lock traffic
-// and throughput, never the IRS contract; the end-to-end chi-square and
-// independence suites in package server verify this through the full HTTP
-// stack.
+// call, with per-request scatter of the results. Batches form late: each
+// flusher worker pulls straight from the request queue — one request, plus
+// whatever else is already queued — so a request that finds a flusher idle
+// is served at once and merging happens only among requests that piled up
+// while every flusher was busy. This is statistically free: SampleMany
+// already guarantees that every query in a batch gets exactly uniform (or
+// exactly weight-proportional), mutually independent samples against one
+// consistent snapshot — which queries share a batch is invisible in the
+// output distribution. So coalescing changes lock traffic and throughput,
+// never the IRS contract; the end-to-end chi-square and independence
+// suites in package server verify this through the full HTTP stack.
 //
 // # Admission control
 //
@@ -25,10 +28,10 @@
 // a queue is full, submission fails fast with ErrOverloaded instead of
 // growing an unbounded backlog; after Close begins, with ErrShuttingDown.
 // Requests accepted before Close are always answered — shutdown drains.
-// The knobs are Config.QueueDepth (backlog bound), Config.MaxBatch (how
-// many requests one backend call may carry), Config.CoalesceWindow (how
-// long to linger for batch-mates), and Config.Flushers (parallel backend
-// calls in flight).
+// The bound is exact: a path holds at most Config.QueueDepth queued
+// requests plus the batches (each at most Config.MaxBatch requests) its
+// Config.Flushers workers have inside the backend; nothing is parked in
+// between. Config.CoalesceWindow is a deprecated opt-in linger.
 package server
 
 import (
@@ -94,10 +97,13 @@ type Config struct {
 	// MaxBatch caps how many coalesced requests one backend call carries.
 	// <= 0 means DefaultMaxBatch.
 	MaxBatch int
-	// CoalesceWindow is how long the gatherer lingers for further requests
-	// after taking the first of a batch: 0 coalesces opportunistically
-	// (only what is already queued, adding no latency), a positive window
-	// trades that much latency for larger batches.
+	// CoalesceWindow is how long a flusher lingers for further requests
+	// after taking what is already queued. The zero value — the default
+	// everywhere, and the designed path — coalesces opportunistically and
+	// adds no latency. A positive window is a deprecated opt-in: it costs
+	// every request at least that much latency (an idle runtime rounds a
+	// 100 µs timer up to ~1 ms) for batches that load forms by itself, and
+	// the field goes once nothing sets it.
 	CoalesceWindow time.Duration
 	// Flushers is the number of backend calls that may be in flight at
 	// once per dataset and path. <= 0 means GOMAXPROCS.

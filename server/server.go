@@ -51,9 +51,10 @@ import (
 // Config holds the admission-control and coalescing knobs, applied per
 // dataset and per path: QueueDepth (pending-request bound; full queues
 // answer 503 overloaded), MaxBatch (requests per coalesced backend call),
-// CoalesceWindow (linger time for batch-mates; 0 = opportunistic only),
-// and Flushers (parallel backend calls in flight). Zero values take the
-// core's defaults.
+// Flushers (parallel backend calls in flight), and the deprecated
+// CoalesceWindow (an opt-in linger for batch-mates; the zero value batches
+// only what queued while the flushers were busy and adds no latency). Zero
+// values take the core's defaults.
 type Config = srv.Config
 
 // Stats and DatasetStats are the /stats payload; ServerInfo is its
