@@ -8,12 +8,12 @@
 //	irsbench -experiment E6
 //	irsbench -experiment E1,E4,E10 -quick
 //	irsbench -all
-//	irsbench -experiment E1 -quick -json BENCH_ci.json
+//	irsbench -experiment E1 -quick -json tables.json
 //
 // With -json the structured results (every table cell, plus run metadata)
-// are additionally written to the given file, one JSON document per run —
-// the machine-readable form CI archives per commit to track the perf
-// trajectory.
+// are additionally written to the given file, one JSON document per run.
+// Serving-layer performance is not measured here: that is benchmark/'s
+// job (see benchmark/README.md).
 package main
 
 import (

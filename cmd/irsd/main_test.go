@@ -15,7 +15,7 @@ import (
 // durability knobs without -data-dir, -fsync-interval under a non-interval
 // policy, and -config-poll without a file to watch used to be silently
 // ignored — they must fail fast at boot. The rules both daemons share
-// (log format, HTTP timeouts, -tcp-read-buf, -config exclusivity) are
+// (log format, HTTP timeouts, -config exclusivity) are
 // pinned in internal/daemon.
 func TestValidateFlags(t *testing.T) {
 	set := func(names ...string) func(string) bool {

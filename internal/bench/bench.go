@@ -143,7 +143,6 @@ func All() []Experiment {
 		{"E15", "Ablation: short-range collect fast path", runE15},
 		{"E16", "Concurrent sharded sampler: single-thread overhead and multi-core scaling", runE16},
 		{"E17", "Weighted concurrent sampler: overhead vs unweighted, multi-core scaling, batch amortization", runE17},
-		{"E18", "Serving layer: coalesced vs per-request sampling throughput vs concurrency", runE18},
 	}
 	sort.Slice(exps, func(i, j int) bool {
 		// E1..E9 sort before E10+ numerically.

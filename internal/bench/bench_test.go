@@ -43,7 +43,7 @@ func TestMeasureCountsIterations(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 18 {
+	if len(all) != 17 {
 		t.Fatalf("got %d experiments", len(all))
 	}
 	for i, e := range all {

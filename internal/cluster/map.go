@@ -4,16 +4,12 @@
 // requests out to the nodes owning each key range.
 //
 // The router's sampling is exact, not approximate: a cross-partition
-// sample request is split with the same two-stage construction the
-// in-process sharded structures use (internal/shard) — per-partition
-// in-range (count, mass) probes, a multinomial draw over partition masses
-// via an alias table, per-partition sub-samples, and a scatter back into
-// draw order. Because the partition of each output position is drawn with
-// probability proportional to its in-range mass, and within a partition
-// the node returns i.i.d. mass-proportional samples, the composition is
-// distributed exactly as a single node holding the union would answer —
-// the same argument, one level up, as the per-shard proof in
-// internal/shard.
+// sample request probes each overlapping partition for the in-range
+// (count, mass) of its clip, and then runs internal/split's construction —
+// the one the in-process sharded structures run over their shards — with
+// the nodes as the parts, so the answer is distributed exactly as a single
+// node holding the union would answer. The argument is stated once, in
+// internal/split's package comment.
 //
 // The router is transport-agnostic: it speaks only the client.Conn
 // interface, so nodes may be reached over HTTP/JSON, HTTP binary, or the

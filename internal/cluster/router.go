@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"github.com/irsgo/irs/client"
-	"github.com/irsgo/irs/internal/alias"
 	"github.com/irsgo/irs/internal/metrics"
 	srv "github.com/irsgo/irs/internal/server"
+	"github.com/irsgo/irs/internal/split"
 	"github.com/irsgo/irs/internal/xrand"
 	"github.com/irsgo/irs/server"
 )
@@ -25,7 +25,7 @@ type Options struct {
 	// request name resolves to the sole dataset exactly as on a single
 	// node. Must name at least one.
 	Datasets []string
-	// Seed seeds the multinomial-split RNG.
+	// Seed anchors the per-request multinomial-split RNG streams.
 	Seed uint64
 	// Timeout bounds each upstream node call; 0 means no bound.
 	Timeout time.Duration
@@ -106,8 +106,12 @@ type Router struct {
 
 	timeout time.Duration
 
-	rngMu sync.Mutex
-	rng   *xrand.RNG
+	// Spanning samples draw their split from a pooled scratch whose RNG is
+	// reseeded per request to the next stream of the seed's sequence, as
+	// the shard engine's NewStream does: no generator is ever shared.
+	seed    uint64
+	streams atomic.Uint64 // streams handed out so far
+	scratch sync.Pool     // *splitScratch
 
 	// The blocking forms of the two asynchronous operations wait here.
 	sampleWait srv.Blocking[[]float64]
@@ -150,7 +154,7 @@ func NewRouter(m *Map, conns []client.Conn, opts Options) (*Router, error) {
 	}
 	r := &Router{
 		timeout: opts.Timeout,
-		rng:     xrand.New(opts.Seed),
+		seed:    opts.Seed,
 	}
 	r.cur.Store(s)
 	return r, nil
@@ -360,67 +364,50 @@ func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi 
 		return dst, server.ErrEmptyRange
 	}
 
-	// Stage 2: multinomial split — alias table over the positive
-	// per-partition masses, one draw per output position, tallied into
-	// per-partition sub-request sizes.
-	var weights []float64
-	col := make([]int, len(masses)) // alias column per partition offset, -1 for none
-	for k, m := range masses {
-		col[k] = -1
-		if m > 0 {
-			col[k] = len(weights)
-			weights = append(weights, m)
-		}
+	// Stages 2-4 are internal/split's construction: allocate the t output
+	// positions over the partitions, have each node fill its segment of one
+	// block with i.i.d. samples of its clip, in parallel, and scatter the
+	// block back into draw order. A node returns exactly its tally or an
+	// error (a concurrent deletion emptying a partition between probe and
+	// sample surfaces as that node's error and fails the request, never as
+	// a silently short result). The scratch is safe to recycle on return:
+	// scatter has waited for every leg, and a Conn is done with the segment
+	// it appends into once SampleAppend returns, cancelled or not.
+	sc, _ := r.scratch.Get().(*splitScratch)
+	if sc == nil {
+		sc = new(splitScratch)
 	}
-	table, err := alias.New(weights)
-	if err != nil {
-		return dst, err // unreachable: weights are positive and finite
+	defer r.scratch.Put(sc)
+	sc.rng.Reseed(xrand.StreamSeed(r.seed, r.streams.Add(1)))
+	if err := sc.plan.Draw(masses, t, &sc.rng); err != nil {
+		return dst, err // a node reported a mass that is not finite
 	}
-	cols := len(weights)
-	choice := make([]int32, t)
-	tally := make([]int, cols)
-	r.rngMu.Lock()
-	for j := 0; j < t; j++ {
-		k := table.Draw(r.rng)
-		choice[j] = int32(k)
-		tally[k]++
+	if cap(sc.block) < t {
+		sc.block = make([]float64, t)
 	}
-	r.rngMu.Unlock()
-
-	// Stage 3: per-partition sub-samples of the clipped ranges, in
-	// parallel. Each node returns exactly tally[k] i.i.d. samples of its
-	// clip or an error (a concurrent deletion emptying a partition between
-	// probe and sample surfaces as that node's error and fails the
-	// request, never as a silently short result).
-	segs := make([][]float64, cols)
+	block := sc.block[:t]
 	if err := s.scatter(first, last, func(ctx context.Context, i int) error {
-		k := col[i-first]
-		if k < 0 || tally[k] == 0 {
+		from, to := sc.plan.Seg(i - first)
+		if from == to {
 			return nil
 		}
-		want := tally[k]
 		clo, chi, _ := s.m.Clip(i, lo, hi)
-		seg, err := s.conns[i].SampleAppend(ctx, name, make([]float64, 0, want), clo, chi, want)
-		if err == nil && len(seg) != want {
-			err = fmt.Errorf("cluster: partition %d (%s) returned %d samples, want %d", i, s.m.At(i).Addr, len(seg), want)
+		seg, err := s.conns[i].SampleAppend(ctx, name, block[from:from:to], clo, chi, to-from)
+		if err == nil && len(seg) != to-from {
+			err = fmt.Errorf("cluster: partition %d (%s) returned %d samples, want %d", i, s.m.At(i).Addr, len(seg), to-from)
 		}
-		segs[k] = seg
 		return err
 	}); err != nil {
 		return dst, err
 	}
+	return split.Scatter(dst, &sc.plan, block), nil
+}
 
-	// Stage 4: scatter the per-partition blocks back into draw order.
-	// Within a partition the samples are i.i.d., so handing them out in
-	// block order to the positions that drew that partition preserves the
-	// exact distribution and independence across the t output positions.
-	idx := make([]int, cols)
-	for j := 0; j < t; j++ {
-		k := choice[j]
-		dst = append(dst, segs[k][idx[k]])
-		idx[k]++
-	}
-	return dst, nil
+// splitScratch is one spanning sample's working set, pooled on the Router.
+type splitScratch struct {
+	plan  split.Plan
+	rng   xrand.RNG
+	block []float64 // per-partition sample blocks, concatenated
 }
 
 // scatter runs f for every partition in [first, last] concurrently, each

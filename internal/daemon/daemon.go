@@ -94,7 +94,6 @@ type Job struct {
 // Common holds the parsed common flags.
 type Common struct {
 	Addr, TCPAddr                  string
-	TCPReadBuf                     int
 	ReadHeaderTimeout, IdleTimeout time.Duration
 	LogFormat                      string
 	Pprof                          bool
@@ -110,7 +109,6 @@ func (c *Common) Explicit(name string) bool { return c.explicit[name] }
 func (c *Common) register(fs *flag.FlagSet, addr string, configReplaces []string) {
 	fs.StringVar(&c.Addr, "addr", addr, "listen address (port 0 picks a free port)")
 	fs.StringVar(&c.TCPAddr, "tcp-addr", "", "persistent binary TCP listen address (empty disables; port 0 picks a free port)")
-	fs.IntVar(&c.TCPReadBuf, "tcp-read-buf", 0, "per-connection read buffer for the binary TCP transport, bytes (0 = default 32 KiB)")
 	fs.DurationVar(&c.ReadHeaderTimeout, "read-header-timeout", 5*time.Second, "HTTP header read deadline per request (guards against slowloris connections)")
 	fs.DurationVar(&c.IdleTimeout, "idle-timeout", 2*time.Minute, "HTTP keep-alive idle connection deadline")
 	fs.StringVar(&c.LogFormat, "log-format", "text", "structured log encoding: text or json")
@@ -135,12 +133,6 @@ func (c *Common) validate(configReplaces []string) error {
 	}
 	if c.IdleTimeout <= 0 {
 		return errors.New("-idle-timeout must be positive (zero would mean no limit)")
-	}
-	if c.TCPReadBuf < 0 {
-		return errors.New("-tcp-read-buf must be >= 0 (0 means the default size)")
-	}
-	if c.explicit["tcp-read-buf"] && c.TCPAddr == "" {
-		return errors.New("-tcp-read-buf has no effect without -tcp-addr (the binary TCP transport is disabled)")
 	}
 	return nil
 }
@@ -249,7 +241,7 @@ func Run(ctx context.Context, reload <-chan os.Signal, args []string, stdout io.
 	}}
 	listeners := []net.Listener{ln}
 	if tln != nil {
-		tcpSrv := irsnet.NewServerOpts(s, irsnet.ServerOptions{ReadBufferSize: c.TCPReadBuf})
+		tcpSrv := irsnet.NewServer(s)
 		// The TCP transport's connection and latency series join /metrics.
 		s.RegisterMetrics(tcpSrv)
 		servers, listeners = append(servers, tcpSrv), append(listeners, tln)

@@ -41,9 +41,6 @@ func TestValidateCommonFlags(t *testing.T) {
 		{"negative read-header-timeout", nil, func(c *Common) { c.ReadHeaderTimeout = -time.Second }, irsd, true},
 		{"zero idle-timeout", nil, func(c *Common) { c.IdleTimeout = 0 }, irsd, true},
 		{"negative idle-timeout", nil, func(c *Common) { c.IdleTimeout = -time.Minute }, irsd, true},
-		{"tcp-read-buf without tcp-addr", []string{"tcp-read-buf"}, func(c *Common) { c.TCPReadBuf = 64 << 10 }, irsd, true},
-		{"tcp-read-buf with tcp-addr", []string{"tcp-addr", "tcp-read-buf"}, func(c *Common) { c.TCPAddr, c.TCPReadBuf = "127.0.0.1:0", 64<<10 }, irsd, false},
-		{"negative tcp-read-buf", []string{"tcp-addr", "tcp-read-buf"}, func(c *Common) { c.TCPAddr, c.TCPReadBuf = "127.0.0.1:0", -1 }, irsd, true},
 		{"log-format json", []string{"log-format"}, func(c *Common) { c.LogFormat = "json" }, irsd, false},
 		{"log-format unknown", []string{"log-format"}, func(c *Common) { c.LogFormat = "logfmt" }, irsd, true},
 		{"config alone", []string{"config"}, func(c *Common) { c.Config = "/tmp/irs.conf" }, irsd, false},
@@ -67,7 +64,7 @@ func TestValidateCommonFlags(t *testing.T) {
 // TestInvalidFlagsExitTwo: a parse error and a rule violation both exit 2
 // before Build runs.
 func TestInvalidFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{{"-no-such-flag"}, {"-log-format", "logfmt"}, {"-tcp-read-buf", "4096"}} {
+	for _, args := range [][]string{{"-no-such-flag"}, {"-log-format", "logfmt"}} {
 		app := testApp(func(*Common, *slog.Logger) (Instance, error) {
 			t.Errorf("%v: Build ran", args)
 			return Instance{}, errors.New("unreachable")

@@ -18,31 +18,12 @@ import (
 // t times so scatter bugs are visible per request.
 type stubDataset struct {
 	mu          sync.Mutex
-	sampleCalls []int // coalesced request count per SampleMany call
+	sampleCalls []int // coalesced request count per SampleManyAppend call
 	insertCalls []int // item count per InsertItems call
 	stored      int
 
-	sampleGate chan struct{} // non-nil: SampleMany receives before answering
+	sampleGate chan struct{} // non-nil: SampleManyAppend receives before answering
 	insertGate chan struct{} // non-nil: InsertItems receives before answering
-}
-
-func (d *stubDataset) SampleMany(queries []shard.Query[int], rng *xrand.RNG) ([][]int, error) {
-	d.mu.Lock()
-	d.sampleCalls = append(d.sampleCalls, len(queries))
-	gate := d.sampleGate
-	d.mu.Unlock()
-	if gate != nil {
-		<-gate
-	}
-	out := make([][]int, len(queries))
-	for i, q := range queries {
-		res := make([]int, q.T)
-		for j := range res {
-			res[j] = q.Lo
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 func (d *stubDataset) SampleManyAppend(dst []int, starts []int, queries []shard.Query[int], rng *xrand.RNG) ([]int, []int, error) {

@@ -23,21 +23,17 @@ type Item[K cmp.Ordered] struct {
 // irs.Concurrent / irs.WeightedConcurrent the serving layer needs, so tests
 // can substitute instrumented fakes. Implementations must be safe for any
 // number of concurrent goroutines (the concurrent structures are), and
-// SampleMany must answer every query in a batch against one consistent
-// snapshot while preserving per-sample uniformity (or weight-
-// proportionality) and independence — the property request coalescing
-// inherits.
+// SampleManyAppend must answer every query in a batch against one
+// consistent snapshot with the sampling contract intact (uniform or
+// weight-proportional, mutually independent; internal/split's package
+// comment carries the argument) — the property request coalescing inherits.
 type Dataset[K cmp.Ordered] interface {
-	// SampleMany answers a batch of range-sampling queries; results[i]
-	// holds queries[i]'s samples, nil for a query over a range with no
-	// sampling mass.
-	SampleMany(queries []shard.Query[K], rng *xrand.RNG) ([][]K, error)
-	// SampleManyAppend is SampleMany with caller-owned storage — the
-	// serving hot path: samples append to dst, per-query boundaries append
-	// to starts (len(queries)+1 of them), so queries[i]'s samples occupy
-	// dst[starts[i]:starts[i+1]] and an empty segment marks a range with no
-	// sampling mass. Steady-state calls must not allocate once the buffers
-	// have warmed up.
+	// SampleManyAppend answers a batch of range-sampling queries into
+	// caller-owned storage — the serving hot path: samples append to dst,
+	// per-query boundaries append to starts (len(queries)+1 of them), so
+	// queries[i]'s samples occupy dst[starts[i]:starts[i+1]] and an empty
+	// segment marks a range with no sampling mass. Steady-state calls must
+	// not allocate once the buffers have warmed up.
 	SampleManyAppend(dst []K, starts []int, queries []shard.Query[K], rng *xrand.RNG) ([]K, []int, error)
 	// InsertItems stores every item. Weights were validated by the Core
 	// before submission, so an error here fails the whole merged batch.
@@ -74,8 +70,8 @@ type Dataset[K cmp.Ordered] interface {
 }
 
 // unweightedDataset adapts *shard.Concurrent (= irs.Concurrent). The
-// embedded structure's own SampleMany, SampleManyAppend, RangeStats,
-// KeyBounds, Len, Stats, and NewStream satisfy Dataset as they are; only
+// embedded structure's own SampleManyAppend, RangeStats, KeyBounds, Len,
+// Stats, and NewStream satisfy Dataset as they are; only
 // the item-shaped methods need adapting. keyPool recycles the key buffers
 // InsertItems strips items into, so the durable insert flush stays
 // allocation-free end to end (InsertBatch does not retain its argument).

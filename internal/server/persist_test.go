@@ -292,11 +292,11 @@ func TestDurableChurnCrashRecoveryAcceptance(t *testing.T) {
 		rng := xrand.New(seed)
 		counts := make([]int, buckets)
 		queries := []shard.Query[float64]{{Lo: 0, Hi: float64(writers * perWriter), T: 60000}}
-		res, err := ds.SampleMany(queries, rng)
+		res, _, err := ds.SampleManyAppend(nil, nil, queries, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range res[0] {
+		for _, k := range res {
 			b := int(k / span)
 			if b >= buckets {
 				b = buckets - 1

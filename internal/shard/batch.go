@@ -124,89 +124,142 @@ type Query[K cmp.Ordered] struct {
 	T      int // number of samples to draw
 }
 
-// SampleMany answers a batch of range-sampling queries against one
+// SampleManyAppend answers a batch of range-sampling queries against one
 // consistent snapshot: exactly the shards the batch's queries overlap are
 // read-locked once for the whole batch, amortizing lock traffic across
 // queries, and every query sees the same data version. Shards no query
 // touches stay unlocked, so unrelated writers are never stalled.
 //
-// results[i] holds the samples of queries[i]. A query over an empty range
-// (or, for weighted backends, a range whose total weight is zero) yields a
-// nil slice rather than failing the batch; a negative T fails the whole
-// batch with core.ErrInvalidCount before any sampling happens.
+// Result storage is the caller's: every sample is appended to dst and the
+// per-query boundaries to starts, so after the call queries[i]'s samples
+// occupy dst[starts[i]:starts[i+1]] (exactly len(queries)+1 boundaries are
+// appended; pass dst[:0]/starts[:0] to reuse buffers across calls). A query
+// over an empty range — or, for weighted backends, a range whose total
+// weight is zero — contributes an empty segment rather than failing the
+// batch; a negative T fails the whole batch with core.ErrInvalidCount
+// before any sampling happens, leaving dst and starts unchanged.
 //
-// For large batches (total samples >= a few thousand) the queries fan out
-// over min(GOMAXPROCS, len(queries)) worker goroutines, each drawing from
-// an independent RNG stream derived from rng by Split.
-func (c *engine[K, I, B]) SampleMany(queries []Query[K], rng *xrand.RNG) ([][]K, error) {
+// Small batches are answered in order on the calling goroutine from rng,
+// with zero heap allocations once dst, starts, and the pooled per-query
+// scratch have warmed up — the path the serving layer's flush workers run
+// on. Large ones (total samples >= a few thousand, and a second processor
+// to run on) fan out over min(GOMAXPROCS, len(queries)) workers, each
+// drawing from an independent stream derived from rng by Split; the choice
+// changes only wall-clock time and allocations, never the distribution.
+func (c *engine[K, I, B]) SampleManyAppend(dst []K, starts []int, queries []Query[K], rng *xrand.RNG) ([]K, []int, error) {
 	totalT := 0
 	for _, q := range queries {
 		if q.T < 0 {
-			return nil, core.ErrInvalidCount
+			return dst, starts, core.ErrInvalidCount
 		}
 		totalT += q.T
 	}
-	results := make([][]K, len(queries))
+	starts = append(starts, len(dst))
 	if len(queries) == 0 {
-		return results, nil
+		return dst, starts, nil
 	}
+	dst = slices.Grow(dst, totalT) // at most one allocation, none once warm
 
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
-
 	sc := c.getScratch()
 	defer c.putScratch(sc)
 	if !c.rlockUnion(sc, queries) {
-		return results, nil // every query range is inverted
+		// Every query range is inverted: len(queries) empty segments.
+		for range queries {
+			starts = append(starts, len(dst))
+		}
+		return dst, starts, nil
 	}
 	defer c.runlockUnion(sc)
 
-	answer := func(sc *queryScratch[K], q Query[K], r *xrand.RNG) []K {
-		if q.Hi < q.Lo {
-			return nil
-		}
-		out, err := c.sampleLocked(sc, nil, q.Lo, q.Hi, q.T, r)
-		if err != nil {
-			return nil // only empty-range/zero-mass errors reach here
-		}
-		return out
+	if workers := min(runtime.GOMAXPROCS(0), len(queries)); totalT >= parallelQueryMin && workers >= 2 {
+		dst, starts = c.sampleManyParallel(dst, starts, queries, totalT, workers, rng)
+		return dst, starts, nil
 	}
+	for _, q := range queries {
+		if q.Hi >= q.Lo {
+			// Only empty-range/zero-mass errors can reach here, and they
+			// leave dst untouched: the query contributes an empty segment.
+			if out, err := c.sampleLocked(sc, dst, q.Lo, q.Hi, q.T, rng); err == nil {
+				dst = out
+			}
+		}
+		starts = append(starts, len(dst))
+	}
+	return dst, starts, nil
+}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if totalT < parallelQueryMin || workers < 2 {
-		for i, q := range queries {
-			results[i] = answer(sc, q, rng)
-		}
-		return results, nil
-	}
+// sampleManyParallel is SampleManyAppend's fan-out, under the locks its
+// caller holds: contiguous blocks of queries per worker, RNG streams split
+// up front in worker order so the result is deterministic for a fixed rng
+// state. Query i samples straight into its own T-sized slot of dst's spare
+// capacity (the caller reserved totalT); the slots of queries that came
+// back empty are closed up afterwards.
+// It is a method of its own because a goroutine closure in SampleManyAppend
+// would move that function's locals to the heap on the sequential path too.
+func (c *engine[K, I, B]) sampleManyParallel(dst []K, starts []int, queries []Query[K], totalT, workers int, rng *xrand.RNG) ([]K, []int) {
+	base := len(dst)
+	dst = dst[:base+totalT]
+	starts = append(starts, make([]int, len(queries))...)
+	got := starts[len(starts)-len(queries):] // got[i]: samples query i produced, 0 or T
 
-	// Contiguous blocks of queries per worker; RNG streams split up front
-	// so the partitioning is deterministic for a fixed rng state.
 	rngs := make([]*xrand.RNG, workers)
 	for w := range rngs {
 		rngs[w] = rng.Split()
 	}
 	var wg sync.WaitGroup
+	slot := base
 	for w := 0; w < workers; w++ {
-		lo := len(queries) * w / workers
-		hi := len(queries) * (w + 1) / workers
-		if lo == hi {
-			continue
-		}
+		first, end := len(queries)*w/workers, len(queries)*(w+1)/workers
 		wg.Add(1)
-		go func(lo, hi int, r *xrand.RNG) {
+		go func(slot int, r *xrand.RNG) {
 			defer wg.Done()
 			sc := c.getScratch()
 			defer c.putScratch(sc)
-			for i := lo; i < hi; i++ {
-				results[i] = answer(sc, queries[i], r)
+			for i := first; i < end; i++ {
+				q := queries[i]
+				if q.Hi >= q.Lo {
+					if out, err := c.sampleLocked(sc, dst[slot:slot:slot+q.T], q.Lo, q.Hi, q.T, r); err == nil {
+						got[i] = len(out)
+					}
+				}
+				slot += q.T
 			}
-		}(lo, hi, rngs[w])
+		}(slot, rngs[w])
+		for _, q := range queries[first:end] {
+			slot += q.T
+		}
 	}
 	wg.Wait()
+
+	tail := base
+	slot = base
+	for i, q := range queries {
+		if tail != slot {
+			copy(dst[tail:], dst[slot:slot+got[i]])
+		}
+		tail += got[i]
+		slot += q.T
+		got[i] = tail // the boundary after query i
+	}
+	return dst[:tail], starts
+}
+
+// SampleMany is SampleManyAppend returning one slice per query: results[i]
+// holds the samples of queries[i], nil where SampleManyAppend's segment is
+// empty (empty range, zero total weight, or T = 0).
+func (c *engine[K, I, B]) SampleMany(queries []Query[K], rng *xrand.RNG) ([][]K, error) {
+	flat, starts, err := c.SampleManyAppend(nil, nil, queries, rng)
+	if err != nil {
+		return nil, err
+	}
+	results := make([][]K, len(queries))
+	for i := range results {
+		if from, to := starts[i], starts[i+1]; from < to {
+			results[i] = flat[from:to:to]
+		}
+	}
 	return results, nil
 }
 
@@ -247,75 +300,4 @@ func (c *engine[K, I, B]) runlockUnion(sc *queryScratch[K]) {
 			c.shards[i].mu.RUnlock()
 		}
 	}
-}
-
-// SampleManyAppend is SampleMany with caller-owned result storage, the
-// allocation-free spelling the serving layer's flush workers run on: every
-// sample is appended to dst and the per-query boundaries are appended to
-// starts, so after the call queries[i]'s samples occupy
-// dst[starts[i]:starts[i+1]] (exactly len(queries)+1 boundaries are
-// appended; pass dst[:0]/starts[:0] to reuse buffers across calls). A query
-// over an empty range — or, for weighted backends, a range whose total
-// weight is zero — contributes an empty segment rather than failing the
-// batch; a negative T fails the whole batch with core.ErrInvalidCount
-// before any sampling happens, leaving dst and starts unchanged.
-//
-// Locking and the sampling distribution are identical to SampleMany: one
-// consistent snapshot under the union of the overlapping shards' read
-// locks, exact multinomial cross-shard splits, mutual independence across
-// queries. Steady-state calls below the parallel fan-out threshold perform
-// zero heap allocations once dst, starts, and the pooled per-query scratch
-// have warmed up; batches large enough for the fan-out delegate to the
-// parallel SampleMany and copy, trading those allocations for wall-clock
-// time exactly when they are amortized across thousands of samples.
-func (c *engine[K, I, B]) SampleManyAppend(dst []K, starts []int, queries []Query[K], rng *xrand.RNG) ([]K, []int, error) {
-	totalT := 0
-	for _, q := range queries {
-		if q.T < 0 {
-			return dst, starts, core.ErrInvalidCount
-		}
-		totalT += q.T
-	}
-	base := len(starts)
-	starts = append(starts, len(dst))
-	if len(queries) == 0 {
-		return dst, starts, nil
-	}
-
-	if workers := min(runtime.GOMAXPROCS(0), len(queries)); totalT >= parallelQueryMin && workers >= 2 {
-		results, err := c.SampleMany(queries, rng)
-		if err != nil {
-			return dst, starts[:base], err
-		}
-		for _, res := range results {
-			dst = append(dst, res...)
-			starts = append(starts, len(dst))
-		}
-		return dst, starts, nil
-	}
-
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	if !c.rlockUnion(sc, queries) {
-		// Every query range is inverted: len(queries) empty segments.
-		for range queries {
-			starts = append(starts, len(dst))
-		}
-		return dst, starts, nil
-	}
-	defer c.runlockUnion(sc)
-	for _, q := range queries {
-		if q.Hi >= q.Lo {
-			// Only empty-range/zero-mass errors can reach here, and they
-			// leave dst untouched — the query just contributes an empty
-			// segment, exactly like SampleMany's nil result.
-			if out, err := c.sampleLocked(sc, dst, q.Lo, q.Hi, q.T, rng); err == nil {
-				dst = out
-			}
-		}
-		starts = append(starts, len(dst))
-	}
-	return dst, starts, nil
 }

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/irsgo/irs/internal/alias"
 	"github.com/irsgo/irs/internal/core"
+	"github.com/irsgo/irs/internal/split"
 	"github.com/irsgo/irs/internal/xrand"
 )
 
@@ -18,18 +18,12 @@ const parallelSampleMin = 4096
 // queryScratch is the per-query working set, pooled so steady-state queries
 // allocate only their output. Each in-flight query owns one exclusively.
 type queryScratch[K cmp.Ordered] struct {
-	run     Run // backend sampling scratch for one shard at a time (lazily created)
-	builder alias.Builder
-	table   alias.Table
-	counts  []int     // in-range count per overlapping shard
-	masses  []float64 // in-range sampling mass per overlapping shard
-	weights []float64 // nonzero masses, alias table input
-	nonzero []int     // overlapping-shard index per alias column
-	tally   []int     // samples allocated per overlapping shard
-	starts  []int     // block segment boundaries (tally prefix sums)
-	choice  []int32   // drawn overlapping-shard index per sample position
-	block   []K       // per-shard sample blocks, concatenated
-	needed  []bool    // shard-union lock set for SampleMany batches
+	run    Run        // backend sampling scratch for one shard at a time
+	plan   split.Plan // allocation of sample positions to overlapping shards
+	counts []int      // in-range count per overlapping shard
+	masses []float64  // in-range sampling mass per overlapping shard
+	block  []K        // per-shard sample blocks, concatenated
+	needed []bool     // shard-union lock set for SampleManyAppend batches
 }
 
 func (c *engine[K, I, B]) getScratch() *queryScratch[K] {
@@ -84,7 +78,7 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 	// snapshot under the held locks.
 	sc.counts = sc.counts[:0]
 	sc.masses = sc.masses[:0]
-	total := 0
+	total, positive := 0, 0 // keys in range; shards with sampling mass
 	totalMass := 0.0
 	for i := sa; i <= sb; i++ {
 		n, m := c.shards[i].b.RangeStats(lo, hi)
@@ -92,6 +86,9 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 		sc.masses = append(sc.masses, m)
 		total += n
 		totalMass += m
+		if m > 0 {
+			positive++
+		}
 	}
 	if total == 0 {
 		if t == 0 {
@@ -112,87 +109,45 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 		return c.shards[sa+nz].b.SampleRunAppend(sc.run, dst, lo, hi, t, rng)
 	}
 
-	// Stage 2: multinomial split. Build an alias table over the nonzero
-	// masses (zero-mass shards are excluded up front so no rounding edge
-	// can ever select one) and draw the shard of each sample position with
-	// probability mass/totalMass.
-	sc.weights = sc.weights[:0]
-	sc.nonzero = sc.nonzero[:0]
-	for i, m := range sc.masses {
-		if m > 0 {
-			sc.weights = append(sc.weights, m)
-			sc.nonzero = append(sc.nonzero, i)
-		}
+	// Stages 2-4 are internal/split's construction: allocate the t sample
+	// positions over the overlapping shards, have each shard fill its
+	// segment of one block, scatter the block back into draw order.
+	if err := sc.plan.Draw(sc.masses, t, rng); err != nil {
+		return dst, err // unreachable: masses are finite with a positive sum
 	}
-	if err := sc.builder.Build(&sc.table, sc.weights); err != nil {
-		return dst, err // unreachable: weights are positive and finite
-	}
-	m := len(sc.weights)
-	sc.tally = resizeInts(sc.tally, m)
-	sc.choice = resizeInt32s(sc.choice, t)
-	for j := 0; j < t; j++ {
-		k := sc.table.Draw(rng)
-		sc.choice[j] = int32(k)
-		sc.tally[k]++
-	}
-
-	// Stage 3: per-shard sampling into one block, each shard's samples in a
-	// contiguous segment starting at its tally prefix sum.
 	if cap(sc.block) < t {
 		sc.block = make([]K, t)
 	}
 	block := sc.block[:t]
-	off := sc.tally // reused as running offsets in the scatter stage
-	sc.starts = resizeInts(sc.starts, m+1)
-	starts := sc.starts
-	for k := 0; k < m; k++ {
-		starts[k+1] = starts[k] + sc.tally[k]
-	}
-	if t >= parallelSampleMin && m > 1 && runtime.GOMAXPROCS(0) > 1 {
-		c.sampleShardsParallel(sc, block, starts, lo, hi, sa, rng)
+	if t >= parallelSampleMin && positive > 1 && runtime.GOMAXPROCS(0) > 1 {
+		c.sampleShardsParallel(sc, block, lo, hi, sa, rng)
 	} else {
-		for k := 0; k < m; k++ {
-			want := starts[k+1] - starts[k]
-			if want == 0 {
+		for i := range sc.masses {
+			from, to := sc.plan.Seg(i)
+			if from == to {
 				continue
 			}
-			seg := block[starts[k]:starts[k]:starts[k+1]]
-			sh := c.shards[sa+sc.nonzero[k]]
-			if _, err := sh.b.SampleRunAppend(sc.run, seg, lo, hi, want, rng); err != nil {
+			if _, err := c.shards[sa+i].b.SampleRunAppend(sc.run, block[from:from:to], lo, hi, to-from, rng); err != nil {
 				return dst, err // unreachable: mass was positive under lock
 			}
 		}
 	}
-
-	// Stage 4: scatter the per-shard blocks back into draw order. Within a
-	// shard the samples are i.i.d., so handing them out in block order to
-	// the positions that drew that shard preserves the exact distribution
-	// and independence across the t output positions.
-	for k := 0; k < m; k++ {
-		off[k] = starts[k]
-	}
-	for j := 0; j < t; j++ {
-		k := sc.choice[j]
-		dst = append(dst, block[off[k]])
-		off[k]++
-	}
-	return dst, nil
+	return split.Scatter(dst, &sc.plan, block), nil
 }
 
 // sampleShardsParallel runs the per-shard sampling stage on one goroutine
 // per populated shard. RNG streams are derived with Split in shard order
 // before the fan-out, so results are deterministic for a fixed rng state
 // (though different from the sequential path's stream usage).
-func (c *engine[K, I, B]) sampleShardsParallel(sc *queryScratch[K], block []K, starts []int, lo, hi K, sa int, rng *xrand.RNG) {
-	m := len(starts) - 1
+func (c *engine[K, I, B]) sampleShardsParallel(sc *queryScratch[K], block []K, lo, hi K, sa int, rng *xrand.RNG) {
 	var wg sync.WaitGroup
-	for k := 0; k < m; k++ {
-		want := starts[k+1] - starts[k]
-		if want == 0 {
+	for i := range sc.masses {
+		from, to := sc.plan.Seg(i)
+		if from == to {
 			continue
 		}
-		seg := block[starts[k]:starts[k]:starts[k+1]]
-		sh := c.shards[sa+sc.nonzero[k]]
+		seg, want := block[from:from:to], to-from
+		sh := c.shards[sa+i]
 		sub := rng.Split()
 		wg.Add(1)
 		go func() {
@@ -213,24 +168,6 @@ func firstNonzero(counts []int) int {
 		}
 	}
 	return 0
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 func resizeBools(s []bool, n int) []bool {

@@ -31,26 +31,16 @@
 // A query (lo, hi, t) must return t samples that are exactly
 // mass-proportional over the union of the overlapping shards' range
 // contents — the distribution must not be distorted by the partition. The
-// query therefore proceeds in two stages, holding the read locks of every
-// overlapping shard for its whole duration so the stats and the draws see
-// one consistent snapshot:
-//
-//  1. Mass. Each overlapping shard reports its in-range count and sampling
-//     mass m_i in O(log n) time (for the unweighted backend the mass is the
-//     key count; for the weighted backend it is the range's total weight);
-//     the total is M = Σ m_i.
-//  2. Multinomial split. The t samples are distributed over shards by
-//     drawing, for each sample, a shard with probability m_i/M — a
-//     multinomial (t; m_1/M, …, m_k/M) allocation realized in O(1) per
-//     draw by a Walker alias table (internal/alias) built over the nonzero
-//     masses. Each shard then draws its allocated samples independently
-//     (read-only backend sampling through per-query scratch), and the
-//     per-shard outputs are scattered back into the positions whose draws
-//     selected that shard. Conditioned on the shard choice a sample is
-//     mass-proportional over that shard's range slice, and the shard choice
-//     is proportional to the slice's mass, so every sample follows the
-//     exact target distribution over the whole range and samples remain
-//     mutually independent.
+// query holds the read locks of every overlapping shard for its whole
+// duration, so the stats and the draws see one consistent snapshot: each
+// overlapping shard reports its in-range count and sampling mass in
+// O(log n) time (for the unweighted backend the mass is the key count; for
+// the weighted backend it is the range's total weight), and the shards are
+// then the parts of internal/split's construction — a multinomial
+// allocation of the t sample positions over the masses, per-shard draws
+// (read-only backend sampling through per-query scratch) into one block,
+// and a scatter back into draw order. Why that is exact and independent is
+// argued once, in internal/split's package comment.
 //
 // For large t the per-shard sampling stage fans out across goroutines,
 // each with an independent RNG stream derived by Split; the fan-out changes
@@ -64,9 +54,9 @@
 // are taken in ascending shard order. Readers take shard read locks —
 // queries never mutate a shard because backend sampling is read-only and
 // runs through caller-owned scratch — and writers take shard write locks.
-// The batch entry points (InsertBatch, SampleMany) acquire each involved
-// shard lock once per batch rather than once per element, which is where
-// the concurrent layer's throughput on hot paths comes from.
+// The batch entry points (InsertBatch, SampleManyAppend) acquire each
+// involved shard lock once per batch rather than once per element, which is
+// where the concurrent layer's throughput on hot paths comes from.
 package shard
 
 import (

@@ -2,12 +2,6 @@ package shard
 
 import "github.com/irsgo/irs/internal/xrand"
 
-// streamStep is the constant stride of the NewStream seed sequence. It is
-// deliberately different from the golden-ratio stride the weighted backend
-// uses for treap priority seeds, so the two derived sequences never hand
-// out the same generator state for small indices.
-const streamStep = 0xbf58476d1ce4e5b9
-
 // NewStream returns a fresh sampling RNG derived deterministically from the
 // structure's seed: the i-th call overall (counted atomically across all
 // goroutines) returns the i-th stream of a fixed sequence. It is the RNG
@@ -26,5 +20,5 @@ const streamStep = 0xbf58476d1ce4e5b9
 // influences any sampling distribution — every stream is uniform
 // regardless of seed.
 func (c *engine[K, I, B]) NewStream() *xrand.RNG {
-	return xrand.New(c.streamSeed + c.streamCtr.Add(1)*streamStep)
+	return xrand.New(xrand.StreamSeed(c.streamSeed, c.streamCtr.Add(1)))
 }

@@ -227,23 +227,11 @@ func (w *WeightedConcurrent[K]) UpdateWeight(key K, weight float64) (bool, error
 	return sh.b.tr.UpdateWeight(key, weight)
 }
 
-// TotalWeight returns the weight mass in [lo, hi]. All overlapping shards
-// are read-locked together, so the result is a consistent snapshot.
+// TotalWeight returns the weight mass in [lo, hi]: the mass half of
+// RangeStats, with the same consistent snapshot.
 func (w *WeightedConcurrent[K]) TotalWeight(lo, hi K) float64 {
-	if hi < lo {
-		return 0
-	}
-	w.topoMu.RLock()
-	defer w.topoMu.RUnlock()
-	sa, sb := w.shardRange(lo, hi)
-	w.rlockShards(sa, sb)
-	defer w.runlockShards(sa, sb)
-	total := 0.0
-	for i := sa; i <= sb; i++ {
-		_, m := w.shards[i].b.RangeStats(lo, hi)
-		total += m
-	}
-	return total
+	_, m := w.RangeStats(lo, hi)
+	return m
 }
 
 // AppendItems appends every stored (key, weight) pair in key order — a

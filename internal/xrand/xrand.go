@@ -55,6 +55,19 @@ func (r *RNG) Reseed(seed uint64) {
 	}
 }
 
+// streamStep is the stride of the StreamSeed sequence. It is deliberately
+// different from the golden-ratio stride the weighted shard backend uses
+// for treap priority seeds, so the two derived sequences never hand out the
+// same generator state for small indices.
+const streamStep = 0xbf58476d1ce4e5b9
+
+// StreamSeed returns the seed of the i-th stream of the fixed sequence
+// anchored at seed: a structure that owns a seed and an atomic counter hands
+// out independent, replayable generators as New(StreamSeed(seed, ctr.Add(1)))
+// — or Reseeds a pooled one — without sharing generator state between
+// goroutines.
+func StreamSeed(seed, i uint64) uint64 { return seed + i*streamStep }
+
 // Split returns a new RNG whose stream is independent of r's continuing
 // stream. It consumes one output from r.
 func (r *RNG) Split() *RNG {

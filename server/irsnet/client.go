@@ -43,9 +43,12 @@ func (o Options) withDefaults() Options {
 // treat the transport as a third encoding. It is safe for any number of concurrent goroutines:
 // requests are pipelined over a small pool of persistent connections and
 // matched to responses by ID, out of order. Connections dial lazily and
-// re-dial after breaking; a request that fails before any of its bytes
-// were written is retried once on a fresh connection, anything later
-// surfaces the connection error (the server may have executed it).
+// re-dial after breaking. A request that fails before any of its bytes
+// were written is retried on a fresh connection; so is a read-only one
+// (sample, range stats, stats) whose connection broke later, since
+// answering it twice changes nothing. A mutation that may have reached the
+// server surfaces the connection error instead (the server may have
+// executed it, and a multiset insert applied twice is stored twice).
 //
 // Server-side errors arrive as *server.APIError with the same codes and
 // statuses as HTTP, so errors.Is against the server sentinels behaves
@@ -226,10 +229,12 @@ func appendReqHeader(b []byte) []byte {
 }
 
 // roundTrip sends the assembled message (envelope placeholder + frame) and
-// blocks until cl completes or ctx is done. On success cl holds the
-// decoded result; the transport-level error (dial, write, broken conn,
+// blocks until cl completes or ctx is done, making up to three attempts
+// where a retry is safe (see Client). On success cl holds the decoded
+// result; the transport-level error (dial, write, broken conn,
 // cancellation) is the return value.
 func (c *Client) roundTrip(ctx context.Context, buf *[]byte, cl *call) error {
+	readOnly := cl.kind != callCount
 	msg := *buf
 	binary.LittleEndian.PutUint32(msg[0:4], uint32(len(msg)-4))
 	var lastErr error
@@ -259,9 +264,9 @@ func (c *Client) roundTrip(ctx context.Context, buf *[]byte, cl *call) error {
 			cc.fail(werr)
 			<-cl.done
 			cl.err = nil
-			if n == 0 {
-				// None of the request reached the wire: safe to retry even
-				// for inserts.
+			if n == 0 || readOnly {
+				// None of the request reached the wire (safe to retry even
+				// for inserts), or executing it twice is harmless.
 				lastErr = werr
 				continue
 			}
@@ -272,9 +277,14 @@ func (c *Client) roundTrip(ctx context.Context, buf *[]byte, cl *call) error {
 			if cl.err != nil {
 				if _, ok := cl.err.(*server.APIError); !ok {
 					// Transport-level failure (broken connection), not a
-					// served error: surface it as the round-trip error.
+					// served error: the round-trip error, unless the
+					// request can simply be asked again.
 					err := cl.err
 					cl.err = nil
+					if readOnly {
+						lastErr = err
+						continue
+					}
 					return err
 				}
 			}

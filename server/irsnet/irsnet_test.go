@@ -635,6 +635,115 @@ func TestTCPReconnect(t *testing.T) {
 	}
 }
 
+// dropListener hands the server its connections unchanged, except that
+// while armed the next one is accepted as a muteConn: the server reads and
+// executes that connection's first request, and the connection dies in
+// place of the answer — the one failure a client cannot tell apart from
+// "the request never arrived".
+type dropListener struct {
+	net.Listener
+	mu    sync.Mutex
+	armed bool
+}
+
+func (l *dropListener) arm() { l.mu.Lock(); l.armed = true; l.mu.Unlock() }
+
+func (l *dropListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.armed {
+		l.armed = false
+		return muteConn{nc}, nil
+	}
+	return nc, nil
+}
+
+type muteConn struct{ net.Conn }
+
+func (c muteConn) Write([]byte) (int, error) {
+	_ = c.Conn.Close()
+	return 0, net.ErrClosed
+}
+
+// TestRetryAfterWriteOnlyWhenReadOnly pins which requests roundTrip may
+// ask again once their bytes have left: a connection that swallows one
+// request and closes costs a Sample, a RangeStats and a Stats nothing but a
+// re-dial, while an insert — which the server did execute — surfaces a
+// transport error and is stored exactly once, never re-sent.
+func TestRetryAfterWriteOnlyWhenReadOnly(t *testing.T) {
+	s := newBackend(t, server.Config{}, 1000, 11)
+	defer s.Close()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &dropListener{Listener: inner}
+	ts := irsnet.NewServer(s)
+	served := make(chan error, 1)
+	go func() { served <- ts.Serve(l) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := ts.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		<-served
+	}()
+	ctx := context.Background()
+
+	// Each case runs on a fresh single-connection client, so its first
+	// request is the one the armed listener swallows.
+	dial := func() *irsnet.Client {
+		l.arm()
+		return irsnet.NewClient(inner.Addr().String(), irsnet.Options{Conns: 1})
+	}
+	for name, call := range map[string]func(*irsnet.Client) error{
+		"sample": func(cl *irsnet.Client) error {
+			out, err := cl.Sample(ctx, "u", 0, 999, 5)
+			if err == nil && len(out) != 5 {
+				err = errors.New("short sample")
+			}
+			return err
+		},
+		"rangestats": func(cl *irsnet.Client) error {
+			n, _, err := cl.RangeStats(ctx, "u", 0, 999)
+			if err == nil && n != 1000 {
+				err = errors.New("wrong count")
+			}
+			return err
+		},
+		"stats": func(cl *irsnet.Client) error {
+			st, err := cl.Stats(ctx)
+			if err == nil && len(st.Datasets) != 2 {
+				err = errors.New("wrong stats")
+			}
+			return err
+		},
+	} {
+		cl := dial()
+		if err := call(cl); err != nil {
+			t.Errorf("%s over a connection that died after the write: %v", name, err)
+		}
+		cl.Close()
+	}
+
+	const key = 5000.5 // stored nowhere yet
+	cl := dial()
+	defer cl.Close()
+	if n, err := cl.InsertKeys(ctx, "u", []float64{key}); !isTransportErr(err) {
+		t.Fatalf("insert over a connection that died after the write: n = %d, err = %v, want a transport error", n, err)
+	}
+	// The server answers an insert only after applying it, and the
+	// connection died on that answer: the key is in, and it is in once.
+	if n, _, err := cl.RangeStats(ctx, "u", key, key); err != nil || n != 1 {
+		t.Fatalf("key stored %d times (err %v), want exactly once", n, err)
+	}
+}
+
 // isTransportErr reports whether err is a connection-level failure (as
 // opposed to a served *server.APIError).
 func isTransportErr(err error) bool {

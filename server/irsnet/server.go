@@ -28,7 +28,6 @@ import (
 // off the request frames.
 type Server struct {
 	backend *server.Server
-	opts    ServerOptions
 	names   internTable
 	inst    instruments
 
@@ -67,31 +66,12 @@ func (s *Server) AppendMetrics(dst []byte) []byte {
 	return b.Bytes()
 }
 
-// DefaultReadBufferSize is each connection's buffered-reader size when
-// ServerOptions leaves it zero.
-const DefaultReadBufferSize = 32 << 10
+// readBufferSize is each connection's buffered-reader size.
+const readBufferSize = 32 << 10
 
-// ServerOptions tunes per-connection resources.
-type ServerOptions struct {
-	// ReadBufferSize is the per-connection read buffer in bytes (default
-	// DefaultReadBufferSize). Few fat-insert connections amortize syscalls
-	// better with a bigger buffer; many mostly-idle connections waste less
-	// memory with a smaller one.
-	ReadBufferSize int
-}
-
-// NewServer returns a Server answering requests from backend's datasets
-// with default options.
+// NewServer returns a Server answering requests from backend's datasets.
 func NewServer(backend *server.Server) *Server {
-	return NewServerOpts(backend, ServerOptions{})
-}
-
-// NewServerOpts is NewServer with explicit per-connection options.
-func NewServerOpts(backend *server.Server, opts ServerOptions) *Server {
-	if opts.ReadBufferSize <= 0 {
-		opts.ReadBufferSize = DefaultReadBufferSize
-	}
-	s := &Server{backend: backend, opts: opts, conns: make(map[*conn]struct{})}
+	s := &Server{backend: backend, conns: make(map[*conn]struct{})}
 	s.names.m = make(map[string]string)
 	return s
 }
@@ -211,7 +191,7 @@ const maxRetainedRead = 1 << 20
 // readLoop decodes messages and dispatches them until the connection
 // fails, closes, or a malformed envelope desynchronizes the stream.
 func (c *conn) readLoop() {
-	br := bufio.NewReaderSize(c.nc, c.srv.opts.ReadBufferSize)
+	br := bufio.NewReaderSize(c.nc, readBufferSize)
 	var hdr [reqHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
