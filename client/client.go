@@ -30,8 +30,9 @@ type Item = server.Item
 // Stats is the /stats document, re-exported for the same reason.
 type Stats = server.Stats
 
-// Sampler is the read surface: range sampling plus the (count, mass)
-// range probe the cluster router's multinomial split is built on.
+// Sampler is the read surface: range sampling, sampling together with the
+// range's (count, mass) — what the cluster router's multinomial split is
+// built on — and the (count, mass) range probe alone.
 type Sampler interface {
 	// Sample requests t independent samples from [lo, hi] of dataset
 	// (empty selects the daemon's sole dataset).
@@ -39,6 +40,12 @@ type Sampler interface {
 	// SampleAppend is Sample appending into dst; on error dst is returned
 	// unchanged.
 	SampleAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, error)
+	// SampleStatsAppend is SampleAppend that also returns [lo, hi]'s
+	// in-range key count and sampling mass, read under the same locks as
+	// the samples — the cluster router's one round trip per node. A range
+	// without sampling mass answers no samples and mass 0, not
+	// ErrEmptyRange.
+	SampleStatsAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error)
 	// RangeStats returns the in-range key count and sampling mass of
 	// [lo, hi].
 	RangeStats(ctx context.Context, dataset string, lo, hi float64) (int, float64, error)

@@ -27,6 +27,11 @@ type Concurrent[K cmp.Ordered] = shard.Concurrent[K]
 // batch: draw T samples from [Lo, Hi].
 type ConcurrentQuery[K cmp.Ordered] = shard.Query[K]
 
+// ConcurrentQueryStats is what Concurrent.SampleManyStatsAppend reports for
+// one query: the range's key count N and sampling mass, read under the same
+// locks as the query's samples.
+type ConcurrentQueryStats = shard.QueryStats
+
 // ConcurrentStats is a consistent snapshot of a Concurrent's topology.
 type ConcurrentStats = shard.Stats
 

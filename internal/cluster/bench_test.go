@@ -32,23 +32,32 @@ func (c *memConn) RangeStats(_ context.Context, _ string, lo, hi float64) (int, 
 	return n, float64(n), nil
 }
 
-func (c *memConn) SampleAppend(_ context.Context, _ string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+func (c *memConn) SampleAppend(ctx context.Context, name string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+	dst, _, _, err := c.SampleStatsAppend(ctx, name, dst, lo, hi, t)
+	return dst, err
+}
+
+// SampleStatsAppend reads the clip's (count, mass) and draws under one
+// hold of the mutex, as a node reads both under one set of shard locks.
+func (c *memConn) SampleStatsAppend(_ context.Context, _ string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error) {
 	lo, hi = c.clip(lo, hi)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for ; t > 0; t-- {
+	n := max(0, int(hi)-int(lo)+1)
+	for ; n > 0 && t > 0; t-- {
 		dst = append(dst, float64(c.rng.IntRange(int(lo), int(hi))))
 	}
-	return dst, nil
+	return dst, n, float64(n), nil
 }
 
 func (c *memConn) Close() error { return nil }
 
 // BenchmarkRouterSpanningSample is one t = 64 request spanning all three
-// partitions of an in-process cluster: probe fan-out, multinomial split,
-// sub-sample fan-out, scatter. Read it with -benchmem: what is left in
-// allocs/op is the two fan-outs' goroutines, contexts and error slices and
-// the probe's result slices — the split stage itself contributes none.
+// partitions of an in-process cluster: one fan-out in which every node
+// answers its clip's samples with the clip's (count, mass), the
+// multinomial split over those masses, scatter. Read it with -benchmem:
+// what is left in allocs/op is that fan-out's goroutines and error slice —
+// the split stage and the pooled sample blocks contribute none.
 func BenchmarkRouterSpanningSample(b *testing.B) {
 	m, err := cluster.New([]cluster.Partition{
 		{Addr: "a", Lo: 0, Hi: 1000}, {Addr: "b", Lo: 1000, Hi: 2000}, {Addr: "c", Lo: 2000, Hi: 3000},

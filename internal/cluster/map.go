@@ -4,12 +4,16 @@
 // requests out to the nodes owning each key range.
 //
 // The router's sampling is exact, not approximate: a cross-partition
-// sample request probes each overlapping partition for the in-range
-// (count, mass) of its clip, and then runs internal/split's construction —
-// the one the in-process sharded structures run over their shards — with
-// the nodes as the parts, so the answer is distributed exactly as a single
-// node holding the union would answer. The argument is stated once, in
-// internal/split's package comment.
+// sample request is one fan-out in which each overlapping node answers
+// min(t, prefetch) i.i.d. samples of its clip together with the clip's
+// in-range (count, mass), read under the same shard locks. The router then
+// runs internal/split's construction — the one the in-process sharded
+// structures run over their shards — with the nodes as the parts, taking
+// the first tally of each node's samples and topping up, with one more
+// call, any node whose tally exceeds prefetch; so the answer is distributed
+// exactly as a single node holding the union would answer. The argument,
+// prefix rule included, is stated once, in internal/split's package
+// comment. Any failed leg fails the request whole.
 //
 // The router is transport-agnostic: it speaks only the client.Conn
 // interface, so nodes may be reached over HTTP/JSON, HTTP binary, or the

@@ -297,7 +297,7 @@ func (r *Router) Resolve(dataset string) (string, error) {
 // unchanged.
 func (r *Router) SampleAppend(dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
 	out, err := r.sampleWait.Do(func(done server.SampleReply) error {
-		return r.SampleAppendAsync(dataset, dst, lo, hi, t, done)
+		return r.SampleAppendAsync(dataset, dst, lo, hi, t, nil, done)
 	})
 	if err != nil {
 		return dst, err
@@ -309,13 +309,15 @@ func (r *Router) SampleAppend(dataset string, dst []float64, lo, hi float64, t i
 // [lo, hi] drawn across every overlapping partition — see the package
 // comment for the exactness construction. When exactly one partition
 // overlaps, the request is forwarded verbatim, so a router over a single
-// node is sample-for-sample identical to that node.
+// node is sample-for-sample identical to that node. A non-nil stats also
+// gets the range's cluster-wide (count, mass), summed from the same node
+// answers the samples came from, as the Backend contract describes.
 //
 // Under the Backend async contract an accepted request here is a goroutine
 // — the router has no coalescer queue to admit into; the fan-out itself is
 // the slow part — which holds the generation reference until delivery, so
 // a concurrent SetMap cannot close the connections under it.
-func (r *Router) SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, done server.SampleReply) error {
+func (r *Router) SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, stats *server.SampleStats, done server.SampleReply) error {
 	if t <= 0 {
 		return server.ErrInvalidCount
 	}
@@ -328,15 +330,34 @@ func (r *Router) SampleAppendAsync(dataset string, dst []float64, lo, hi float64
 	}
 	go func() {
 		defer s.release()
-		done.Deliver(r.sampleResolved(s, name, dst, lo, hi, t))
+		done.Deliver(r.sampleResolved(s, name, dst, lo, hi, t, stats))
 	}()
 	return nil
 }
 
-func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+// prefetch caps the samples a spanning request asks each overlapping node
+// for in its one round, min(t, prefetch): a node whose share of the t
+// draws turns out larger gets one top-up call for the rest.
+//
+// Against probe-then-sample, each leg saves one node call and discards at
+// most prefetch samples, so prefetch sits at the break-even of the two,
+// measured on a 2-vCPU x86-64 guest: a binary-HTTP node call at t = 64
+// costs about 35 µs of CPU, client and node together (the serving
+// benchmark's cluster_span charges 43–56 µs per call saved), and one more
+// sample about 50 ns at cluster_span's selectivities (draw, codec and
+// transfer), while sample_heavy's layer budget puts the draw alone at
+// 126 ns. 35 µs / 126 ns ≈ 280, so a leg's overdraw costs no more
+// than the call it saves, whatever t and however many nodes overlap.
+const prefetch = 256
+
+func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi float64, t int, stats *server.SampleStats) ([]float64, error) {
 	first, last := s.m.Overlap(lo, hi)
-	if first > last {
-		return dst, server.ErrEmptyRange // query outside the map's coverage
+	if first > last { // query outside the map's coverage
+		if stats != nil {
+			*stats = server.SampleStats{}
+			return dst, nil
+		}
+		return dst, server.ErrEmptyRange
 	}
 	if first == last {
 		// Single-partition fast path: forward the request unchanged (the
@@ -345,69 +366,116 @@ func (r *Router) sampleResolved(s *mapState, name string, dst []float64, lo, hi 
 		s.requests[first].Inc()
 		ctx, cancel := s.callCtx()
 		defer cancel()
-		out, err := s.conns[first].SampleAppend(ctx, name, dst, lo, hi, t)
+		var out []float64
+		var err error
+		if stats == nil {
+			out, err = s.conns[first].SampleAppend(ctx, name, dst, lo, hi, t)
+		} else {
+			out, stats.N, stats.Mass, err = s.conns[first].SampleStatsAppend(ctx, name, dst, lo, hi, t)
+		}
 		if err != nil {
 			return dst, s.wrap(first, err)
 		}
 		return out, nil
 	}
 
-	// Stage 1: per-partition in-range (count, mass) probes on the clipped
-	// ranges, in parallel. Any unreachable node fails the request whole: a
-	// sample drawn from only the reachable partitions would be a sample of
-	// a different population.
-	masses, total, totalMass, err := s.probe(name, first, last, lo, hi)
-	if err != nil {
-		return dst, err
-	}
-	if total == 0 || totalMass <= 0 {
-		return dst, server.ErrEmptyRange
-	}
-
-	// Stages 2-4 are internal/split's construction: allocate the t output
-	// positions over the partitions, have each node fill its segment of one
-	// block with i.i.d. samples of its clip, in parallel, and scatter the
-	// block back into draw order. A node returns exactly its tally or an
-	// error (a concurrent deletion emptying a partition between probe and
-	// sample surfaces as that node's error and fails the request, never as
-	// a silently short result). The scratch is safe to recycle on return:
-	// scatter has waited for every leg, and a Conn is done with the segment
-	// it appends into once SampleAppend returns, cancelled or not.
 	sc, _ := r.scratch.Get().(*splitScratch)
 	if sc == nil {
 		sc = new(splitScratch)
 	}
 	defer r.scratch.Put(sc)
-	sc.rng.Reseed(xrand.StreamSeed(r.seed, r.streams.Add(1)))
-	if err := sc.plan.Draw(masses, t, &sc.rng); err != nil {
-		return dst, err // a node reported a mass that is not finite
-	}
-	if cap(sc.block) < t {
-		sc.block = make([]float64, t)
-	}
-	block := sc.block[:t]
+	parts, per := last-first+1, min(t, prefetch)
+	sc.counts = resize(sc.counts, parts)
+	sc.masses = resize(sc.masses, parts)
+	sc.pre = resize(sc.pre, parts*per)
+
+	// One round: every overlapping node answers the first per i.i.d.
+	// samples of its clip together with the clip's (count, mass), read
+	// under the same locks, into its stride of sc.pre. Any failed leg fails
+	// the request whole: a sample drawn from only the reachable partitions
+	// would be a sample of a different population. Both Conns finish
+	// writing the segment they append into before returning, cancelled or
+	// not, and scatter waits for every leg, so the scratch is safe to
+	// recycle on return.
 	if err := s.scatter(first, last, func(ctx context.Context, i int) error {
-		from, to := sc.plan.Seg(i - first)
-		if from == to {
-			return nil
-		}
+		k := i - first
+		s.requests[i].Inc()
 		clo, chi, _ := s.m.Clip(i, lo, hi)
-		seg, err := s.conns[i].SampleAppend(ctx, name, block[from:from:to], clo, chi, to-from)
-		if err == nil && len(seg) != to-from {
-			err = fmt.Errorf("cluster: partition %d (%s) returned %d samples, want %d", i, s.m.At(i).Addr, len(seg), to-from)
+		got, n, mass, err := s.conns[i].SampleStatsAppend(ctx, name, sc.pre[k*per:k*per:(k+1)*per], clo, chi, per)
+		if err == nil && mass > 0 && len(got) != per {
+			err = fmt.Errorf("cluster: partition %d (%s) returned %d samples, want %d", i, s.m.At(i).Addr, len(got), per)
 		}
+		sc.counts[k], sc.masses[k] = n, mass
 		return err
 	}); err != nil {
 		return dst, err
+	}
+	total, totalMass := 0, 0.0
+	for k := range sc.counts {
+		total += sc.counts[k]
+		totalMass += sc.masses[k]
+	}
+	if stats != nil {
+		*stats = server.SampleStats{N: total, Mass: totalMass}
+	}
+	if total == 0 || totalMass <= 0 {
+		if stats != nil {
+			return dst, nil
+		}
+		return dst, server.ErrEmptyRange
+	}
+
+	// internal/split's construction over the returned masses: node k's
+	// tally of the t positions takes the first draws of its block — a
+	// prefix of an i.i.d. sequence, chosen without looking at the values —
+	// and a tally above per is completed by one top-up call for the rest.
+	sc.rng.Reseed(xrand.StreamSeed(r.seed, r.streams.Add(1)))
+	if err := sc.plan.Draw(sc.masses, t, &sc.rng); err != nil {
+		return dst, err // a node reported a mass that is not finite
+	}
+	sc.block = resize(sc.block, t)
+	block, short := sc.block, false
+	for k := range sc.masses {
+		from, to := sc.plan.Seg(k)
+		if copy(block[from:to], sc.pre[k*per:(k+1)*per]) < to-from {
+			short = true
+		}
+	}
+	if short {
+		if err := s.scatter(first, last, func(ctx context.Context, i int) error {
+			from, to := sc.plan.Seg(i - first)
+			if from += per; from >= to {
+				return nil
+			}
+			s.requests[i].Inc()
+			clo, chi, _ := s.m.Clip(i, lo, hi)
+			got, err := s.conns[i].SampleAppend(ctx, name, block[from:from:to], clo, chi, to-from)
+			if err == nil && len(got) != to-from {
+				err = fmt.Errorf("cluster: partition %d (%s) returned %d samples, want %d", i, s.m.At(i).Addr, len(got), to-from)
+			}
+			return err
+		}); err != nil {
+			return dst, err
+		}
 	}
 	return split.Scatter(dst, &sc.plan, block), nil
 }
 
 // splitScratch is one spanning sample's working set, pooled on the Router.
 type splitScratch struct {
-	plan  split.Plan
-	rng   xrand.RNG
-	block []float64 // per-partition sample blocks, concatenated
+	plan   split.Plan
+	rng    xrand.RNG
+	counts []int     // in-range count per overlapping partition
+	masses []float64 // in-range mass per overlapping partition
+	pre    []float64 // each partition's first-round samples, at a fixed stride
+	block  []float64 // per-partition sample blocks in plan order, concatenated
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scatter runs f for every partition in [first, last] concurrently, each
@@ -431,12 +499,11 @@ func (s *mapState) scatter(first, last int, f func(ctx context.Context, i int) e
 }
 
 // probe asks every partition in [first, last] for the in-range
-// (count, mass) of its clip of [lo, hi], in parallel — RangeStats' whole
-// job and stage 1 of a cross-partition sample. masses[k] belongs to
-// partition first+k. Any unreachable node fails the probe whole.
-func (s *mapState) probe(name string, first, last int, lo, hi float64) (masses []float64, total int, totalMass float64, err error) {
+// (count, mass) of its clip of [lo, hi], in parallel, and sums them —
+// RangeStats' whole job. Any unreachable node fails the probe whole.
+func (s *mapState) probe(name string, first, last int, lo, hi float64) (total int, totalMass float64, err error) {
 	counts := make([]int, last-first+1)
-	masses = make([]float64, last-first+1)
+	masses := make([]float64, last-first+1)
 	err = s.scatter(first, last, func(ctx context.Context, i int) error {
 		s.requests[i].Inc()
 		clo, chi, _ := s.m.Clip(i, lo, hi)
@@ -445,13 +512,13 @@ func (s *mapState) probe(name string, first, last int, lo, hi float64) (masses [
 		return err
 	})
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
 	for k := range counts {
 		total += counts[k]
 		totalMass += masses[k]
 	}
-	return masses, total, totalMass, nil
+	return total, totalMass, nil
 }
 
 // RangeStats sums the in-range (count, mass) probes of every overlapping
@@ -470,8 +537,7 @@ func (r *Router) RangeStats(dataset string, lo, hi float64) (int, float64, error
 	if first > last {
 		return 0, 0, nil
 	}
-	_, total, totalMass, err := s.probe(name, first, last, lo, hi)
-	return total, totalMass, err
+	return s.probe(name, first, last, lo, hi)
 }
 
 // split groups items by owning partition. A key outside the map's

@@ -3,10 +3,14 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +19,7 @@ import (
 	"github.com/irsgo/irs/internal/cluster"
 	"github.com/irsgo/irs/internal/stats"
 	"github.com/irsgo/irs/server"
+	"github.com/irsgo/irs/server/irsnet"
 )
 
 // statAlpha mirrors the repository-wide convention: small enough that
@@ -38,7 +43,9 @@ type testCluster struct {
 // startCluster boots one node per adjacent pair in bounds, each loaded
 // with the integer keys its partition owns (keys bounds[0] <= k <
 // bounds[n], weighted with weight k+1 when weighted is set), and wires
-// the whole stack with the given client encoding on both hops.
+// the whole stack with the given client encoding on both hops. For the tcp
+// encoding every node and the proxy also serve irsnet, which both hops
+// then dial; the partition map keeps naming the HTTP listeners.
 func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string, cfg server.Config) *testCluster {
 	t.Helper()
 	n := len(bounds) - 1
@@ -72,7 +79,7 @@ func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string
 			}
 		}
 		ts := httptest.NewServer(s)
-		conn, err := client.Dial(ts.URL, encoding)
+		conn, err := client.Dial(dialAddr(t, s, ts.URL, encoding), encoding)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,13 +100,37 @@ func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.proxy = httptest.NewServer(server.NewProxy(tc.router))
-	tc.cl, err = client.Dial(tc.proxy.URL, encoding)
+	proxy := server.NewProxy(tc.router)
+	tc.proxy = httptest.NewServer(proxy)
+	tc.cl, err = client.Dial(dialAddr(t, proxy, tc.proxy.URL, encoding), encoding)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tc.stop)
 	return tc
+}
+
+// dialAddr is where a client of the given encoding reaches s: its HTTP
+// listener, or for tcp a fresh irsnet listener stopped at cleanup.
+func dialAddr(t *testing.T, s *server.Server, httpURL, encoding string) string {
+	t.Helper()
+	if encoding != client.EncodingTCP {
+		return httpURL
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := irsnet.NewServer(s)
+	served := make(chan error, 1)
+	go func() { served <- ts.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = ts.Shutdown(ctx)
+		<-served
+	})
+	return l.Addr().String()
 }
 
 func (tc *testCluster) stop() {
@@ -115,11 +146,74 @@ func eachEncoding(t *testing.T, run func(t *testing.T, encoding string)) {
 	t.Run("binary", func(t *testing.T) { run(t, client.EncodingBinary) })
 }
 
+// everyEncoding is eachEncoding plus the persistent TCP transport on both
+// hops.
+func everyEncoding(t *testing.T, run func(t *testing.T, encoding string)) {
+	eachEncoding(t, run)
+	t.Run("tcp", func(t *testing.T) { run(t, client.EncodingTCP) })
+}
+
+// sampleCounts draws clients x reqs requests of tPer samples over [lo, hi]
+// through the cluster concurrently and returns how often each integer key
+// in [0, keys) came up.
+func sampleCounts(t *testing.T, tc *testCluster, keys, clients, reqs, tPer int, lo, hi float64) []int {
+	t.Helper()
+	ctx := context.Background()
+	countsCh := make(chan []int, clients)
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			local := make([]int, keys)
+			for i := 0; i < reqs; i++ {
+				out, err := tc.cl.Sample(ctx, "d", lo, hi, tPer)
+				if err != nil {
+					t.Errorf("sample: %v", err)
+					return
+				}
+				if len(out) != tPer {
+					t.Errorf("sample: %d samples, want %d", len(out), tPer)
+					return
+				}
+				for _, k := range out {
+					local[int(k)]++
+				}
+			}
+			countsCh <- local
+		}()
+	}
+	wg.Wait()
+	close(countsCh)
+	counts := make([]int, keys)
+	for local := range countsCh {
+		for i, c := range local {
+			counts[i] += c
+		}
+	}
+	return counts
+}
+
+// weightProbs is the weight-proportional target over keys 0..n-1 with
+// weight k+1.
+func weightProbs(n int) []float64 {
+	probs := make([]float64, n)
+	total := 0.0
+	for i := range probs {
+		probs[i] = float64(i + 1)
+		total += probs[i]
+	}
+	for i := range probs {
+		probs[i] /= total
+	}
+	return probs
+}
+
 // TestRouterUniformityChiSquare: per-sample uniformity must survive the
-// cluster split — probe, multinomial over partition masses, sub-sample,
-// scatter — across three partitions, not just within one node. 300 keys
-// over 3 nodes, 30k samples from concurrent clients, chi-square against
-// uniform, over both encodings.
+// cluster split — node samples with their masses, multinomial over those
+// masses, scatter — across three partitions, not just within one node.
+// 300 keys over 3 nodes, 30k samples from concurrent clients, chi-square
+// against uniform, over both encodings.
 func TestRouterUniformityChiSquare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite skipped with -short")
@@ -388,7 +482,7 @@ func (c sampleCh) Deliver(v []float64, err error) { c <- sampleAnswer{v, err} }
 // SampleAppendAsync plus a wait, so two identically seeded deployments —
 // one asked through each form — answer the same request sequence with the
 // same samples, bit for bit, on the single-partition forwarding path and
-// on the three-partition probe/split/sub-sample path alike.
+// on the three-partition one-round split path alike.
 func TestRouterBlockingAsyncIdenticalSamples(t *testing.T) {
 	for _, bounds := range [][]float64{{0, 300}, {0, 100, 200, 300}} {
 		cfg := server.Config{Flushers: 1} // one RNG stream per node
@@ -401,7 +495,7 @@ func TestRouterBlockingAsyncIdenticalSamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := async.SampleAppendAsync("d", nil, lo, hi, n, done); err != nil {
+			if err := async.SampleAppendAsync("d", nil, lo, hi, n, nil, done); err != nil {
 				t.Fatal(err)
 			}
 			got := <-done
@@ -623,5 +717,239 @@ func TestRouterErrorVocabulary(t *testing.T) {
 	}
 	if _, err := tc.cl.InsertItems(ctx, "d", []server.Item{{Key: 1e9, Weight: 1}}); !errors.Is(err, server.ErrInvalidRange) {
 		t.Errorf("insert outside coverage: %v", err)
+	}
+}
+
+// TestRouterLargeTChiSquare: with t = 4000 over three partitions every
+// node's share of the draws exceeds the one-round prefetch, so each leg is
+// completed by a top-up call; per-sample uniformity and
+// weight-proportionality must survive the prefix-plus-top-up blocks, over
+// every encoding.
+func TestRouterLargeTChiSquare(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical suite skipped with -short")
+	}
+	everyEncoding(t, func(t *testing.T, encoding string) {
+		const clients, reqs, tPer = 4, 8, 4000
+		t.Run("uniform", func(t *testing.T) {
+			tc := startCluster(t, []float64{0, 100, 200, 300}, false, encoding, server.Config{})
+			counts := sampleCounts(t, tc, 300, clients, reqs, tPer, 0, 299)
+			stat, df, err := stats.ChiSquareUniform(counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crit := stats.ChiSquareCritical(df, statAlpha); stat > crit {
+				t.Fatalf("chi-square rejects uniformity at t=%d: stat=%.2f df=%d critical=%.2f", tPer, stat, df, crit)
+			}
+		})
+		t.Run("weighted", func(t *testing.T) {
+			tc := startCluster(t, []float64{0, 100, 200, 300}, true, encoding, server.Config{})
+			counts := sampleCounts(t, tc, 300, clients, reqs, tPer, 0, 299)
+			gof, err := stats.ChiSquareTest(counts, weightProbs(300), statAlpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gof.Reject {
+				t.Fatalf("chi-square rejects weight-proportionality at t=%d: stat=%.2f df=%d critical=%.2f",
+					tPer, gof.Stat, gof.DF, gof.Critical)
+			}
+		})
+	})
+}
+
+// TestRouterLargeTIndependence: at t = 4000 over 9 keys split 3/3/3, every
+// leg's block is its one-round prefix plus a top-up, and the outputs must
+// still be mutually independent — position j of two concurrent requests,
+// and consecutive positions j, j+1 within one request. Joint distributions
+// over the 9x9 grid, chi-square against uniform, over every encoding.
+func TestRouterLargeTIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical suite skipped with -short")
+	}
+	everyEncoding(t, func(t *testing.T, encoding string) {
+		tc := startCluster(t, []float64{0, 3, 6, 9}, false, encoding, server.Config{})
+		ctx := context.Background()
+		const pairs, tPer = 6, 4000
+		across, within := make([]int, 81), make([]int, 81)
+		for p := 0; p < pairs; p++ {
+			var a, b []float64
+			var errA, errB error
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); a, errA = tc.cl.Sample(ctx, "d", 0, 8, tPer) }()
+			go func() { defer wg.Done(); b, errB = tc.cl.Sample(ctx, "d", 0, 8, tPer) }()
+			wg.Wait()
+			if errA != nil || errB != nil {
+				t.Fatalf("pair: %v, %v", errA, errB)
+			}
+			for j := range a {
+				across[int(a[j])*9+int(b[j])]++
+				if j+1 < len(a) {
+					within[int(a[j])*9+int(a[j+1])]++
+				}
+			}
+		}
+		probs := make([]float64, 81)
+		for i := range probs {
+			probs[i] = 1.0 / 81
+		}
+		for name, joint := range map[string][]int{"across requests": across, "within a request": within} {
+			gof, err := stats.ChiSquareTest(joint, probs, statAlpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gof.Reject {
+				t.Errorf("chi-square rejects independence %s at t=%d: stat=%.2f df=%d critical=%.2f",
+					name, tPer, gof.Stat, gof.DF, gof.Critical)
+			}
+		}
+	})
+}
+
+// TestRouterSampleStatsMatchesRangeStats: a sample-with-stats request sent
+// through the proxy reports the same cluster-wide (count, mass) as
+// Router.RangeStats — spanning, single-partition, outside the map and over
+// an empty sliver, where it answers no samples instead of an error.
+func TestRouterSampleStatsMatchesRangeStats(t *testing.T) {
+	everyEncoding(t, func(t *testing.T, encoding string) {
+		tc := startCluster(t, []float64{0, 100, 200, 300}, true, encoding, server.Config{})
+		ctx := context.Background()
+		for _, q := range []struct {
+			lo, hi float64
+			t      int
+		}{
+			{0, 299, 50}, {50, 250, 3000}, {120, 180, 7}, {400, 500, 5}, {50.2, 50.4, 3}, {99.5, 100.5, 4},
+		} {
+			out, n, mass, err := tc.cl.SampleStatsAppend(ctx, "d", nil, q.lo, q.hi, q.t)
+			if err != nil {
+				t.Fatalf("[%v, %v]: %v", q.lo, q.hi, err)
+			}
+			wantN, wantMass, err := tc.router.RangeStats("d", q.lo, q.hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != wantN || mass != wantMass {
+				t.Errorf("[%v, %v]: sample-with-stats (%d, %v), RangeStats (%d, %v)", q.lo, q.hi, n, mass, wantN, wantMass)
+			}
+			if want := map[bool]int{true: q.t, false: 0}[mass > 0]; len(out) != want {
+				t.Errorf("[%v, %v]: %d samples, want %d", q.lo, q.hi, len(out), want)
+			}
+			for _, k := range out {
+				if k < q.lo || k > q.hi {
+					t.Fatalf("[%v, %v]: sample %v outside the range", q.lo, q.hi, k)
+				}
+			}
+		}
+	})
+}
+
+// countingConn counts the calls a node connection receives, by kind.
+type countingConn struct {
+	client.Conn
+	samples, statsSamples, probes atomic.Int64
+}
+
+func (c *countingConn) SampleAppend(ctx context.Context, name string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+	c.samples.Add(1)
+	return c.Conn.SampleAppend(ctx, name, dst, lo, hi, t)
+}
+
+func (c *countingConn) SampleStatsAppend(ctx context.Context, name string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error) {
+	c.statsSamples.Add(1)
+	return c.Conn.SampleStatsAppend(ctx, name, dst, lo, hi, t)
+}
+
+func (c *countingConn) RangeStats(ctx context.Context, name string, lo, hi float64) (int, float64, error) {
+	c.probes.Add(1)
+	return c.Conn.RangeStats(ctx, name, lo, hi)
+}
+
+func (c *countingConn) calls() int64 {
+	return c.samples.Load() + c.statsSamples.Load() + c.probes.Load()
+}
+
+// partitionRequests reads partition i's irsd_cluster_partition_requests_total.
+func partitionRequests(t *testing.T, r *cluster.Router, i int) int64 {
+	t.Helper()
+	prefix := fmt.Sprintf("irsd_cluster_partition_requests_total{partition=%q", strconv.Itoa(i))
+	for _, line := range strings.Split(string(r.AppendMetrics(nil)), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(v)
+		}
+	}
+	t.Fatalf("no %s series in the exposition", prefix)
+	return 0
+}
+
+// TestSpanningSampleCallsPerNode pins the call pattern of a spanning
+// sample: with t at most the prefetch it is one sample-with-stats call per
+// overlapping node — no range probe, nothing for the others — and above
+// it at most one top-up per node on top; every call is counted in
+// irsd_cluster_partition_requests_total.
+func TestSpanningSampleCallsPerNode(t *testing.T) {
+	m, err := cluster.New([]cluster.Partition{
+		{Addr: "a", Lo: 0, Hi: 1000}, {Addr: "b", Lo: 1000, Hi: 2000}, {Addr: "c", Lo: 2000, Hi: 3000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := make([]*countingConn, m.Len())
+	conns := make([]client.Conn, m.Len())
+	for i := range conns {
+		p := m.At(i)
+		counted[i] = &countingConn{Conn: &memConn{lo: p.Lo, hi: p.Hi, rng: irs.NewRNG(uint64(i))}}
+		conns[i] = counted[i]
+	}
+	router, err := cluster.NewRouter(m, conns, cluster.Options{Datasets: []string{"d"}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	for _, q := range []struct {
+		name    string
+		lo, hi  float64
+		t       int
+		overlap []bool
+		topUp   bool // every overlapping node's share exceeds the prefetch
+	}{
+		{"t=1 over three partitions", 500, 2500, 1, []bool{true, true, true}, false},
+		{"t=64 over three partitions", 500, 2500, 64, []bool{true, true, true}, false},
+		{"t=256 over two partitions", 1500, 2999, 256, []bool{false, true, true}, false},
+		{"t=4000 over three partitions", 0, 2999, 4000, []bool{true, true, true}, true},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			calls, counter := make([]int64, len(counted)), make([]int64, len(counted))
+			for i, c := range counted {
+				calls[i], counter[i] = c.calls(), partitionRequests(t, router, i)
+			}
+			out, err := router.SampleAppend("d", nil, q.lo, q.hi, q.t)
+			if err != nil || len(out) != q.t {
+				t.Fatalf("%d samples, err %v", len(out), err)
+			}
+			for i, c := range counted {
+				made := c.calls() - calls[i]
+				if got := partitionRequests(t, router, i) - counter[i]; got != made {
+					t.Errorf("partition %d: %d node calls, %d counted", i, made, got)
+				}
+				if n := c.probes.Load(); n != 0 {
+					t.Errorf("partition %d: %d range probes, want none", i, n)
+				}
+				want := int64(0)
+				if q.overlap[i] {
+					want = 1
+					if q.topUp {
+						want = 2
+					}
+				}
+				if made != want {
+					t.Errorf("partition %d: %d node calls, want %d", i, made, want)
+				}
+			}
+		})
 	}
 }

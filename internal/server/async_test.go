@@ -24,7 +24,7 @@ func TestAsyncSubmission(t *testing.T) {
 	defer core.Close()
 
 	sr := newWaiter[[]int](1)
-	if err := core.SampleAppendAsync("d", nil, 5, 10, 3, sr); err != nil {
+	if err := core.SampleAppendAsync("d", nil, 5, 10, 3, nil, sr); err != nil {
 		t.Fatal(err)
 	}
 	res := <-sr.ch
@@ -34,7 +34,7 @@ func TestAsyncSubmission(t *testing.T) {
 
 	// dst must be appended to, not replaced.
 	dst := []int{-1}
-	if err := core.SampleAppendAsync("d", dst, 7, 9, 2, sr); err != nil {
+	if err := core.SampleAppendAsync("d", dst, 7, 9, 2, nil, sr); err != nil {
 		t.Fatal(err)
 	}
 	res = <-sr.ch
@@ -70,9 +70,9 @@ func TestAsyncSubmission(t *testing.T) {
 		err  error
 		call func() error
 	}{
-		{"invalid count", ErrInvalidCount, func() error { return core.SampleAppendAsync("d", nil, 0, 1, 0, sr) }},
-		{"inverted range", ErrInvalidRange, func() error { return core.SampleAppendAsync("d", nil, 2, 1, 1, sr) }},
-		{"unknown dataset", ErrUnknownDataset, func() error { return core.SampleAppendAsync("x", nil, 0, 1, 1, sr) }},
+		{"invalid count", ErrInvalidCount, func() error { return core.SampleAppendAsync("d", nil, 0, 1, 0, nil, sr) }},
+		{"inverted range", ErrInvalidRange, func() error { return core.SampleAppendAsync("d", nil, 2, 1, 1, nil, sr) }},
+		{"unknown dataset", ErrUnknownDataset, func() error { return core.SampleAppendAsync("x", nil, 0, 1, 1, nil, sr) }},
 		{"unknown insert", ErrUnknownDataset, func() error { return core.InsertAsync("x", []Item[int]{{Key: 1}}, ir) }},
 	} {
 		if err := tc.call(); !errors.Is(err, tc.err) {
@@ -102,7 +102,7 @@ func TestAsyncDrainOnClose(t *testing.T) {
 	sr := newWaiter[[]int](n)
 	accepted := 0
 	for i := 0; i < n; i++ {
-		if err := core.SampleAppendAsync("d", nil, i, i+10, 2, sr); err != nil {
+		if err := core.SampleAppendAsync("d", nil, i, i+10, 2, nil, sr); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		accepted++
@@ -117,7 +117,7 @@ func TestAsyncDrainOnClose(t *testing.T) {
 		defer core.mu.RUnlock()
 		return core.closed
 	})
-	if err := core.SampleAppendAsync("d", nil, 0, 1, 1, sr); !errors.Is(err, ErrShuttingDown) {
+	if err := core.SampleAppendAsync("d", nil, 0, 1, 1, nil, sr); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-close submit err = %v, want ErrShuttingDown", err)
 	}
 
@@ -145,7 +145,7 @@ func TestAsyncOverload(t *testing.T) {
 	st := core.byName["d"]
 
 	sr := newWaiter[[]int](depth + 1)
-	submit := func() error { return core.SampleAppendAsync("d", nil, 0, 10, 1, sr) }
+	submit := func() error { return core.SampleAppendAsync("d", nil, 0, 10, 1, nil, sr) }
 	if err := submit(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBlockingAsyncIdenticalSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := async.SampleAppendAsync("u", nil, lo, hi, n, w); err != nil {
+		if err := async.SampleAppendAsync("u", nil, lo, hi, n, nil, w); err != nil {
 			t.Fatal(err)
 		}
 		got := <-w.ch

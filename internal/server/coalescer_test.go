@@ -18,15 +18,15 @@ import (
 // t times so scatter bugs are visible per request.
 type stubDataset struct {
 	mu          sync.Mutex
-	sampleCalls []int // coalesced request count per SampleManyAppend call
+	sampleCalls []int // coalesced request count per SampleManyStatsAppend call
 	insertCalls []int // item count per InsertItems call
 	stored      int
 
-	sampleGate chan struct{} // non-nil: SampleManyAppend receives before answering
+	sampleGate chan struct{} // non-nil: SampleManyStatsAppend receives before answering
 	insertGate chan struct{} // non-nil: InsertItems receives before answering
 }
 
-func (d *stubDataset) SampleManyAppend(dst []int, starts []int, queries []shard.Query[int], rng *xrand.RNG) ([]int, []int, error) {
+func (d *stubDataset) SampleManyStatsAppend(dst []int, starts []int, queries []shard.Query[int], stats []shard.QueryStats, rng *xrand.RNG) ([]int, []int, error) {
 	d.mu.Lock()
 	d.sampleCalls = append(d.sampleCalls, len(queries))
 	gate := d.sampleGate
@@ -339,7 +339,7 @@ func TestCloseDrainsQueueExactlyOnce(t *testing.T) {
 
 	replies := make([]onceReply, flushers+queued)
 	submit := func(i int) {
-		if err := core.SampleAppendAsync("d", nil, i, i+10, 2, &replies[i]); err != nil {
+		if err := core.SampleAppendAsync("d", nil, i, i+10, 2, nil, &replies[i]); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}

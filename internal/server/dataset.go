@@ -23,18 +23,20 @@ type Item[K cmp.Ordered] struct {
 // irs.Concurrent / irs.WeightedConcurrent the serving layer needs, so tests
 // can substitute instrumented fakes. Implementations must be safe for any
 // number of concurrent goroutines (the concurrent structures are), and
-// SampleManyAppend must answer every query in a batch against one
+// SampleManyStatsAppend must answer every query in a batch against one
 // consistent snapshot with the sampling contract intact (uniform or
 // weight-proportional, mutually independent; internal/split's package
 // comment carries the argument) — the property request coalescing inherits.
 type Dataset[K cmp.Ordered] interface {
-	// SampleManyAppend answers a batch of range-sampling queries into
+	// SampleManyStatsAppend answers a batch of range-sampling queries into
 	// caller-owned storage — the serving hot path: samples append to dst,
 	// per-query boundaries append to starts (len(queries)+1 of them), so
 	// queries[i]'s samples occupy dst[starts[i]:starts[i+1]] and an empty
-	// segment marks a range with no sampling mass. Steady-state calls must
+	// segment marks a range with no sampling mass; stats[i] (stats is nil
+	// or len(queries) long) is set to queries[i]'s in-range (count, mass),
+	// read under the same locks as its samples. Steady-state calls must
 	// not allocate once the buffers have warmed up.
-	SampleManyAppend(dst []K, starts []int, queries []shard.Query[K], rng *xrand.RNG) ([]K, []int, error)
+	SampleManyStatsAppend(dst []K, starts []int, queries []shard.Query[K], stats []shard.QueryStats, rng *xrand.RNG) ([]K, []int, error)
 	// InsertItems stores every item. Weights were validated by the Core
 	// before submission, so an error here fails the whole merged batch.
 	InsertItems(items []Item[K]) error
@@ -70,7 +72,7 @@ type Dataset[K cmp.Ordered] interface {
 }
 
 // unweightedDataset adapts *shard.Concurrent (= irs.Concurrent). The
-// embedded structure's own SampleManyAppend, RangeStats, KeyBounds, Len,
+// embedded structure's own SampleManyStatsAppend, RangeStats, KeyBounds, Len,
 // Stats, and NewStream satisfy Dataset as they are; only
 // the item-shaped methods need adapting. keyPool recycles the key buffers
 // InsertItems strips items into, so the durable insert flush stays

@@ -292,7 +292,7 @@ func TestDurableChurnCrashRecoveryAcceptance(t *testing.T) {
 		rng := xrand.New(seed)
 		counts := make([]int, buckets)
 		queries := []shard.Query[float64]{{Lo: 0, Hi: float64(writers * perWriter), T: 60000}}
-		res, _, err := ds.SampleManyAppend(nil, nil, queries, rng)
+		res, _, err := ds.SampleManyStatsAppend(nil, nil, queries, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

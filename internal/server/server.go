@@ -166,12 +166,22 @@ func LifecycleName(s int32) string {
 	}
 }
 
+// SampleStats is the optional second answer of a sample request: the
+// range's in-range key count and sampling mass, read under the same locks
+// as the request's samples — so the mass describes exactly the population
+// the samples were drawn from. A cluster router splits a spanning request
+// over these masses after one round trip per node. It is the engine's
+// per-query report (shard.QueryStats), so a flush hands it on as is.
+type SampleStats = shard.QueryStats
+
 // sampleArg is one sample request travelling through the coalescer: the
-// query plus the caller-provided buffer its samples are appended to (nil
-// for plain Sample calls, a reused buffer for SampleAppend callers).
+// query, the caller-provided buffer its samples are appended to (nil for
+// plain Sample calls, a reused buffer for SampleAppend callers), and where
+// to report the range's (count, mass), nil when not asked.
 type sampleArg[K cmp.Ordered] struct {
-	q   shard.Query[K]
-	dst []K
+	q     shard.Query[K]
+	dst   []K
+	stats *SampleStats
 }
 
 // dsState is one registered dataset with its two coalescers and, when
@@ -404,7 +414,7 @@ func (c *Core[K]) Sample(name string, lo, hi K, t int) ([]K, error) {
 // samples land directly in dst. On error dst is returned unchanged.
 func (c *Core[K]) SampleAppend(name string, dst []K, lo, hi K, t int) ([]K, error) {
 	out, err := c.sampleWait.Do(func(done Reply[[]K]) error {
-		return c.SampleAppendAsync(name, dst, lo, hi, t, done)
+		return c.SampleAppendAsync(name, dst, lo, hi, t, nil, done)
 	})
 	if err != nil {
 		return dst, err
@@ -418,7 +428,12 @@ func (c *Core[K]) SampleAppend(name string, dst []K, lo, hi K, t int) ([]K, erro
 // that multiplex many requests over one connection submit here directly —
 // the connection's reader goroutine must not park on a flush, or one slow
 // batch would stall every pipelined request behind it.
-func (c *Core[K]) SampleAppendAsync(name string, dst []K, lo, hi K, t int, done Reply[[]K]) error {
+//
+// A non-nil stats asks for the range's (count, mass) as well; it is filled
+// before done is invoked and must stay valid until then. Such a request
+// over a range with no sampling mass succeeds with no samples and mass 0
+// instead of failing with ErrEmptyRange: the answer is the stats.
+func (c *Core[K]) SampleAppendAsync(name string, dst []K, lo, hi K, t int, stats *SampleStats, done Reply[[]K]) error {
 	if t <= 0 {
 		return ErrInvalidCount
 	}
@@ -430,7 +445,7 @@ func (c *Core[K]) SampleAppendAsync(name string, dst []K, lo, hi K, t int, done 
 		return err
 	}
 	st.counters.sampleRequests.Add(1)
-	err = st.samples.submit(sampleArg[K]{q: shard.Query[K]{Lo: lo, Hi: hi, T: t}, dst: dst}, done)
+	err = st.samples.submit(sampleArg[K]{q: shard.Query[K]{Lo: lo, Hi: hi, T: t}, dst: dst, stats: stats}, done)
 	if errors.Is(err, ErrOverloaded) {
 		st.counters.sampleRejected.Add(1)
 	}
@@ -446,27 +461,32 @@ const maxRetainedScratch = 1 << 16
 
 // sampleFlusher is one sample flush worker's private state: its RNG stream
 // plus reusable scratch — the query slice, the flat result buffer every
-// query's samples land in, and the per-query boundaries — so a steady-state
-// flush performs no heap allocation of its own.
+// query's samples land in, the per-query boundaries and the per-query
+// (count, mass) — so a steady-state flush performs no heap allocation of
+// its own.
 type sampleFlusher[K cmp.Ordered] struct {
 	st      *dsState[K]
 	rng     *xrand.RNG
 	queries []shard.Query[K]
 	flat    []K
 	starts  []int
+	stats   []SampleStats
 }
 
-// flush answers one coalesced batch with a single SampleManyAppend call
-// into the flusher's flat buffer and scatters each query's segment back to
-// its requester, appending into the requester's own dst buffer.
+// flush answers one coalesced batch with a single SampleManyStatsAppend
+// call into the flusher's flat buffer and scatters each query's segment
+// back to its requester, appending into the requester's own dst buffer, and
+// its (count, mass) into the requester's SampleStats when it asked.
 func (f *sampleFlusher[K]) flush(batch []request[sampleArg[K], []K]) {
 	st := f.st
 	st.counters.noteSampleBatch(len(batch))
 	f.queries = f.queries[:0]
+	f.stats = f.stats[:0]
 	for _, r := range batch {
 		f.queries = append(f.queries, r.q.q)
+		f.stats = append(f.stats, SampleStats{})
 	}
-	flat, starts, err := st.ds.SampleManyAppend(f.flat[:0], f.starts[:0], f.queries, f.rng)
+	flat, starts, err := st.ds.SampleManyStatsAppend(f.flat[:0], f.starts[:0], f.queries, f.stats, f.rng)
 	if cap(flat) <= maxRetainedScratch {
 		f.flat = flat
 	} else {
@@ -474,9 +494,14 @@ func (f *sampleFlusher[K]) flush(batch []request[sampleArg[K], []K]) {
 	}
 	f.starts = starts
 	for i, r := range batch {
+		if err == nil && r.q.stats != nil {
+			*r.q.stats = f.stats[i]
+		}
 		switch {
 		case err != nil:
 			r.done.Deliver(nil, err)
+		case starts[i+1] == starts[i] && r.q.stats != nil:
+			r.done.Deliver(r.q.dst, nil)
 		case starts[i+1] == starts[i]:
 			// T was validated positive, so an empty segment means the range
 			// had no sampling mass at flush time.
@@ -670,10 +695,10 @@ func logErr(err error) error {
 }
 
 // RangeStats returns the number of keys and the total sampling mass in
-// [lo, hi] of the named dataset — stage 1 of the exact cross-partition
-// multinomial, exposed so a cluster router can split a query's samples
-// across nodes in proportion to in-range mass. It bypasses the coalescer:
-// the engines answer it in O(shards · log n) under read locks.
+// [lo, hi] of the named dataset, which a cluster router sums into its own
+// RangeStats. (Its spanning samples get the same figures from the sample
+// itself; see SampleAppendAsync.) It bypasses the coalescer: the engines
+// answer it in O(shards · log n) under read locks.
 func (c *Core[K]) RangeStats(name string, lo, hi K) (int, float64, error) {
 	if !(lo <= hi) { // inverted, or a NaN bound
 		return 0, 0, ErrInvalidRange

@@ -124,6 +124,14 @@ type Query[K cmp.Ordered] struct {
 	T      int // number of samples to draw
 }
 
+// QueryStats is what SampleManyStatsAppend reports for one query: the
+// in-range key count and sampling mass of [Lo, Hi], read under the same
+// locks as the query's samples.
+type QueryStats struct {
+	N    int
+	Mass float64
+}
+
 // SampleManyAppend answers a batch of range-sampling queries against one
 // consistent snapshot: exactly the shards the batch's queries overlap are
 // read-locked once for the whole batch, amortizing lock traffic across
@@ -137,7 +145,8 @@ type Query[K cmp.Ordered] struct {
 // over an empty range — or, for weighted backends, a range whose total
 // weight is zero — contributes an empty segment rather than failing the
 // batch; a negative T fails the whole batch with core.ErrInvalidCount
-// before any sampling happens, leaving dst and starts unchanged.
+// before any sampling happens, leaving dst and starts unchanged. The
+// queries are only read.
 //
 // Small batches are answered in order on the calling goroutine from rng,
 // with zero heap allocations once dst, starts, and the pooled per-query
@@ -147,6 +156,19 @@ type Query[K cmp.Ordered] struct {
 // drawing from an independent stream derived from rng by Split; the choice
 // changes only wall-clock time and allocations, never the distribution.
 func (c *engine[K, I, B]) SampleManyAppend(dst []K, starts []int, queries []Query[K], rng *xrand.RNG) ([]K, []int, error) {
+	return c.SampleManyStatsAppend(dst, starts, queries, nil, rng)
+}
+
+// SampleManyStatsAppend is SampleManyAppend that also reports each query's
+// range: a non-nil stats must have len(queries) elements, and stats[i] is
+// set to the in-range key count and sampling mass of queries[i] (zero for
+// an inverted range), read in the same pass and under the same locks as
+// its samples — the mass a query reports is the mass of the population its
+// samples were drawn from. On a negative T stats is left unchanged too.
+func (c *engine[K, I, B]) SampleManyStatsAppend(dst []K, starts []int, queries []Query[K], stats []QueryStats, rng *xrand.RNG) ([]K, []int, error) {
+	if stats != nil && len(stats) != len(queries) {
+		panic("shard: SampleManyStatsAppend: len(stats) != len(queries)")
+	}
 	totalT := 0
 	for _, q := range queries {
 		if q.T < 0 {
@@ -166,6 +188,7 @@ func (c *engine[K, I, B]) SampleManyAppend(dst []K, starts []int, queries []Quer
 	defer c.putScratch(sc)
 	if !c.rlockUnion(sc, queries) {
 		// Every query range is inverted: len(queries) empty segments.
+		clear(stats)
 		for range queries {
 			starts = append(starts, len(dst))
 		}
@@ -174,31 +197,44 @@ func (c *engine[K, I, B]) SampleManyAppend(dst []K, starts []int, queries []Quer
 	defer c.runlockUnion(sc)
 
 	if workers := min(runtime.GOMAXPROCS(0), len(queries)); totalT >= parallelQueryMin && workers >= 2 {
-		dst, starts = c.sampleManyParallel(dst, starts, queries, totalT, workers, rng)
+		dst, starts = c.sampleManyParallel(dst, starts, queries, stats, totalT, workers, rng)
 		return dst, starts, nil
 	}
-	for _, q := range queries {
-		if q.Hi >= q.Lo {
-			// Only empty-range/zero-mass errors can reach here, and they
-			// leave dst untouched: the query contributes an empty segment.
-			if out, err := c.sampleLocked(sc, dst, q.Lo, q.Hi, q.T, rng); err == nil {
-				dst = out
-			}
+	for i, q := range queries {
+		var st QueryStats
+		dst, st = c.sampleQuery(sc, dst, q, rng)
+		if stats != nil {
+			stats[i] = st
 		}
 		starts = append(starts, len(dst))
 	}
 	return dst, starts, nil
 }
 
-// sampleManyParallel is SampleManyAppend's fan-out, under the locks its
+// sampleQuery appends q's samples to dst and reports q's in-range count
+// and mass, under the locks SampleManyStatsAppend holds. Only empty-range
+// and zero-mass errors can arise, and they leave dst untouched: the query
+// contributes an empty segment.
+func (c *engine[K, I, B]) sampleQuery(sc *queryScratch[K], dst []K, q Query[K], rng *xrand.RNG) ([]K, QueryStats) {
+	if !(q.Hi >= q.Lo) {
+		return dst, QueryStats{}
+	}
+	out, n, mass, err := c.sampleLocked(sc, dst, q.Lo, q.Hi, q.T, rng)
+	if err != nil {
+		out = dst
+	}
+	return out, QueryStats{N: n, Mass: mass}
+}
+
+// sampleManyParallel is SampleManyStatsAppend's fan-out, under the locks its
 // caller holds: contiguous blocks of queries per worker, RNG streams split
 // up front in worker order so the result is deterministic for a fixed rng
 // state. Query i samples straight into its own T-sized slot of dst's spare
 // capacity (the caller reserved totalT); the slots of queries that came
 // back empty are closed up afterwards.
-// It is a method of its own because a goroutine closure in SampleManyAppend
-// would move that function's locals to the heap on the sequential path too.
-func (c *engine[K, I, B]) sampleManyParallel(dst []K, starts []int, queries []Query[K], totalT, workers int, rng *xrand.RNG) ([]K, []int) {
+// It is a method of its own because a goroutine closure in
+// SampleManyStatsAppend would move that function's locals to the heap on the sequential path too.
+func (c *engine[K, I, B]) sampleManyParallel(dst []K, starts []int, queries []Query[K], stats []QueryStats, totalT, workers int, rng *xrand.RNG) ([]K, []int) {
 	base := len(dst)
 	dst = dst[:base+totalT]
 	starts = append(starts, make([]int, len(queries))...)
@@ -219,10 +255,10 @@ func (c *engine[K, I, B]) sampleManyParallel(dst []K, starts []int, queries []Qu
 			defer c.putScratch(sc)
 			for i := first; i < end; i++ {
 				q := queries[i]
-				if q.Hi >= q.Lo {
-					if out, err := c.sampleLocked(sc, dst[slot:slot:slot+q.T], q.Lo, q.Hi, q.T, r); err == nil {
-						got[i] = len(out)
-					}
+				out, st := c.sampleQuery(sc, dst[slot:slot:slot+q.T], q, r)
+				got[i] = len(out)
+				if stats != nil {
+					stats[i] = st
 				}
 				slot += q.T
 			}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -14,6 +15,8 @@ import (
 type manySampler interface {
 	SampleMany([]Query[float64], *xrand.RNG) ([][]float64, error)
 	SampleManyAppend([]float64, []int, []Query[float64], *xrand.RNG) ([]float64, []int, error)
+	SampleManyStatsAppend([]float64, []int, []Query[float64], []QueryStats, *xrand.RNG) ([]float64, []int, error)
+	RangeStats(lo, hi float64) (int, float64)
 }
 
 // TestSampleManyIsAViewOfSampleManyAppend: for one seed the two return the
@@ -129,5 +132,84 @@ func TestSampleManyIsAViewOfSampleManyAppend(t *testing.T) {
 	}
 	if res, err := u.SampleMany(bad, xrand.New(1)); err != core.ErrInvalidCount || res != nil {
 		t.Fatalf("negative T through SampleMany: %v, %v", res, err)
+	}
+}
+
+// TestSampleManyStatsAppendReportsRangeStats: every query's reported
+// (N, Mass), read in the sampling pass under the batch's locks, equals what
+// RangeStats reports for the same range — on a batch mixing wide, empty,
+// inverted and zero-weight ranges, on both instantiations, below and above
+// parallelQueryMin, and on an all-inverted batch. Stale values in stats are
+// overwritten, the queries are left as they were, and the samples are
+// SampleManyAppend's under the same seed.
+func TestSampleManyStatsAppendReportsRangeStats(t *testing.T) {
+	const n = 10_000
+	keys := make([]float64, n)
+	items := make([]weighted.Item[float64], n)
+	for i := range keys {
+		keys[i] = float64(i)
+		w := float64(i%3) + 0.5
+		if i >= 3000 && i < 4000 {
+			w = 0
+		}
+		items[i] = weighted.Item[float64]{Key: float64(i), Weight: w}
+	}
+	u, err := NewFromSorted(keys, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWeightedFromItems(items, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wideT := range []int{100, parallelQueryMin} {
+		for name, s := range map[string]manySampler{"unweighted": u, "weighted": w} {
+			t.Run(fmt.Sprintf("%s/wideT=%d", name, wideT), func(t *testing.T) {
+				if wideT >= parallelQueryMin && runtime.GOMAXPROCS(0) < 2 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+				}
+				for _, queries := range [][]Query[float64]{{
+					{Lo: 0, Hi: n, T: wideT},           // every shard
+					{Lo: 9, Hi: 3, T: 7},               // inverted
+					{Lo: 100.25, Hi: 100.75, T: 5},     // no key in range
+					{Lo: 3000, Hi: 3999, T: 11},        // zero weight (weighted)
+					{Lo: 2500, Hi: 4500, T: wideT / 2}, // straddles it
+					{Lo: 40, Hi: 90, T: 3},             // one shard
+					{Lo: n / 2, Hi: 2 * n, T: 9},       // runs off the end
+				}, {
+					{Lo: 9, Hi: 3, T: wideT}, // all inverted: no locks taken
+					{Lo: 1, Hi: 0, T: 2},
+				}} {
+					sent := slices.Clone(queries)
+					stats := make([]QueryStats, len(queries))
+					for i := range stats {
+						stats[i] = QueryStats{N: -1, Mass: -1} // stale
+					}
+					got, gotStarts, err := s.SampleManyStatsAppend(nil, nil, queries, stats, xrand.New(5))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(queries, sent) {
+						t.Fatalf("queries written: %v, sent %v", queries, sent)
+					}
+					want, wantStarts, err := s.SampleManyAppend(nil, nil, queries, xrand.New(5))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) || !slices.Equal(gotStarts, wantStarts) {
+						t.Fatal("SampleManyStatsAppend and SampleManyAppend differ under one seed")
+					}
+					for i, q := range queries {
+						var want QueryStats
+						if q.Lo <= q.Hi {
+							want.N, want.Mass = s.RangeStats(q.Lo, q.Hi)
+						}
+						if stats[i] != want {
+							t.Errorf("query %d [%v, %v]: reported %+v, RangeStats %+v", i, q.Lo, q.Hi, stats[i], want)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -62,16 +62,17 @@ func (c *engine[K, I, B]) SampleAppend(dst []K, lo, hi K, t int, rng *xrand.RNG)
 	defer c.runlockShards(sa, sb)
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	return c.sampleLocked(sc, dst, lo, hi, t, rng)
+	out, _, _, err := c.sampleLocked(sc, dst, lo, hi, t, rng)
+	return out, err
 }
 
-// sampleLocked draws t samples from [lo, hi] into dst. The caller must hold
-// topoMu shared and the read locks of every shard overlapping [lo, hi]
-// (with lo <= hi), and must own sc and rng.
-func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
-	if t < 0 {
-		return dst, core.ErrInvalidCount
-	}
+// sampleLocked draws t samples from [lo, hi] into dst and reports the
+// range's in-range count n and sampling mass, summed in stage 1 from the
+// same locked snapshot the samples come from (n and mass are valid
+// whatever the error). The caller must hold topoMu shared and the read
+// locks of every shard overlapping [lo, hi] (with lo <= hi), and must own
+// sc and rng; t must be non-negative.
+func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, int, float64, error) {
 	sa, sb := c.shardRange(lo, hi)
 
 	// Stage 1: per-shard in-range counts and masses, one consistent
@@ -92,28 +93,29 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 	}
 	if total == 0 {
 		if t == 0 {
-			return dst, nil
+			return dst, 0, 0, nil
 		}
-		return dst, core.ErrEmptyRange
+		return dst, 0, 0, core.ErrEmptyRange
 	}
 	if t == 0 {
-		return dst, nil
+		return dst, total, totalMass, nil
 	}
 	if totalMass <= 0 {
 		// Keys exist but carry no sampling mass (weighted backends only).
-		return dst, c.ops.zeroMass
+		return dst, total, totalMass, c.ops.zeroMass
 	}
 
 	// Single populated shard: no split to draw.
 	if nz := firstNonzero(sc.counts); sc.counts[nz] == total {
-		return c.shards[sa+nz].b.SampleRunAppend(sc.run, dst, lo, hi, t, rng)
+		out, err := c.shards[sa+nz].b.SampleRunAppend(sc.run, dst, lo, hi, t, rng)
+		return out, total, totalMass, err
 	}
 
 	// Stages 2-4 are internal/split's construction: allocate the t sample
 	// positions over the overlapping shards, have each shard fill its
 	// segment of one block, scatter the block back into draw order.
 	if err := sc.plan.Draw(sc.masses, t, rng); err != nil {
-		return dst, err // unreachable: masses are finite with a positive sum
+		return dst, total, totalMass, err // unreachable: masses are finite with a positive sum
 	}
 	if cap(sc.block) < t {
 		sc.block = make([]K, t)
@@ -128,11 +130,11 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 				continue
 			}
 			if _, err := c.shards[sa+i].b.SampleRunAppend(sc.run, block[from:from:to], lo, hi, to-from, rng); err != nil {
-				return dst, err // unreachable: mass was positive under lock
+				return dst, total, totalMass, err // unreachable: mass was positive under lock
 			}
 		}
 	}
-	return split.Scatter(dst, &sc.plan, block), nil
+	return split.Scatter(dst, &sc.plan, block), total, totalMass, nil
 }
 
 // sampleShardsParallel runs the per-shard sampling stage on one goroutine

@@ -21,9 +21,22 @@
 // independently and a part's samples are i.i.d., so which of them a
 // position receives does not matter: the t outputs are mutually independent
 // and independent of every earlier answer, which is the Hu–Qiao–Tao
-// contract. The masses and the per-part draws must see one snapshot of the
-// data; how that is arranged (shard read locks, probe-then-sample RPCs) is
-// the caller's business.
+// contract.
+//
+// A part may also draw its samples before the allocation is known: if it
+// hands back an i.i.d. sequence of at least its tally, the first tally of
+// them are used. The tally depends only on the masses and the caller's
+// RNG, never on the sample values, and a prefix of an i.i.d. sequence is
+// i.i.d., so the answer is distributed exactly as above; the unused tail is
+// discarded. The cluster router works this way — one round trip per node —
+// and tops a short sequence up with a second draw.
+//
+// The rule callers must keep: each part's mass and its draws come from one
+// locked read of that part (the shard read locks the engine holds across a
+// whole query; one node answering samples and mass together under its
+// shard locks in the cluster), so the mass weighting a part is the mass of
+// the population its samples came from. A top-up draw is a second read,
+// and a write landing between the two reads is outside this guarantee.
 //
 // The caller owns all scratch: a Plan is reused across queries and the
 // block is the caller's, so a warmed Draw + Scatter allocates nothing.

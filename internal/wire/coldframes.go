@@ -226,12 +226,19 @@ func EncodeRangeStatsResponse(b []byte, count int, mass float64) []byte {
 // DecodeRangeStatsResponse parses a rangestats response frame.
 func DecodeRangeStatsResponse(b []byte) (count int, mass float64, err error) {
 	r := frameReader{b: b}
-	if len(r.b) < 8 {
-		return 0, 0, frameErr("truncated u64")
+	if count, mass, err = r.rangeStats(); err != nil {
+		return 0, 0, err
 	}
-	c := uint64(r.b[0]) | uint64(r.b[1])<<8 | uint64(r.b[2])<<16 | uint64(r.b[3])<<24 |
-		uint64(r.b[4])<<32 | uint64(r.b[5])<<40 | uint64(r.b[6])<<48 | uint64(r.b[7])<<56
-	r.b = r.b[8:]
+	return count, mass, r.done()
+}
+
+// rangeStats reads the u64 count and f64 mass of a rangestats response,
+// which also lead a sample-with-stats response.
+func (r *frameReader) rangeStats() (int, float64, error) {
+	c, err := r.u64()
+	if err != nil {
+		return 0, 0, err
+	}
 	m, err := r.f64()
 	if err != nil {
 		return 0, 0, err
@@ -239,5 +246,5 @@ func DecodeRangeStatsResponse(b []byte) (count int, mass float64, err error) {
 	if c > math.MaxInt {
 		return 0, 0, frameErr("count %d overflows int", c)
 	}
-	return int(c), m, r.done()
+	return int(c), m, nil
 }

@@ -20,8 +20,14 @@ func FuzzBinaryFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	okSampleStats, err := EncodeSampleRequest(nil, SampleReq{Dataset: "events", Lo: -1, Hi: 9, T: 1024, Stats: true})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(okSample)
+	f.Add(okSampleStats)
 	f.Add(okInsert)
+	f.Add(EncodeSampleStatsResponse(nil, 7, 2.5, []float64{1, 2, 3}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff})
@@ -49,6 +55,8 @@ func FuzzBinaryFrame(f *testing.F) {
 		// canonical-form check (any count/payload mismatch is an error by
 		// construction).
 		_, _ = DecodeSampleResponse(data, nil)
+		_, _, _, _ = DecodeSampleStatsResponse(data, nil)
+		_, _, _ = DecodeRangeStatsResponse(data)
 		_, _ = DecodeInsertResponse(data)
 		_, _, _, _ = DecodeError(data)
 	})

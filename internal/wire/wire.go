@@ -13,6 +13,9 @@
 //
 //	sample request   u8 kind=0x01 | u8 len(name) | name | f64 lo | f64 hi | u32 t
 //	sample response  u32 n | n x f64 samples
+//	sample+stats request   the sample request with kind=0x07
+//	sample+stats response  rangestats response | sample response
+//	                       (u64 count | f64 mass | u32 n | n x f64 samples)
 //	insert request   u8 kind=0x02 | u8 len(name) | name | u32 nk | nk x f64 keys
 //	                 | u32 ni | ni x (f64 key, f64 weight) items
 //	insert response  u32 inserted
@@ -45,14 +48,17 @@ type Item = srv.Item[float64]
 // Frame kind bytes (first byte of every request frame). Sample and insert
 // are the hot paths; delete, update, stats, and rangestats are cold-path
 // frames (coldframes.go) added so the TCP transport covers the full client
-// surface the unified client interface promises.
+// surface the unified client interface promises. Sample-with-stats is a
+// sample whose answer leads with the range's (count, mass), read under the
+// same locks as the samples — a cluster router's one round trip per node.
 const (
-	FrameSample     = 0x01
-	FrameInsert     = 0x02
-	FrameDelete     = 0x03
-	FrameUpdate     = 0x04
-	FrameStats      = 0x05
-	FrameRangeStats = 0x06
+	FrameSample      = 0x01
+	FrameInsert      = 0x02
+	FrameDelete      = 0x03
+	FrameUpdate      = 0x04
+	FrameStats       = 0x05
+	FrameRangeStats  = 0x06
+	FrameSampleStats = 0x07
 )
 
 // ErrFrame wraps every decode failure so transports can answer
@@ -185,6 +191,15 @@ func (r *frameReader) u32() (uint32, error) {
 	return v, nil
 }
 
+func (r *frameReader) u64() (uint64, error) {
+	if len(r.b) < 8 {
+		return 0, frameErr("truncated u64")
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v, nil
+}
+
 func (r *frameReader) f64() (float64, error) {
 	if len(r.b) < 8 {
 		return 0, frameErr("truncated f64")
@@ -240,11 +255,13 @@ func (r *frameReader) done() error {
 	return nil
 }
 
-// SampleReq is a decoded sample request frame.
+// SampleReq is a decoded sample request frame; Stats marks the
+// sample-with-stats kind.
 type SampleReq struct {
 	Dataset string
 	Lo, Hi  float64
 	T       int
+	Stats   bool
 }
 
 // RawSampleReq is SampleReq with the dataset name still aliasing the frame
@@ -253,9 +270,11 @@ type RawSampleReq struct {
 	Name   []byte
 	Lo, Hi float64
 	T      int
+	Stats  bool
 }
 
-// EncodeSampleRequest appends the sample request frame to b.
+// EncodeSampleRequest appends the sample request frame to b (kind 0x07
+// when req.Stats is set, 0x01 otherwise).
 func EncodeSampleRequest(b []byte, req SampleReq) ([]byte, error) {
 	if len(req.Dataset) > 255 {
 		return b, frameErr("dataset name longer than 255 bytes")
@@ -265,7 +284,11 @@ func EncodeSampleRequest(b []byte, req SampleReq) ([]byte, error) {
 		// encoding transmits the full int, so reject rather than diverge.
 		return b, frameErr("sample count %d exceeds the wire format's int32 range", req.T)
 	}
-	b = append(b, FrameSample, byte(len(req.Dataset)))
+	kind := byte(FrameSample)
+	if req.Stats {
+		kind = FrameSampleStats
+	}
+	b = append(b, kind, byte(len(req.Dataset)))
 	b = append(b, req.Dataset...)
 	b = AppendF64(b, req.Lo)
 	b = AppendF64(b, req.Hi)
@@ -275,8 +298,8 @@ func EncodeSampleRequest(b []byte, req SampleReq) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeSampleRequestRaw parses one sample request frame without
-// allocating: the returned name aliases b.
+// DecodeSampleRequestRaw parses one sample or sample-with-stats request
+// frame without allocating: the returned name aliases b.
 func DecodeSampleRequestRaw(b []byte) (RawSampleReq, error) {
 	r := frameReader{b: b}
 	var req RawSampleReq
@@ -284,9 +307,10 @@ func DecodeSampleRequestRaw(b []byte) (RawSampleReq, error) {
 	if err != nil {
 		return req, err
 	}
-	if kind != FrameSample {
-		return req, frameErr("kind 0x%02x on sample, want 0x%02x", kind, FrameSample)
+	if kind != FrameSample && kind != FrameSampleStats {
+		return req, frameErr("kind 0x%02x on sample, want 0x%02x or 0x%02x", kind, FrameSample, FrameSampleStats)
 	}
+	req.Stats = kind == FrameSampleStats
 	if req.Name, err = r.name(); err != nil {
 		return req, err
 	}
@@ -310,7 +334,7 @@ func DecodeSampleRequest(b []byte) (SampleReq, error) {
 	if err != nil {
 		return SampleReq{}, err
 	}
-	return SampleReq{Dataset: string(raw.Name), Lo: raw.Lo, Hi: raw.Hi, T: raw.T}, nil
+	return SampleReq{Dataset: string(raw.Name), Lo: raw.Lo, Hi: raw.Hi, T: raw.T, Stats: raw.Stats}, nil
 }
 
 // EncodeSampleResponse appends the sample response frame to b.
@@ -327,8 +351,34 @@ func EncodeSampleResponse(b []byte, samples []float64) []byte {
 // length — a malformed frame must not leave samples behind in a buffer
 // the caller reuses.
 func DecodeSampleResponse(b []byte, dst []float64) ([]float64, error) {
-	base := len(dst)
 	r := frameReader{b: b}
+	return r.samples(dst)
+}
+
+// EncodeSampleStatsResponse appends the sample-with-stats response frame
+// to b: the rangestats response followed by the sample response.
+func EncodeSampleStatsResponse(b []byte, count int, mass float64, samples []float64) []byte {
+	return EncodeSampleResponse(EncodeRangeStatsResponse(b, count, mass), samples)
+}
+
+// DecodeSampleStatsResponse parses a sample-with-stats response frame,
+// appending the samples to dst; on error dst is returned at its original
+// length, as DecodeSampleResponse does.
+func DecodeSampleStatsResponse(b []byte, dst []float64) (_ []float64, count int, mass float64, err error) {
+	r := frameReader{b: b}
+	if count, mass, err = r.rangeStats(); err != nil {
+		return dst, 0, 0, err
+	}
+	if dst, err = r.samples(dst); err != nil {
+		return dst, 0, 0, err
+	}
+	return dst, count, mass, nil
+}
+
+// samples reads a sample response — a u32 count and that many f64s — to
+// the end of the frame, appending to dst; on error dst keeps its length.
+func (r *frameReader) samples(dst []float64) ([]float64, error) {
+	base := len(dst)
 	n, err := r.count(8)
 	if err != nil {
 		return dst, err

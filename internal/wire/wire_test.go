@@ -82,8 +82,47 @@ func TestBinaryCodecZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("DecodeSampleRequestRaw allocates %.1f/op, want 0", allocs)
 	}
-	if string(raw.Name) != req.Dataset || raw.Lo != req.Lo || raw.Hi != req.Hi || raw.T != req.T {
+	if string(raw.Name) != req.Dataset || raw.Lo != req.Lo || raw.Hi != req.Hi || raw.T != req.T || raw.Stats {
 		t.Fatalf("raw round trip: %+v (want %+v)", raw, req)
+	}
+
+	// Kind 0x07 is the same request with a stats-prefixed response: both
+	// directions stay allocation-free, and the stats survive the trip.
+	req.Stats = true
+	allocs = testing.AllocsPerRun(200, func() {
+		frame, err = EncodeSampleRequest(frame[:0], req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err = DecodeSampleRequestRaw(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("sample-with-stats request encode+decode allocates %.1f/op, want 0", allocs)
+	}
+	if frame[0] != FrameSampleStats || !raw.Stats || string(raw.Name) != req.Dataset || raw.T != req.T {
+		t.Fatalf("sample-with-stats request round trip: kind 0x%02x, %+v (want %+v)", frame[0], raw, req)
+	}
+	var count int
+	var mass float64
+	allocs = testing.AllocsPerRun(200, func() {
+		frame = EncodeSampleStatsResponse(frame[:0], 1234, 56.5, samples)
+		dst, count, mass, err = DecodeSampleStatsResponse(frame, dst[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("sample-with-stats response encode+decode allocates %.1f/op, want 0", allocs)
+	}
+	if count != 1234 || mass != 56.5 || len(dst) != len(samples) || dst[len(dst)-1] != samples[len(samples)-1] {
+		t.Fatalf("sample-with-stats response round trip: (%d, %v) and %d samples", count, mass, len(dst))
+	}
+	// A truncated frame leaves dst as it was handed over.
+	if got, _, _, err := DecodeSampleStatsResponse(frame[:len(frame)-1], dst[:1]); err == nil || len(got) != 1 {
+		t.Fatalf("truncated sample-with-stats response: %d samples, err %v", len(got), err)
 	}
 }
 

@@ -17,13 +17,19 @@ type (
 	InsertReply = srv.Reply[int]
 )
 
+// SampleStats is the in-range (count, mass) a sample request may ask for
+// alongside its samples, read under the same locks as the draws; see
+// Backend.
+type SampleStats = srv.SampleStats
+
 // SampleAsync submits a sample request without blocking for the coalesced
 // flush: the samples — appended to dst, which may be nil — or the error
-// arrive through done. This is the submission surface for transports that
-// multiplex many requests over one connection, where the connection's
-// reader goroutine must never park behind a flush.
-func (s *Server) SampleAsync(dataset string, dst []float64, lo, hi float64, t int, done SampleReply) error {
-	return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, done)
+// arrive through done, and a non-nil stats is filled before done runs.
+// This is the submission surface for transports that multiplex many
+// requests over one connection, where the connection's reader goroutine
+// must never park behind a flush.
+func (s *Server) SampleAsync(dataset string, dst []float64, lo, hi float64, t int, stats *SampleStats, done SampleReply) error {
+	return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, stats, done)
 }
 
 // InsertAsync submits an insert without blocking for the coalesced flush.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,5 +216,71 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if dominated < 45 {
 		t.Fatalf("dominating weight sampled only %d/50 times", dominated)
+	}
+}
+
+// TestSampleStatsOverBinaryHTTP: a sample-with-stats request travels as a
+// binary frame (kind 0x07) even from a JSON client, answers the same
+// samples a plain sample does under one seed, and reports the range's
+// (count, mass) as RangeStats does. A range without sampling mass — no
+// keys, or only zero-weight ones — answers no samples and its stats where
+// a plain sample answers ErrEmptyRange; request errors stay errors.
+func TestSampleStatsOverBinaryHTTP(t *testing.T) {
+	ctx := context.Background()
+	withStats, stopA := newSeededDaemon(t, 5)
+	defer stopA()
+	plain, stopB := newSeededDaemon(t, 5)
+	defer stopB()
+	plain.Binary = true
+	for i, q := range []struct {
+		ds     string
+		lo, hi float64
+		t      int
+	}{
+		{"u", 0, 999, 16}, {"w", 10, 60, 5}, {"u", 300, 300, 2}, {"w", 0, 99, 300},
+	} {
+		got, n, mass, err := withStats.SampleStatsAppend(ctx, q.ds, nil, q.lo, q.hi, q.t)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		want, err := plain.SampleAppend(ctx, q.ds, nil, q.lo, q.hi, q.t)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("request %d: samples with stats %v, plain %v", i, got, want)
+		}
+		wantN, wantMass, err := plain.RangeStats(ctx, q.ds, q.lo, q.hi)
+		if err != nil || n != wantN || mass != wantMass {
+			t.Fatalf("request %d: stats (%d, %v), RangeStats (%d, %v, %v)", i, n, mass, wantN, wantMass, err)
+		}
+	}
+
+	if _, err := withStats.InsertItems(ctx, "w", []server.Item{{Key: 500, Weight: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		ds      string
+		lo, hi  float64
+		wantN   int
+		comment string
+	}{
+		{"u", 2000, 3000, 0, "no keys"},
+		{"w", 400, 600, 1, "one zero-weight key"},
+	} {
+		dst := []float64{-1}
+		got, n, mass, err := withStats.SampleStatsAppend(ctx, q.ds, dst, q.lo, q.hi, 4)
+		if err != nil || len(got) != 1 || n != q.wantN || mass != 0 {
+			t.Errorf("%s: %v, (%d, %v), %v; want only the prefix, (%d, 0), nil", q.comment, got, n, mass, err, q.wantN)
+		}
+		if _, err := withStats.Sample(ctx, q.ds, q.lo, q.hi, 4); !errors.Is(err, server.ErrEmptyRange) {
+			t.Errorf("%s: plain sample answered %v, want ErrEmptyRange", q.comment, err)
+		}
+	}
+	if _, _, _, err := withStats.SampleStatsAppend(ctx, "u", nil, 9, 1, 4); !errors.Is(err, server.ErrInvalidRange) {
+		t.Errorf("inverted range: %v", err)
+	}
+	if _, _, _, err := withStats.SampleStatsAppend(ctx, "nope", nil, 0, 1, 4); !errors.Is(err, server.ErrUnknownDataset) {
+		t.Errorf("unknown dataset: %v", err)
 	}
 }

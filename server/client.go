@@ -74,18 +74,8 @@ func (c *Client) Sample(ctx context.Context, dataset string, lo, hi float64, t i
 // unchanged.
 func (c *Client) SampleAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
 	if c.Binary {
-		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
-		frame, err := wire.EncodeSampleRequest((*buf)[:0], wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t})
-		if err != nil {
-			return dst, err
-		}
-		*buf = frame
-		body, err := c.postFrame(ctx, "/sample", frame, buf)
-		if err != nil {
-			return dst, err
-		}
-		return wire.DecodeSampleResponse(body, dst)
+		out, _, _, err := c.sampleBinary(ctx, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t}, dst)
+		return out, err
 	}
 	var resp SampleResponse
 	if err := c.post(ctx, "/sample", SampleRequest{Dataset: dataset, Lo: lo, Hi: hi, T: t}, &resp); err != nil {
@@ -95,6 +85,37 @@ func (c *Client) SampleAppend(ctx context.Context, dataset string, dst []float64
 		return resp.Samples, nil // plain Sample: hand over the decoded slice
 	}
 	return append(dst, resp.Samples...), nil
+}
+
+// SampleStatsAppend is SampleAppend that also returns the range's in-range
+// key count and sampling mass, read on the daemon under the same locks as
+// the samples; a range without sampling mass answers no samples and mass 0
+// instead of ErrEmptyRange. It always travels as a binary frame (kind
+// 0x07), whatever Binary says: there is no JSON form.
+func (c *Client) SampleStatsAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error) {
+	return c.sampleBinary(ctx, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t, Stats: true}, dst)
+}
+
+// sampleBinary posts one binary sample frame of either kind; the count and
+// mass are zero unless req.Stats asked for them. On error dst is returned
+// unchanged.
+func (c *Client) sampleBinary(ctx context.Context, req wire.SampleReq, dst []float64) ([]float64, int, float64, error) {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	frame, err := wire.EncodeSampleRequest((*buf)[:0], req)
+	if err != nil {
+		return dst, 0, 0, err
+	}
+	*buf = frame
+	body, err := c.postFrame(ctx, "/sample", frame, buf)
+	if err != nil {
+		return dst, 0, 0, err
+	}
+	if req.Stats {
+		return wire.DecodeSampleStatsResponse(body, dst)
+	}
+	out, err := wire.DecodeSampleResponse(body, dst)
+	return out, 0, 0, err
 }
 
 // InsertKeys stores keys with unit weight, returning how many were stored.

@@ -45,10 +45,10 @@ func (o Options) withDefaults() Options {
 // matched to responses by ID, out of order. Connections dial lazily and
 // re-dial after breaking. A request that fails before any of its bytes
 // were written is retried on a fresh connection; so is a read-only one
-// (sample, range stats, stats) whose connection broke later, since
-// answering it twice changes nothing. A mutation that may have reached the
-// server surfaces the connection error instead (the server may have
-// executed it, and a multiset insert applied twice is stored twice).
+// (sample, sample with stats, range stats, stats) whose connection broke
+// later, since answering it twice changes nothing. A mutation that may have
+// reached the server surfaces the connection error instead (the server may
+// have executed it, and a multiset insert applied twice is stored twice).
 //
 // Server-side errors arrive as *server.APIError with the same codes and
 // statuses as HTTP, so errors.Is against the server sentinels behaves
@@ -100,12 +100,30 @@ func (c *Client) Sample(ctx context.Context, dataset string, lo, hi float64, t i
 // requests can reuse one result buffer. On error dst is returned
 // unchanged.
 func (c *Client) SampleAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+	out, _, _, err := c.sample(ctx, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t}, dst)
+	return out, err
+}
+
+// SampleStatsAppend is SampleAppend that also returns the range's in-range
+// key count and sampling mass, read on the daemon under the same locks as
+// the samples (frame kind 0x07); a range without sampling mass answers no
+// samples and mass 0 instead of ErrEmptyRange.
+func (c *Client) SampleStatsAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error) {
+	return c.sample(ctx, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t, Stats: true}, dst)
+}
+
+// sample is the one round trip of both sample kinds; on error dst is
+// returned unchanged.
+func (c *Client) sample(ctx context.Context, req wire.SampleReq, dst []float64) ([]float64, int, float64, error) {
 	cl := getCall()
 	cl.kind = callSample
+	if req.Stats {
+		cl.kind = callSampleStats
+	}
 	cl.dst = dst
 	buf := wire.GetBuf()
 	b := appendReqHeader((*buf)[:0])
-	b, err := wire.EncodeSampleRequest(b, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t})
+	b, err := wire.EncodeSampleRequest(b, req)
 	*buf = b
 	if err == nil {
 		err = c.roundTrip(ctx, buf, cl)
@@ -113,14 +131,14 @@ func (c *Client) SampleAppend(ctx context.Context, dataset string, dst []float64
 	wire.PutBuf(buf)
 	if err != nil {
 		putCall(cl)
-		return dst, err
+		return dst, 0, 0, err
 	}
-	out, err := cl.samples, cl.err
+	out, n, mass, err := cl.samples, cl.n, cl.mass, cl.err
 	putCall(cl)
 	if err != nil {
-		return dst, err
+		return dst, 0, 0, err
 	}
-	return out, nil
+	return out, n, mass, nil
 }
 
 // InsertKeys stores keys with unit weight, returning how many were stored.
@@ -438,6 +456,8 @@ func (cc *clientConn) complete(id uint64, status byte, payload []byte) {
 		switch cl.kind {
 		case callSample:
 			cl.samples, cl.err = wire.DecodeSampleResponse(payload, cl.dst)
+		case callSampleStats:
+			cl.samples, cl.n, cl.mass, cl.err = wire.DecodeSampleStatsResponse(payload, cl.dst)
 		case callStats:
 			cl.err = json.Unmarshal(payload, &cl.stats)
 		case callRangeStats:
@@ -460,10 +480,11 @@ func (cc *clientConn) complete(id uint64, status byte, payload []byte) {
 
 // Response-decode kinds of a call. The zero value is callCount — the u32
 // count shape insert, delete, and update share — so pooled calls default
-// correctly after reset.
+// correctly after reset. Every other kind is read-only (see roundTrip).
 const (
 	callCount = iota
 	callSample
+	callSampleStats
 	callStats
 	callRangeStats
 )
@@ -476,8 +497,8 @@ type call struct {
 	kind    uint8
 	dst     []float64 // sample: caller's append target
 	samples []float64 // sample result
-	n       int       // count result (insert/delete/update/rangestats count)
-	mass    float64   // rangestats mass
+	n       int       // count result (insert/delete/update count, range count)
+	mass    float64   // range mass (rangestats, sample-with-stats)
 	stats   server.Stats
 	err     error
 }

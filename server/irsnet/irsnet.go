@@ -28,7 +28,8 @@
 //	response message:  u32 len | u64 id | u8 status | payload
 //
 // The frame is exactly one binary request frame as specified in
-// internal/wire (sample 0x01 or insert 0x02). A status byte of 0 means
+// internal/wire (sample 0x01, insert 0x02, the cold-path kinds 0x03–0x06,
+// or sample-with-stats 0x07). A status byte of 0 means
 // the payload is that request's binary response frame; 1 means it is the
 // error payload
 //

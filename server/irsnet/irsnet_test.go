@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -671,8 +672,8 @@ func (c muteConn) Write([]byte) (int, error) {
 
 // TestRetryAfterWriteOnlyWhenReadOnly pins which requests roundTrip may
 // ask again once their bytes have left: a connection that swallows one
-// request and closes costs a Sample, a RangeStats and a Stats nothing but a
-// re-dial, while an insert — which the server did execute — surfaces a
+// request and closes costs a Sample, a SampleStatsAppend, a RangeStats and
+// a Stats nothing but a re-dial, while an insert — which the server did execute — surfaces a
 // transport error and is stored exactly once, never re-sent.
 func TestRetryAfterWriteOnlyWhenReadOnly(t *testing.T) {
 	s := newBackend(t, server.Config{}, 1000, 11)
@@ -706,6 +707,13 @@ func TestRetryAfterWriteOnlyWhenReadOnly(t *testing.T) {
 			out, err := cl.Sample(ctx, "u", 0, 999, 5)
 			if err == nil && len(out) != 5 {
 				err = errors.New("short sample")
+			}
+			return err
+		},
+		"samplestats": func(cl *irsnet.Client) error {
+			out, n, mass, err := cl.SampleStatsAppend(ctx, "u", nil, 0, 999, 5)
+			if err == nil && (len(out) != 5 || n != 1000 || mass != 1000) {
+				err = fmt.Errorf("%d samples, (%d, %v)", len(out), n, mass)
 			}
 			return err
 		},
@@ -795,7 +803,9 @@ func TestTCPShutdownDrain(t *testing.T) {
 // intern, async submit, coalesced flush, response encode, eventbox write,
 // client decode — performs zero heap allocations per request, measured
 // process-wide (AllocsPerRun counts mallocs on every goroutine, so the
-// server's reader, flusher, and writer are all covered).
+// server's reader, flusher, and writer are all covered). The same holds for
+// a sample-with-stats round trip (kind 0x07), whose stats live in the
+// pooled request state.
 func TestTCPServerZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates and drops pool Puts")
@@ -823,6 +833,26 @@ func TestTCPServerZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state TCP sample round trip allocates %.1f times per request, want 0", allocs)
+	}
+
+	var n int
+	var mass float64
+	for i := 0; i < 64; i++ {
+		if dst, _, _, err = cl.SampleStatsAppend(ctx, "u", dst[:0], 0, 9_999, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		dst, n, mass, err = cl.SampleStatsAppend(ctx, "u", dst[:0], 0, 9_999, 16)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dst) != 16 || n != 10_000 || mass != 10_000 {
+		t.Fatalf("sample with stats: %d samples, (%d, %v)", len(dst), n, mass)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state TCP sample-with-stats round trip allocates %.1f times per request, want 0", allocs)
 	}
 }
 

@@ -225,7 +225,7 @@ func (c *conn) readLoop() {
 // delivering flusher goroutine.
 func (c *conn) dispatch(id uint64, frame []byte) {
 	switch frame[0] {
-	case wire.FrameSample:
+	case wire.FrameSample, wire.FrameSampleStats:
 		raw, err := wire.DecodeSampleRequestRaw(frame)
 		if err != nil {
 			c.sendErr(id, err)
@@ -234,11 +234,15 @@ func (c *conn) dispatch(id uint64, frame []byte) {
 		name := c.srv.names.intern(raw.Name)
 		p := samplePool.Get().(*pendingSample)
 		dst := wire.GetF64()
-		p.c, p.id, p.dst = c, id, dst
+		p.c, p.id, p.dst, p.withStats = c, id, dst, raw.Stats
 		p.start = time.Now()
+		var stats *server.SampleStats
+		if raw.Stats {
+			stats = &p.stats // pooled with p: no allocation per request
+		}
 		c.inflight.Add(1)
 		c.srv.inst.inflight.Add(1)
-		if err := c.srv.backend.SampleAsync(name, (*dst)[:0], raw.Lo, raw.Hi, raw.T, p); err != nil {
+		if err := c.srv.backend.SampleAsync(name, (*dst)[:0], raw.Lo, raw.Hi, raw.T, stats, p); err != nil {
 			c.inflight.Done()
 			c.srv.inst.inflight.Add(-1)
 			p.c, p.dst = nil, nil
@@ -457,12 +461,16 @@ func (c *conn) writeLoop(done chan struct{}) {
 
 // pendingSample is one in-flight sample request's Reply: a pooled pointer
 // (boxing into the Reply interface without allocating) that encodes the
-// response envelope around the delivered samples and enqueues it.
+// response envelope around the delivered samples and enqueues it. It owns
+// the SampleStats a sample-with-stats request is answered into, so that
+// kind allocates no more than a plain sample.
 type pendingSample struct {
-	c     *conn
-	id    uint64
-	dst   *[]float64 // pooled result buffer the core appends into
-	start time.Time  // dispatch time, for the request-latency histogram
+	c         *conn
+	id        uint64
+	dst       *[]float64 // pooled result buffer the core appends into
+	start     time.Time  // dispatch time, for the request-latency histogram
+	stats     server.SampleStats
+	withStats bool // kind 0x07: the response leads with stats
 }
 
 var samplePool = sync.Pool{New: func() any { return new(pendingSample) }}
@@ -476,10 +484,15 @@ func (p *pendingSample) Deliver(v []float64, err error) {
 	} else {
 		buf := wire.GetBuf()
 		b := (*buf)[:0]
-		b = wire.AppendU32(b, uint32(minResponseLen+4+8*len(v)))
+		b = wire.AppendU32(b, 0) // length, patched below
 		b = wire.AppendU64(b, id)
 		b = append(b, statusOK)
-		b = wire.EncodeSampleResponse(b, v)
+		if p.withStats {
+			b = wire.EncodeSampleStatsResponse(b, p.stats.N, p.stats.Mass, v)
+		} else {
+			b = wire.EncodeSampleResponse(b, v)
+		}
+		binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-4))
 		*buf = b
 		c.send(buf)
 		*p.dst = v[:0] // keep the buffer's growth pooled
@@ -487,7 +500,7 @@ func (p *pendingSample) Deliver(v []float64, err error) {
 	c.srv.inst.reqSeconds.Observe(time.Since(p.start))
 	c.srv.inst.inflight.Add(-1)
 	wire.PutF64(p.dst)
-	p.c, p.dst = nil, nil
+	p.c, p.dst, p.stats = nil, nil, server.SampleStats{}
 	samplePool.Put(p)
 	c.inflight.Done()
 }

@@ -113,11 +113,15 @@ const maxBodyBytes = 8 << 20
 // every accepted request is still answered. irsnet's reader hands in a
 // Reply that encodes the response; the HTTP handlers, which want the
 // answer as a return value, wait on the same call through srv.Blocking.
+// A sample's non-nil stats asks for the range's in-range (count, mass) as
+// well, read under the same locks as the samples and filled before done
+// runs; a range without sampling mass then answers no samples and mass 0
+// rather than ErrEmptyRange (wire frame kind 0x07 carries such requests).
 // The remaining methods are rare or cheap enough to block their caller.
 // Stats omits the ServerInfo block (the transport layer that knows the
 // process identity fills it in).
 type Backend interface {
-	SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, done SampleReply) error
+	SampleAppendAsync(dataset string, dst []float64, lo, hi float64, t int, stats *SampleStats, done SampleReply) error
 	InsertAsync(dataset string, items []Item, done InsertReply) error
 	Delete(dataset string, keys []float64) (int, error)
 	Update(dataset string, items []Item) (int, error)
@@ -245,9 +249,9 @@ func (s *Server) Stats() Stats {
 
 // sample and insert are the HTTP handlers' blocking view of the backend's
 // two asynchronous operations.
-func (s *Server) sample(dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
+func (s *Server) sample(dataset string, dst []float64, lo, hi float64, t int, stats *SampleStats) ([]float64, error) {
 	return s.sampleWait.Do(func(done SampleReply) error {
-		return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, done)
+		return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, stats, done)
 	})
 }
 
@@ -331,6 +335,8 @@ func writeFrame(w http.ResponseWriter, frame []byte) {
 // handleSampleBinary is the hot-path form of /sample: pooled body buffer,
 // pooled float64 result buffer appended to by the zero-alloc core, and the
 // response frame encoded over the request's own (already decoded) buffer.
+// A sample-with-stats frame (kind 0x07) runs the same path and leads its
+// response with the range's (count, mass).
 func (s *Server) handleSampleBinary(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
@@ -343,9 +349,13 @@ func (s *Server) handleSampleBinary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	var stats *SampleStats // the backend keeps it until delivery: heap, so only when asked
+	if req.Stats {
+		stats = new(SampleStats)
+	}
 	dst := wire.GetF64()
 	defer wire.PutF64(dst)
-	samples, err := s.sample(req.Dataset, (*dst)[:0], req.Lo, req.Hi, req.T)
+	samples, err := s.sample(req.Dataset, (*dst)[:0], req.Lo, req.Hi, req.T, stats)
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -353,7 +363,12 @@ func (s *Server) handleSampleBinary(w http.ResponseWriter, r *http.Request) {
 	*dst = samples[:0] // keep any growth for the next request
 	// The request frame is fully decoded, so its buffer doubles as the
 	// response frame; the (usually larger) grown buffer stays pooled.
-	frame := wire.EncodeSampleResponse(body[:0], samples)
+	var frame []byte
+	if stats != nil {
+		frame = wire.EncodeSampleStatsResponse(body[:0], stats.N, stats.Mass, samples)
+	} else {
+		frame = wire.EncodeSampleResponse(body[:0], samples)
+	}
 	*buf = frame[:0]
 	writeFrame(w, frame)
 }
@@ -398,7 +413,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	samples, err := s.sample(name, nil, req.Lo, req.Hi, req.T)
+	samples, err := s.sample(name, nil, req.Lo, req.Hi, req.T, nil)
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -457,10 +472,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, UpdateResponse{Dataset: name, Updated: n})
 }
 
-// handleRangeStats answers the in-range (count, mass) probe — stage 1 of
-// the cluster router's exact cross-partition multinomial. Binary requests
-// carry a rangestats frame (kind 0x06) and get the binary response; JSON
-// requests mirror the other endpoints' envelope.
+// handleRangeStats answers the in-range (count, mass) probe a cluster
+// router sums into its own RangeStats. Binary requests carry a rangestats
+// frame (kind 0x06) and get the binary response; JSON requests mirror the
+// other endpoints' envelope.
 func (s *Server) handleRangeStats(w http.ResponseWriter, r *http.Request) {
 	if isBinary(r) {
 		buf := wire.GetBuf()
