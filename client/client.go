@@ -1,14 +1,14 @@
 // Package client is the transport-agnostic client surface of the irsd
 // protocol family. Three encodings reach a daemon — HTTP/JSON, HTTP binary
 // frames, and the persistent multiplexed TCP transport (irsnet) — and two
-// typed clients implement them: server.Client (both HTTP encodings) and
-// irsnet.Client. Historically callers switched on transport by hand; this
+// typed clients implement them: server.Client (JSON) and server.FrameClient
+// (the binary frames, over HTTP or, as irsnet.Client, over irsnet). This
 // package names the shared surface as interfaces and provides Dial, so
 // code that talks to a node — the cluster router above all — depends on
 // the interface and never on a transport.
 //
-// Both concrete clients satisfy Conn (compile-time assertions below), with
-// one error contract: server-side failures arrive as *server.APIError and
+// Every concrete client satisfies Conn (compile-time assertions below),
+// with one error contract: server-side failures arrive as *server.APIError and
 // unwrap to the server sentinels, so errors.Is(err, server.ErrOverloaded)
 // answers identically no matter which wire the request took.
 package client
@@ -74,16 +74,17 @@ type Conn interface {
 	Mutator
 	// Stats fetches the serving snapshot of every dataset.
 	Stats(ctx context.Context) (Stats, error)
-	// Close releases the session's connections. Both implementations
+	// Close releases the session's connections. The implementations
 	// tolerate further use after Close to the extent their transport does;
 	// treat a closed Conn as done.
 	Close() error
 }
 
-// Both concrete clients must satisfy the full surface — this is the
+// Every concrete client must satisfy the full surface — this is the
 // compile-time contract the router and the benchmark rely on.
 var (
 	_ Conn = (*server.Client)(nil)
+	_ Conn = (*server.FrameClient)(nil)
 	_ Conn = (*irsnet.Client)(nil)
 )
 
@@ -110,9 +111,10 @@ func Dial(addr, encoding string) (Conn, error) {
 		if !strings.Contains(base, "://") {
 			base = "http://" + base
 		}
-		c := server.NewClient(base)
-		c.Binary = encoding == EncodingBinary
-		return c, nil
+		if encoding == EncodingBinary {
+			return server.NewBinaryClient(base), nil
+		}
+		return server.NewClient(base), nil
 	case EncodingTCP:
 		host := addr
 		if i := strings.Index(host, "://"); i >= 0 {

@@ -16,9 +16,10 @@
 //	go run ./examples/irsd -addr http://127.0.0.1:<port>
 //	go run ./examples/irsd -binary              # compact binary frames
 //
-// With -binary the client speaks the compact binary wire format on the
-// /sample and /insert hot paths (Content-Type: application/x-irs-bin)
-// instead of JSON; results are identical, the codec is just cheaper.
+// With -binary the data calls go through client.Dial's binary encoding —
+// every insert, sample, delete, and stats request travels as a binary frame
+// (Content-Type: application/x-irs-bin) instead of JSON; results are
+// identical, the codec is just cheaper. The snapshot call stays JSON.
 //
 // The process exits non-zero on any protocol or correctness failure, so it
 // doubles as a smoke check.
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	irs "github.com/irsgo/irs"
+	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/server"
 )
 
@@ -48,7 +50,7 @@ func main() {
 		reqs      = flag.Int("requests", 50, "sample requests per client")
 		verifyLen = flag.Int("verify-len", -1, "verify-only mode: assert the sole dataset holds exactly this many keys, then exit (CI crash-recovery check)")
 		snapshot  = flag.Bool("snapshot", false, "trigger a /snapshot after the insert phase (durable daemons)")
-		binary    = flag.Bool("binary", false, "drive /sample and /insert over the compact binary frames instead of JSON")
+		binary    = flag.Bool("binary", false, "send the data calls as compact binary frames instead of JSON")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -67,8 +69,14 @@ func main() {
 		defer stop()
 		fmt.Printf("self-hosted daemon on %s\n", base)
 	}
-	cl := server.NewClient(base)
-	cl.Binary = *binary
+	admin := server.NewClient(base)
+	var cl client.Conn = admin
+	if *binary {
+		var err error
+		if cl, err = client.Dial(base, client.EncodingBinary); err != nil {
+			log.Fatal(err)
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -108,7 +116,7 @@ func main() {
 	// Optionally checkpoint the population: on a durable daemon this
 	// serializes a snapshot and compacts the WAL it covers.
 	if *snapshot {
-		snap, err := cl.Snapshot(ctx, "")
+		snap, err := admin.Snapshot(ctx, "")
 		if err != nil || snap.Items != *n {
 			log.Fatalf("snapshot: %+v err=%v", snap, err)
 		}

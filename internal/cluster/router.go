@@ -113,9 +113,8 @@ type Router struct {
 	streams atomic.Uint64 // streams handed out so far
 	scratch sync.Pool     // *splitScratch
 
-	// The blocking forms of the two asynchronous operations wait here.
+	// SampleAppend, the blocking form of SampleAppendAsync, waits here.
 	sampleWait srv.Blocking[[]float64]
-	insertWait srv.Blocking[int]
 }
 
 // newMapState assembles one topology generation.
@@ -585,13 +584,6 @@ func mutate[T any](s *mapState, groups map[int][]T, op func(ctx context.Context,
 	}
 	wg.Wait()
 	return applied, errors.Join(errs...)
-}
-
-// Insert is InsertAsync plus a wait.
-func (r *Router) Insert(dataset string, items []server.Item) (int, error) {
-	return r.insertWait.Do(func(done server.InsertReply) error {
-		return r.InsertAsync(dataset, items, done)
-	})
 }
 
 // InsertAsync routes each item to the partition owning its key and applies

@@ -17,6 +17,7 @@ import (
 	irs "github.com/irsgo/irs"
 	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/internal/cluster"
+	srv "github.com/irsgo/irs/internal/server"
 	"github.com/irsgo/irs/internal/stats"
 	"github.com/irsgo/irs/server"
 	"github.com/irsgo/irs/server/irsnet"
@@ -618,8 +619,11 @@ func TestRouterPartialMutationFailure(t *testing.T) {
 
 	tc.nodeTS[1].Close()
 
-	applied, err := tc.router.Insert("d", []server.Item{
-		{Key: 60.5, Weight: 1}, {Key: 160.5, Weight: 1}, {Key: 260.5, Weight: 1},
+	var wait srv.Blocking[int]
+	applied, err := wait.Do(func(done server.InsertReply) error {
+		return tc.router.InsertAsync("d", []server.Item{
+			{Key: 60.5, Weight: 1}, {Key: 160.5, Weight: 1}, {Key: 260.5, Weight: 1},
+		}, done)
 	})
 	if !errors.Is(err, server.ErrUnavailable) {
 		t.Fatalf("partial insert: got err %v, want ErrUnavailable", err)

@@ -198,6 +198,15 @@ func scrape(t *testing.T, base, series string) float64 {
 // durableServer is a server with one durable dataset "du" under dir whose
 // WAL reaches the file only on close (SyncNone buffers in user space), so
 // recovering every acknowledged key proves the backend was closed.
+// deleteKey deletes one key from s's dataset "du" through its HTTP
+// handler.
+func deleteKey(s *server.Server) error {
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	_, err := server.NewClient(ts.URL).Delete(context.Background(), "du", []float64{1})
+	return err
+}
+
 func durableServer(t *testing.T, dir string) *server.Server {
 	t.Helper()
 	s := server.New(server.Config{})
@@ -396,7 +405,7 @@ func TestServeFailureDrainsEverything(t *testing.T) {
 func TestBadTCPAddrFailsBoot(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir)
-	if _, err := s.Delete("du", []float64{1}); err != nil {
+	if err := deleteKey(s); err != nil {
 		t.Fatalf("delete before boot: %v", err)
 	}
 	app := testApp(func(*Common, *slog.Logger) (Instance, error) { return Instance{Server: s}, nil })
@@ -408,7 +417,7 @@ func TestBadTCPAddrFailsBoot(t *testing.T) {
 	if _, err := (<-lns).Accept(); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("HTTP listener after failed boot: Accept err = %v, want closed", err)
 	}
-	if _, err := s.Delete("du", []float64{1}); !errors.Is(err, server.ErrShuttingDown) {
+	if err := deleteKey(s); !errors.Is(err, server.ErrShuttingDown) {
 		t.Errorf("backend after failed boot: err = %v, want ErrShuttingDown", err)
 	}
 	if got := recoveredLen(t, dir); got != 0 {
@@ -428,7 +437,7 @@ func TestBuildFailureClosesBackend(t *testing.T) {
 	if code := waitExit(t, lines, exit); code != 1 {
 		t.Fatalf("exit %d after a Build error, want 1", code)
 	}
-	if _, err := s.Delete("du", []float64{1}); !errors.Is(err, server.ErrShuttingDown) {
+	if err := deleteKey(s); !errors.Is(err, server.ErrShuttingDown) {
 		t.Errorf("backend after failed Build: err = %v, want ErrShuttingDown", err)
 	}
 }

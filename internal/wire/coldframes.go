@@ -1,29 +1,8 @@
 package wire
 
-// The cold-path frames: delete, update, stats, and rangestats. They exist
-// so the TCP transport (server/irsnet) can serve the complete client
-// surface — the unified client interface in package client requires every
-// implementation to answer Delete, Update, and Stats — and so a cluster
-// router can run its mass probe (RangeStats) over whichever transport its
-// node connections use. None of these are throughput paths: servers may
-// answer them on ordinary goroutines and encode through the shared pooled
-// buffers.
-//
-// Frame layout (same conventions as the hot frames):
-//
-//	delete request      u8 kind=0x03 | u8 len(name) | name | u32 nk | nk x f64 keys
-//	delete response     u32 deleted
-//	update request      u8 kind=0x04 | u8 len(name) | name | u32 ni | ni x (f64 key, f64 weight)
-//	update response     u32 updated
-//	stats request       u8 kind=0x05
-//	stats response      raw JSON bytes of the stats document
-//	rangestats request  u8 kind=0x06 | u8 len(name) | name | f64 lo | f64 hi
-//	rangestats response u64 count | f64 mass
-//
-// The stats response reuses the JSON document rather than a binary layout:
-// stats are scraped a few times a second at most, and the document's shape
-// (nested, optional persist section) would make a fixed binary layout
-// brittle for zero win.
+// The cold-path kinds: delete, update, stats, and rangestats (layouts in
+// the package comment). None of these are throughput paths: servers answer
+// them on ordinary goroutines and encode through the shared pooled buffers.
 
 import "math"
 
@@ -73,21 +52,6 @@ func DecodeDeleteRequest(b []byte, keys []float64) (name []byte, _ []float64, er
 		keys = append(keys, v)
 	}
 	return name, keys, r.done()
-}
-
-// EncodeDeleteResponse appends the delete response frame to b.
-func EncodeDeleteResponse(b []byte, deleted int) []byte {
-	return AppendU32(b, uint32(deleted))
-}
-
-// DecodeDeleteResponse parses a delete response frame.
-func DecodeDeleteResponse(b []byte) (int, error) {
-	r := frameReader{b: b}
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	return int(n), r.done()
 }
 
 // UpdateReq is a decoded update request frame.
@@ -141,21 +105,6 @@ func DecodeUpdateRequest(b []byte, items []Item) (name []byte, _ []Item, err err
 		items = append(items, Item{Key: k, Weight: w})
 	}
 	return name, items, r.done()
-}
-
-// EncodeUpdateResponse appends the update response frame to b.
-func EncodeUpdateResponse(b []byte, updated int) []byte {
-	return AppendU32(b, uint32(updated))
-}
-
-// DecodeUpdateResponse parses an update response frame.
-func DecodeUpdateResponse(b []byte) (int, error) {
-	r := frameReader{b: b}
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	return int(n), r.done()
 }
 
 // EncodeStatsRequest appends the (body-less) stats request frame to b.

@@ -57,7 +57,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		_, _ = DecodeSampleResponse(data, nil)
 		_, _, _, _ = DecodeSampleStatsResponse(data, nil)
 		_, _, _ = DecodeRangeStatsResponse(data)
-		_, _ = DecodeInsertResponse(data)
+		_, _ = DecodeCountResponse(data)
 		_, _, _, _ = DecodeError(data)
 	})
 }

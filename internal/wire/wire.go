@@ -1,27 +1,44 @@
-// Package wire is the compact binary encoding of the two hot serving
-// requests, sample and insert, shared by every transport that speaks it:
-// the HTTP handler/client pair (package server, negotiated per request via
-// Content-Type: application/x-irs-bin) and the persistent multiplexed TCP
-// transport (package server/irsnet, which carries the same frames prefixed
-// with a length and a request ID). JSON costs the serving stack more than
-// the samplers cost it — float formatting/parsing plus per-request decoder
-// allocation — so the hot path frames raw little-endian values instead.
+// Package wire is the binary frame protocol of the irsd serving stack: one
+// request frame and one response frame per operation, shared by every
+// carrier that speaks it — binary-over-HTTP (package server, negotiated per
+// request via Content-Type: application/x-irs-bin, accepted on every data
+// endpoint) and the persistent multiplexed TCP transport (package
+// server/irsnet, which wraps each frame in a length and a request ID).
+// JSON costs the serving stack more than the samplers cost it — float
+// formatting/parsing plus per-request decoder allocation — so the frames
+// carry raw little-endian values instead. Package server holds the one
+// table mapping each kind to its backend call and JSON path; this comment
+// is the one place the layouts are written down.
 //
 // Frame layout (all integers little-endian, all floats IEEE-754 bits
-// little-endian; a transport delivers exactly one frame per request,
-// trailing bytes are an error):
+// little-endian; a carrier delivers exactly one frame per request,
+// trailing bytes are an error; name is u8 len(name) | name):
 //
-//	sample request   u8 kind=0x01 | u8 len(name) | name | f64 lo | f64 hi | u32 t
-//	sample response  u32 n | n x f64 samples
-//	sample+stats request   the sample request with kind=0x07
-//	sample+stats response  rangestats response | sample response
-//	                       (u64 count | f64 mass | u32 n | n x f64 samples)
-//	insert request   u8 kind=0x02 | u8 len(name) | name | u32 nk | nk x f64 keys
-//	                 | u32 ni | ni x (f64 key, f64 weight) items
-//	insert response  u32 inserted
+//	0x01 sample        request   u8 kind | name | f64 lo | f64 hi | u32 t (int32 two's complement)
+//	                   response  u32 n | n x f64 samples
+//	0x02 insert        request   u8 kind | name | u32 nk | nk x f64 keys
+//	                             | u32 ni | ni x (f64 key, f64 weight)
+//	                   response  u32 inserted
+//	0x03 delete        request   u8 kind | name | u32 nk | nk x f64 keys
+//	                   response  u32 deleted
+//	0x04 update        request   u8 kind | name | u32 ni | ni x (f64 key, f64 weight)
+//	                   response  u32 updated
+//	0x05 stats         request   u8 kind
+//	                   response  raw JSON bytes of the stats document
+//	0x06 rangestats    request   u8 kind | name | f64 lo | f64 hi
+//	                   response  u64 count | f64 mass
+//	0x07 sample+stats  request   the sample request with kind=0x07
+//	                   response  rangestats response | sample response
 //
-// Encode and decode run over pooled byte buffers on every transport, so
-// the binary paths add no per-request buffer allocations on top of the
+// Sample and insert are the hot kinds; sample-with-stats is a sample whose
+// answer leads with the range's (count, mass), read under the same locks
+// as the samples — a cluster router's one round trip per node. The stats
+// response reuses the JSON document rather than a binary layout: stats are
+// scraped a few times a second at most, and the document's shape (nested,
+// optional persist section) would make a fixed layout brittle for zero win.
+//
+// Encode and decode run over pooled byte buffers on every carrier, so the
+// binary paths add no per-request buffer allocations on top of the
 // zero-alloc serving core. The Raw decode variants return the dataset name
 // as a subslice of the frame instead of a string, so a server hot path can
 // intern it without allocating.
@@ -45,12 +62,8 @@ const ContentTypeBinary = "application/x-irs-bin"
 // Item is one insert element as the serving core stores it.
 type Item = srv.Item[float64]
 
-// Frame kind bytes (first byte of every request frame). Sample and insert
-// are the hot paths; delete, update, stats, and rangestats are cold-path
-// frames (coldframes.go) added so the TCP transport covers the full client
-// surface the unified client interface promises. Sample-with-stats is a
-// sample whose answer leads with the range's (count, mass), read under the
-// same locks as the samples — a cluster router's one round trip per node.
+// Frame kind bytes (first byte of every request frame); the package
+// comment gives each kind's layout.
 const (
 	FrameSample      = 0x01
 	FrameInsert      = 0x02
@@ -279,10 +292,14 @@ func EncodeSampleRequest(b []byte, req SampleReq) ([]byte, error) {
 	if len(req.Dataset) > 255 {
 		return b, frameErr("dataset name longer than 255 bytes")
 	}
+	// Truncating would silently request a different count (-(1<<32)+5
+	// would arrive as 5), so a count outside int32 is refused here: a
+	// negative one with the error the server gives every count below 1.
 	if req.T > math.MaxInt32 {
-		// Truncating would silently request a different count; the JSON
-		// encoding transmits the full int, so reject rather than diverge.
 		return b, frameErr("sample count %d exceeds the wire format's int32 range", req.T)
+	}
+	if req.T < math.MinInt32 {
+		return b, fmt.Errorf("%w: %d", srv.ErrInvalidCount, req.T)
 	}
 	kind := byte(FrameSample)
 	if req.Stats {
@@ -491,13 +508,14 @@ func decodeInsert(b []byte, keys []float64, items []Item, merge bool) ([]byte, [
 	return name, keys, items, r.done()
 }
 
-// EncodeInsertResponse appends the insert response frame to b.
-func EncodeInsertResponse(b []byte, inserted int) []byte {
-	return AppendU32(b, uint32(inserted))
+// EncodeCountResponse appends the response frame of insert, delete, and
+// update — one u32 count — to b.
+func EncodeCountResponse(b []byte, n int) []byte {
+	return AppendU32(b, uint32(n))
 }
 
-// DecodeInsertResponse parses an insert response frame.
-func DecodeInsertResponse(b []byte) (int, error) {
+// DecodeCountResponse parses an insert, delete, or update response frame.
+func DecodeCountResponse(b []byte) (int, error) {
 	r := frameReader{b: b}
 	n, err := r.u32()
 	if err != nil {

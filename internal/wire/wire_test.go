@@ -1,7 +1,11 @@
 package wire
 
 import (
+	"errors"
+	"math"
 	"testing"
+
+	srv "github.com/irsgo/irs/internal/server"
 )
 
 // TestBinaryCodecZeroAllocs pins the pooled encode/decode paths: framing a
@@ -196,5 +200,35 @@ func TestErrorPayloadRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := DecodeError(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated error payload decoded without error")
+	}
+}
+
+// TestSampleCountOutsideInt32Rejected: the count travels as an int32, so a
+// count outside that range is refused at encode time — below MinInt32 with
+// the server's own ErrInvalidCount (such a count used to wrap: -(1<<32)+5
+// arrived as 5), above MaxInt32 as a frame error — while the in-range
+// negatives round-trip so the server answers invalid_count.
+func TestSampleCountOutsideInt32Rejected(t *testing.T) {
+	for _, tc := range []struct {
+		t    int
+		want error
+	}{
+		{math.MaxInt32 + 1, ErrFrame},
+		{1 << 40, ErrFrame},
+		{math.MinInt32 - 1, srv.ErrInvalidCount},
+		{-(1 << 32) + 5, srv.ErrInvalidCount},
+	} {
+		if frame, err := EncodeSampleRequest(nil, SampleReq{Dataset: "d", T: tc.t}); !errors.Is(err, tc.want) {
+			t.Errorf("t = %d: encoded %x, err %v; want %v", tc.t, frame, err, tc.want)
+		}
+	}
+	for _, n := range []int{math.MinInt32, -1, 0, math.MaxInt32} {
+		frame, err := EncodeSampleRequest(nil, SampleReq{Dataset: "d", T: n})
+		if err != nil {
+			t.Fatalf("t = %d: %v", n, err)
+		}
+		if got, err := DecodeSampleRequest(frame); err != nil || got.T != n {
+			t.Errorf("t = %d: decoded %d, %v", n, got.T, err)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // collisions and absent names — errors.Is works across the wire exactly
 // as on the data endpoints.
 func TestAdminAddDropHTTP(t *testing.T) {
-	_, cl, _, stop := newTestDaemon(t, server.Config{}, 100)
+	_, cl, base, stop := newTestDaemon(t, server.Config{}, 100)
 	defer stop()
 	ctx := context.Background()
 
@@ -39,8 +39,7 @@ func TestAdminAddDropHTTP(t *testing.T) {
 	if got, err := cl.Sample(ctx, "runtime", 0, 10, 4); err != nil || len(got) != 4 {
 		t.Fatalf("sample runtime dataset: %v (%d samples)", err, len(got))
 	}
-	bin := *cl
-	bin.Binary = true
+	bin := server.NewBinaryClient(base)
 	if _, err := bin.Sample(ctx, "runtime", 0, 10, 2); err != nil {
 		t.Fatalf("binary sample runtime dataset: %v", err)
 	}

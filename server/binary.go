@@ -1,22 +1,14 @@
 package server
 
-// The compact binary wire format for the two hot endpoints, /sample and
-// /insert, lives in internal/wire and is shared with the persistent TCP
-// transport (package server/irsnet): both carry the same length-prefixed
-// little-endian frames, so a client can switch transports without the
-// server's sample streams diverging. On HTTP the encoding is negotiated
-// per request via
+// Binary frames ride HTTP on every data endpoint, negotiated per request via
 //
 //	Content-Type: application/x-irs-bin
 //
-// on the request; the handler answers in kind. Every other endpoint, and
-// every error response on any endpoint, stays JSON (errors are off the hot
-// path and keep their machine-readable {"error":{code,message}} envelope,
-// so errors.Is works identically over both encodings).
-//
-// Encode and decode run over pooled byte buffers on both the handler and
-// the typed client, so the binary path adds no per-request buffer
-// allocations on top of the zero-alloc serving core.
+// on the request; the response answers in kind, and every error response
+// stays in the JSON {"error":{code,message}} envelope, so errors.Is works
+// identically over both encodings. The frame layouts are listed once, in
+// the internal/wire package comment; frame.go serves them and
+// frameclient.go is their typed client.
 
 import "github.com/irsgo/irs/internal/wire"
 

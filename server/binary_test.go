@@ -11,13 +11,15 @@ import (
 	"testing"
 
 	irs "github.com/irsgo/irs"
+	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/server"
 )
 
 // newSeededDaemon builds a daemon whose sample streams are fully
 // deterministic for a fixed request sequence: one flusher (so every batch
-// lands on the same RNG stream) and no linger window.
-func newSeededDaemon(t *testing.T, seed uint64) (*server.Client, func()) {
+// lands on the same RNG stream) and no linger window. It returns the
+// daemon's base URL.
+func newSeededDaemon(t *testing.T, seed uint64) (string, func()) {
 	t.Helper()
 	s := server.New(server.Config{Flushers: 1})
 	keys := make([]float64, 1000)
@@ -43,7 +45,7 @@ func newSeededDaemon(t *testing.T, seed uint64) (*server.Client, func()) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
-	return server.NewClient(ts.URL), func() { ts.Close(); s.Close() }
+	return ts.URL, func() { ts.Close(); s.Close() }
 }
 
 // TestBinaryJSONIdenticalSamples pins the encodings to each other: two
@@ -54,9 +56,12 @@ func newSeededDaemon(t *testing.T, seed uint64) (*server.Client, func()) {
 func TestBinaryJSONIdenticalSamples(t *testing.T) {
 	ctx := context.Background()
 	run := func(binary bool) [][]float64 {
-		cl, stop := newSeededDaemon(t, 99)
+		base, stop := newSeededDaemon(t, 99)
 		defer stop()
-		cl.Binary = binary
+		var cl client.Conn = server.NewClient(base)
+		if binary {
+			cl = server.NewBinaryClient(base)
+		}
 		var out [][]float64
 		for _, ds := range []string{"u", "w"} {
 			if n, err := cl.InsertKeys(ctx, ds, []float64{1e4, 1e4 + 1}); err != nil || n != 2 {
@@ -97,9 +102,9 @@ func TestBinaryJSONIdenticalSamples(t *testing.T) {
 // encoding: every typed error keeps its JSON envelope, wire code, and
 // HTTP status, so errors.Is works identically over both encodings.
 func TestBinaryErrorPaths(t *testing.T) {
-	_, cl, base, stop := newTestDaemon(t, server.Config{}, 1000)
+	_, _, base, stop := newTestDaemon(t, server.Config{}, 1000)
 	defer stop()
-	cl.Binary = true
+	cl := server.NewBinaryClient(base)
 	ctx := context.Background()
 
 	cases := []struct {
@@ -134,7 +139,8 @@ func TestBinaryErrorPaths(t *testing.T) {
 	// Malformed frames answer 400 bad_request, exactly like malformed JSON.
 	for _, frame := range [][]byte{
 		{},                   // empty body
-		{0x07},               // unknown kind
+		{0x09},               // unknown kind
+		{0x07},               // truncated sample-with-stats
 		{0x01, 0x05, 'u'},    // truncated name
 		{0x01, 0x01, 'u', 1}, // truncated payload
 		append([]byte{0x02, 0x01, 'u'}, bytes.Repeat([]byte{0xff}, 8)...), // hostile count
@@ -166,12 +172,11 @@ func TestBinaryErrorPaths(t *testing.T) {
 }
 
 // TestBinaryRoundTrip drives the full insert/sample/delete cycle over the
-// binary client against both dataset kinds (delete falls back to JSON;
-// the two encodings interleave freely on one connection).
+// binary client against both dataset kinds.
 func TestBinaryRoundTrip(t *testing.T) {
-	_, cl, _, stop := newTestDaemon(t, server.Config{}, 1000)
+	_, _, base, stop := newTestDaemon(t, server.Config{}, 1000)
 	defer stop()
-	cl.Binary = true
+	cl := server.NewBinaryClient(base)
 	ctx := context.Background()
 
 	if n, err := cl.InsertKeys(ctx, "u", []float64{5000, 5001, 5002}); err != nil || n != 3 {
@@ -227,11 +232,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 // a plain sample answers ErrEmptyRange; request errors stay errors.
 func TestSampleStatsOverBinaryHTTP(t *testing.T) {
 	ctx := context.Background()
-	withStats, stopA := newSeededDaemon(t, 5)
+	baseA, stopA := newSeededDaemon(t, 5)
 	defer stopA()
-	plain, stopB := newSeededDaemon(t, 5)
+	withStats := server.NewClient(baseA)
+	baseB, stopB := newSeededDaemon(t, 5)
 	defer stopB()
-	plain.Binary = true
+	plain := server.NewBinaryClient(baseB)
 	for i, q := range []struct {
 		ds     string
 		lo, hi float64

@@ -12,8 +12,8 @@ import (
 	"github.com/irsgo/irs/internal/wire"
 )
 
-// Client is the typed Go client of the irsd protocol. It is safe for
-// concurrent use; the zero HTTPClient means the dedicated pooled client
+// Client is the typed Go client of the irsd JSON protocol (FrameClient
+// speaks the binary frames). It is safe for concurrent use; the zero HTTPClient means the dedicated pooled client
 // NewClient builds (http.DefaultClient caps idle connections per host at
 // 2, which makes every concurrency-N workload past N=2 re-dial
 // constantly — see newPooledHTTPClient).
@@ -21,11 +21,6 @@ type Client struct {
 	base string
 	// HTTPClient overrides the transport (timeouts, connection pooling).
 	HTTPClient *http.Client
-	// Binary switches Sample/SampleAppend/InsertKeys/InsertItems to the
-	// compact binary frames (Content-Type application/x-irs-bin) with
-	// pooled encode/decode buffers; the remaining endpoints, and every
-	// error response, stay JSON — errors.Is works identically either way.
-	Binary bool
 }
 
 // NewClient returns a client for the daemon at base, e.g.
@@ -73,10 +68,6 @@ func (c *Client) Sample(ctx context.Context, dataset string, lo, hi float64, t i
 // requests can reuse one result buffer. On error dst is returned
 // unchanged.
 func (c *Client) SampleAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, error) {
-	if c.Binary {
-		out, _, _, err := c.sampleBinary(ctx, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t}, dst)
-		return out, err
-	}
 	var resp SampleResponse
 	if err := c.post(ctx, "/sample", SampleRequest{Dataset: dataset, Lo: lo, Hi: hi, T: t}, &resp); err != nil {
 		return dst, err
@@ -90,39 +81,15 @@ func (c *Client) SampleAppend(ctx context.Context, dataset string, dst []float64
 // SampleStatsAppend is SampleAppend that also returns the range's in-range
 // key count and sampling mass, read on the daemon under the same locks as
 // the samples; a range without sampling mass answers no samples and mass 0
-// instead of ErrEmptyRange. It always travels as a binary frame (kind
-// 0x07), whatever Binary says: there is no JSON form.
+// instead of ErrEmptyRange. There is no JSON form: it travels as a binary
+// frame (kind 0x07) over this client's connections.
 func (c *Client) SampleStatsAppend(ctx context.Context, dataset string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error) {
-	return c.sampleBinary(ctx, wire.SampleReq{Dataset: dataset, Lo: lo, Hi: hi, T: t, Stats: true}, dst)
-}
-
-// sampleBinary posts one binary sample frame of either kind; the count and
-// mass are zero unless req.Stats asked for them. On error dst is returned
-// unchanged.
-func (c *Client) sampleBinary(ctx context.Context, req wire.SampleReq, dst []float64) ([]float64, int, float64, error) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	frame, err := wire.EncodeSampleRequest((*buf)[:0], req)
-	if err != nil {
-		return dst, 0, 0, err
-	}
-	*buf = frame
-	body, err := c.postFrame(ctx, "/sample", frame, buf)
-	if err != nil {
-		return dst, 0, 0, err
-	}
-	if req.Stats {
-		return wire.DecodeSampleStatsResponse(body, dst)
-	}
-	out, err := wire.DecodeSampleResponse(body, dst)
-	return out, 0, 0, err
+	fc := FrameClient{carrier: httpCarrier{c}}
+	return fc.SampleStatsAppend(ctx, dataset, dst, lo, hi, t)
 }
 
 // InsertKeys stores keys with unit weight, returning how many were stored.
 func (c *Client) InsertKeys(ctx context.Context, dataset string, keys []float64) (int, error) {
-	if c.Binary {
-		return c.insertBinary(ctx, wire.InsertReq{Dataset: dataset, Keys: keys})
-	}
 	var resp InsertResponse
 	err := c.post(ctx, "/insert", InsertRequest{Dataset: dataset, Keys: keys}, &resp)
 	return resp.Inserted, err
@@ -130,47 +97,15 @@ func (c *Client) InsertKeys(ctx context.Context, dataset string, keys []float64)
 
 // InsertItems stores weighted items, returning how many were stored.
 func (c *Client) InsertItems(ctx context.Context, dataset string, items []Item) (int, error) {
-	if c.Binary {
-		return c.insertBinary(ctx, wire.InsertReq{Dataset: dataset, Items: items})
-	}
 	var resp InsertResponse
 	err := c.post(ctx, "/insert", InsertRequest{Dataset: dataset, Items: items}, &resp)
 	return resp.Inserted, err
 }
 
-func (c *Client) insertBinary(ctx context.Context, req wire.InsertReq) (int, error) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	frame, err := wire.EncodeInsertRequest((*buf)[:0], req)
-	if err != nil {
-		return 0, err
-	}
-	*buf = frame
-	body, err := c.postFrame(ctx, "/insert", frame, buf)
-	if err != nil {
-		return 0, err
-	}
-	return wire.DecodeInsertResponse(body)
-}
-
 // RangeStats returns the in-range key count and sampling mass of [lo, hi]
 // — the probe the cluster router splits its cross-partition multinomial
-// with. Binary clients carry it as a rangestats frame.
+// with.
 func (c *Client) RangeStats(ctx context.Context, dataset string, lo, hi float64) (int, float64, error) {
-	if c.Binary {
-		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
-		frame, err := wire.EncodeRangeStatsRequest((*buf)[:0], wire.RangeStatsReq{Dataset: dataset, Lo: lo, Hi: hi})
-		if err != nil {
-			return 0, 0, err
-		}
-		*buf = frame
-		body, err := c.postFrame(ctx, "/rangestats", frame, buf)
-		if err != nil {
-			return 0, 0, err
-		}
-		return wire.DecodeRangeStatsResponse(body)
-	}
 	var resp RangeStatsResponse
 	if err := c.post(ctx, "/rangestats", RangeStatsRequest{Dataset: dataset, Lo: lo, Hi: hi}, &resp); err != nil {
 		return 0, 0, err
@@ -223,23 +158,15 @@ func (c *Client) DropDataset(ctx context.Context, dataset string, snapshot bool)
 	if snapshot {
 		path += "?snapshot=true"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+path, nil)
-	if err != nil {
-		return err
-	}
 	var resp DropDatasetResponse
-	return c.do(req, &resp)
+	return c.call(ctx, http.MethodDelete, path, nil, &resp)
 }
 
 // ListDatasets fetches the registry listing (GET /datasets): each
 // dataset's name, kind, lifecycle state, and durability.
 func (c *Client) ListDatasets(ctx context.Context) ([]DatasetInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/datasets", nil)
-	if err != nil {
-		return nil, err
-	}
 	var resp ListDatasetsResponse
-	if err := c.do(req, &resp); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/datasets", nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Datasets, nil
@@ -248,11 +175,8 @@ func (c *Client) ListDatasets(ctx context.Context) ([]DatasetInfo, error) {
 // Stats fetches the serving snapshot of every dataset.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var out Stats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
-	if err != nil {
-		return out, err
-	}
-	return out, c.do(req, &out)
+	err := c.call(ctx, http.MethodGet, "/stats", nil, &out)
+	return out, err
 }
 
 // Close releases the client's idle connections. The client stays usable —
@@ -268,26 +192,34 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// post marshals in, POSTs it, and decodes the 2xx body into out (or a
-// non-2xx body into an *APIError).
+// post marshals in, POSTs it, and decodes the 2xx body into out.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	return c.call(ctx, http.MethodPost, path, bytes.NewReader(body), out)
+}
+
+// call sends one JSON request and decodes the 2xx body into out (or a
+// non-2xx body into an *APIError).
+func (c *Client) call(ctx context.Context, method, path string, body io.Reader, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
+	return c.do(req, func(r *http.Response) error { return json.NewDecoder(r.Body).Decode(out) })
 }
 
 // sharedPooledClient answers the nil-HTTPClient fallback for Client values
 // assembled without NewClient.
 var sharedPooledClient = newPooledHTTPClient()
 
-func (c *Client) do(req *http.Request, out any) error {
+// do sends req and hands a 2xx response to read; a non-2xx response's JSON
+// error envelope — the error shape of both encodings — becomes an
+// *APIError.
+func (c *Client) do(req *http.Request, read func(*http.Response) error) error {
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = sharedPooledClient
@@ -300,51 +232,12 @@ func (c *Client) do(req *http.Request, out any) error {
 		_, _ = io.Copy(io.Discard, resp.Body) // drain for connection reuse
 		_ = resp.Body.Close()
 	}()
-	if resp.StatusCode/100 != 2 {
-		return decodeAPIError(resp)
+	if resp.StatusCode/100 == 2 {
+		return read(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// decodeAPIError reads a non-2xx response's JSON error envelope — the
-// error shape is JSON on both encodings.
-func decodeAPIError(resp *http.Response) error {
 	var envelope ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error.Code == "" {
 		return &APIError{Code: "internal", Message: "undecodable error body", Status: resp.StatusCode}
 	}
 	return &APIError{Code: envelope.Error.Code, Message: envelope.Error.Message, Status: resp.StatusCode}
-}
-
-// postFrame POSTs one binary request frame and reads the binary response
-// body back into the caller's pooled buffer. The request frame may share
-// that buffer: the transport has fully consumed the body by the time the
-// response is read into it.
-func (c *Client) postFrame(ctx context.Context, path string, frame []byte, buf *[]byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(frame))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = sharedPooledClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body) // drain for connection reuse
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeAPIError(resp)
-	}
-	b, err := wire.ReadAllInto(resp.Body, (*buf)[:0])
-	*buf = b
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -1,20 +1,21 @@
-// Package irsnet is irsd's persistent multiplexed TCP transport: the same
-// length-prefixed binary sample/insert frames the HTTP layer negotiates
-// via application/x-irs-bin (internal/wire), carried over long-lived
-// connections with pipelined request IDs and out-of-order responses.
+// Package irsnet is irsd's persistent multiplexed TCP transport: the
+// binary frames of internal/wire — the same frames the HTTP layer accepts
+// as application/x-irs-bin — carried over long-lived connections with
+// pipelined request IDs and out-of-order responses. It is a carrier only:
+// package server's dispatcher (Server.ServeFrame) answers every frame, and
+// its frame client (server.FrameClient) encodes every request.
 //
 // HTTP/1.1 sequences requests per connection: a coalesced flush that takes
 // 200µs holds the connection for every queued caller behind it, and the
 // transport adds headers, chunking, and connection-pool churn around each
 // ~30-byte frame. This transport removes all of that. A client writes any
 // number of requests down one connection without waiting; the server
-// submits each one asynchronously into the coalescing core the moment it
-// is decoded (the reader never parks behind a flush), and responses return
-// whenever their flush completes, matched by ID. One connection therefore
-// carries an entire concurrency-N workload, and — because concurrent
-// requests on one connection arrive back to back at the reader — it feeds
-// the coalescer larger batches than N parallel HTTP connections ever
-// could.
+// hands each one to the dispatcher the moment it is read (the reader never
+// parks behind a flush), and responses return whenever their flush
+// completes, matched by ID. One connection therefore carries an entire
+// concurrency-N workload, and — because concurrent requests on one
+// connection arrive back to back at the reader — it feeds the coalescer
+// larger batches than N parallel HTTP connections ever could.
 //
 // # Protocol
 //
@@ -27,11 +28,9 @@
 //	request  message:  u32 len | u64 id | frame
 //	response message:  u32 len | u64 id | u8 status | payload
 //
-// The frame is exactly one binary request frame as specified in
-// internal/wire (sample 0x01, insert 0x02, the cold-path kinds 0x03–0x06,
-// or sample-with-stats 0x07). A status byte of 0 means
-// the payload is that request's binary response frame; 1 means it is the
-// error payload
+// The frame is exactly one binary request frame of any kind listed in the
+// internal/wire package comment. A status byte of 0 means the payload is
+// that request's binary response frame; 1 means it is the error payload
 //
 //	u16 http_status | u8 len(code) | code | u16 len(msg) | msg
 //
@@ -70,6 +69,9 @@ const (
 	// minResponseLen is the smallest valid response length field: the
 	// 8-byte ID plus the status byte.
 	minResponseLen = 8 + 1
+	// respHeaderSize is the fixed prefix of a response message
+	// (u32 len + u64 id + u8 status).
+	respHeaderSize = 4 + minResponseLen
 )
 
 // MaxMessageBytes bounds a message's length field (the bytes after it) on

@@ -147,31 +147,6 @@ func TestThreeEncodingsIdenticalSamples(t *testing.T) {
 	ctx := context.Background()
 	const seed = 99
 
-	type sampler interface {
-		InsertKeys(ctx context.Context, dataset string, keys []float64) (int, error)
-		InsertItems(ctx context.Context, dataset string, items []server.Item) (int, error)
-		Sample(ctx context.Context, dataset string, lo, hi float64, t int) ([]float64, error)
-	}
-	drive := func(encoding string, cl sampler) [][]float64 {
-		var out [][]float64
-		for _, ds := range []string{"u", "w"} {
-			if n, err := cl.InsertKeys(ctx, ds, []float64{1e4, 1e4 + 1}); err != nil || n != 2 {
-				t.Fatalf("insert keys (%s): %d, %v", encoding, n, err)
-			}
-			if n, err := cl.InsertItems(ctx, ds, []server.Item{{Key: 2e4, Weight: 3.5}}); err != nil || n != 1 {
-				t.Fatalf("insert items (%s): %d, %v", encoding, n, err)
-			}
-			for i := 0; i < 20; i++ {
-				samples, err := cl.Sample(ctx, ds, 0, 3e4, 7+i)
-				if err != nil {
-					t.Fatalf("sample (%s): %v", encoding, err)
-				}
-				out = append(out, samples)
-			}
-		}
-		return out
-	}
-
 	run := func(encoding string) [][]float64 {
 		s := newBackend(t, server.Config{Flushers: 1}, 1000, seed)
 		defer s.Close()
@@ -181,13 +156,15 @@ func TestThreeEncodingsIdenticalSamples(t *testing.T) {
 			defer stopTCP()
 			cl := irsnet.NewClient(addr, irsnet.Options{Conns: 1})
 			defer cl.Close()
-			return drive(encoding, cl)
+			return driveSamples(t, ctx, encoding, cl)
+		case "binary":
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			return driveSamples(t, ctx, encoding, server.NewBinaryClient(ts.URL))
 		default:
 			ts := httptest.NewServer(s)
 			defer ts.Close()
-			cl := server.NewClient(ts.URL)
-			cl.Binary = encoding == "binary"
-			return drive(encoding, cl)
+			return driveSamples(t, ctx, encoding, server.NewClient(ts.URL))
 		}
 	}
 
@@ -208,6 +185,36 @@ func TestThreeEncodingsIdenticalSamples(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sampler is the part of client.Conn the fixed-seed sample rows drive.
+type sampler interface {
+	InsertKeys(ctx context.Context, dataset string, keys []float64) (int, error)
+	InsertItems(ctx context.Context, dataset string, items []server.Item) (int, error)
+	Sample(ctx context.Context, dataset string, lo, hi float64, t int) ([]float64, error)
+}
+
+// driveSamples runs the fixed-seed sample rows: an insert of keys and one
+// of items into each dataset, then 20 samples of growing t from each.
+func driveSamples(t *testing.T, ctx context.Context, encoding string, cl sampler) [][]float64 {
+	t.Helper()
+	var out [][]float64
+	for _, ds := range []string{"u", "w"} {
+		if n, err := cl.InsertKeys(ctx, ds, []float64{1e4, 1e4 + 1}); err != nil || n != 2 {
+			t.Fatalf("insert keys (%s): %d, %v", encoding, n, err)
+		}
+		if n, err := cl.InsertItems(ctx, ds, []server.Item{{Key: 2e4, Weight: 3.5}}); err != nil || n != 1 {
+			t.Fatalf("insert items (%s): %d, %v", encoding, n, err)
+		}
+		for i := 0; i < 20; i++ {
+			samples, err := cl.Sample(ctx, ds, 0, 3e4, 7+i)
+			if err != nil {
+				t.Fatalf("sample (%s): %v", encoding, err)
+			}
+			out = append(out, samples)
+		}
+	}
+	return out
 }
 
 // TestTCPErrorPaths mirrors the HTTP/binary error-path suite over the
@@ -271,8 +278,8 @@ func (c coreConn) RangeStats(_ context.Context, ds string, lo, hi float64) (int,
 
 // TestNaNRejected: NaN has no place in the key order, so a NaN key or
 // bound is refused with ErrInvalidRange before it can reach a structure —
-// through the core and through both transports whose frames carry raw
-// float64s (JSON cannot spell NaN). The datasets are left untouched, and
+// through the core and through both carriers of the frames, which carry
+// raw float64s (JSON cannot spell NaN). The datasets are left untouched, and
 // the neighbouring legal values — infinite bounds, both zeros as keys —
 // are still served.
 func TestNaNRejected(t *testing.T) {
@@ -306,7 +313,7 @@ func TestNaNRejected(t *testing.T) {
 
 		cases := []struct {
 			name string
-			raw  bool // carried as raw float64 only on irsnet and in process
+			raw  bool // carried as raw float64 only by the frames and in process
 			do   func() error
 		}{
 			{"sample lo", false, func() error { _, err := cl.Sample(ctx, "u", nan, 10, 1); return err }},
@@ -382,10 +389,7 @@ func TestNaNRejected(t *testing.T) {
 		defer s.Close()
 		ts := httptest.NewServer(s)
 		defer ts.Close()
-		cl := server.NewClient(ts.URL)
-		cl.Binary = true
-		// /delete and /update are JSON on this transport, and JSON has no NaN.
-		check(t, cl, false)
+		check(t, server.NewBinaryClient(ts.URL), true)
 	})
 	t.Run("irsnet", func(t *testing.T) {
 		cl, _, stop := newTCPDaemon(t, server.Config{}, 1000, 11, irsnet.Options{})
@@ -670,11 +674,12 @@ func (c muteConn) Write([]byte) (int, error) {
 	return 0, net.ErrClosed
 }
 
-// TestRetryAfterWriteOnlyWhenReadOnly pins which requests roundTrip may
-// ask again once their bytes have left: a connection that swallows one
-// request and closes costs a Sample, a SampleStatsAppend, a RangeStats and
-// a Stats nothing but a re-dial, while an insert — which the server did execute — surfaces a
-// transport error and is stored exactly once, never re-sent.
+// TestRetryAfterWriteOnlyWhenReadOnly pins, for every frame kind, whether
+// the client may ask again once the request's bytes have left: a
+// connection that swallows one request and closes costs a Sample, a
+// SampleStatsAppend, a RangeStats and a Stats nothing but a re-dial, while
+// an insert, a delete or an update — which the server did execute —
+// surfaces a transport error and is applied exactly once, never re-sent.
 func TestRetryAfterWriteOnlyWhenReadOnly(t *testing.T) {
 	s := newBackend(t, server.Config{}, 1000, 11)
 	defer s.Close()
@@ -739,16 +744,45 @@ func TestRetryAfterWriteOnlyWhenReadOnly(t *testing.T) {
 		cl.Close()
 	}
 
+	// Each mutation runs on a key whose state before and after tells how
+	// many times it was applied: the server answers only after applying,
+	// and the connection died on that answer.
 	const key = 5000.5 // stored nowhere yet
-	cl := dial()
-	defer cl.Close()
-	if n, err := cl.InsertKeys(ctx, "u", []float64{key}); !isTransportErr(err) {
-		t.Fatalf("insert over a connection that died after the write: n = %d, err = %v, want a transport error", n, err)
-	}
-	// The server answers an insert only after applying it, and the
-	// connection died on that answer: the key is in, and it is in once.
-	if n, _, err := cl.RangeStats(ctx, "u", key, key); err != nil || n != 1 {
-		t.Fatalf("key stored %d times (err %v), want exactly once", n, err)
+	plain := irsnet.NewClient(inner.Addr().String(), irsnet.Options{Conns: 1})
+	defer plain.Close()
+	for _, m := range []struct {
+		name   string
+		ds     string
+		setup  []server.Item
+		mutate func(*irsnet.Client) (int, error)
+		count  int     // the key's occurrences after one application
+		mass   float64 // and their sampling mass
+	}{
+		{"insert", "u", nil, func(cl *irsnet.Client) (int, error) {
+			return cl.InsertKeys(ctx, "u", []float64{key})
+		}, 1, 1},
+		{"delete", "u", []server.Item{{Key: key + 1, Weight: 1}, {Key: key + 1, Weight: 1}}, func(cl *irsnet.Client) (int, error) {
+			return cl.Delete(ctx, "u", []float64{key + 1})
+		}, 1, 1},
+		{"update", "w", []server.Item{{Key: key, Weight: 1}}, func(cl *irsnet.Client) (int, error) {
+			return cl.Update(ctx, "w", []server.Item{{Key: key, Weight: 7}})
+		}, 1, 7},
+	} {
+		k := key
+		if m.setup != nil {
+			if _, err := plain.InsertItems(ctx, m.ds, m.setup); err != nil {
+				t.Fatal(err)
+			}
+			k = m.setup[0].Key
+		}
+		cl := dial()
+		if n, err := m.mutate(cl); !isTransportErr(err) {
+			t.Fatalf("%s over a connection that died after the write: n = %d, err = %v, want a transport error", m.name, n, err)
+		}
+		if n, mass, err := cl.RangeStats(ctx, m.ds, k, k); err != nil || n != m.count || mass != m.mass {
+			t.Fatalf("%s: key %v left at (%d, %v) (err %v), want (%d, %v): applied exactly once", m.name, k, n, mass, err, m.count, m.mass)
+		}
+		cl.Close()
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -16,19 +14,17 @@ import (
 	"github.com/irsgo/irs/server"
 )
 
-// Server serves the irsnet protocol over raw TCP connections, submitting
-// every decoded request asynchronously into the same coalescing core the
-// HTTP layer wraps. Per connection it runs exactly two goroutines: a
-// reader that decodes messages and submits them (never waiting for a
-// flush, so pipelined requests behind a slow batch are not stalled), and
-// a writer that drains an eventbox queue of encoded responses, batching
-// them into large writes. The steady-state per-request path allocates
-// nothing: message scratch, result buffers, and the Reply callbacks
-// delivering flush results are all pooled, and dataset names are interned
-// off the request frames.
+// Server carries the frame protocol over raw TCP connections: it unwraps
+// each message's envelope and hands the frame to the serving layer's one
+// dispatcher (server.Server.ServeFrame), which never waits for a flush.
+// Per connection it runs exactly two goroutines: a reader that unwraps
+// messages and dispatches them (so pipelined requests behind a slow batch
+// are not stalled), and a writer that drains an eventbox queue of
+// enveloped responses, batching them into large writes. The steady-state
+// per-request path allocates nothing: message scratch, response buffers,
+// and the replies wrapping each answer in its envelope are all pooled.
 type Server struct {
 	backend *server.Server
-	names   internTable
 	inst    instruments
 
 	mu     sync.Mutex
@@ -71,9 +67,7 @@ const readBufferSize = 32 << 10
 
 // NewServer returns a Server answering requests from backend's datasets.
 func NewServer(backend *server.Server) *Server {
-	s := &Server{backend: backend, conns: make(map[*conn]struct{})}
-	s.names.m = make(map[string]string)
-	return s
+	return &Server{backend: backend, conns: make(map[*conn]struct{})}
 }
 
 // Serve accepts connections on l until Shutdown (returning nil) or an
@@ -166,7 +160,7 @@ type conn struct {
 	srv      *Server
 	nc       net.Conn
 	q        *writeQueue
-	inflight sync.WaitGroup // requests submitted but not yet delivered
+	inflight sync.WaitGroup // requests dispatched but not yet answered
 	readBuf  []byte         // frame scratch, reused across requests
 }
 
@@ -188,7 +182,7 @@ func (c *conn) handle() {
 // outsized insert does not pin megabytes per connection for its lifetime.
 const maxRetainedRead = 1 << 20
 
-// readLoop decodes messages and dispatches them until the connection
+// readLoop unwraps messages and dispatches them until the connection
 // fails, closes, or a malformed envelope desynchronizes the stream.
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, readBufferSize)
@@ -217,179 +211,55 @@ func (c *conn) readLoop() {
 	}
 }
 
-// dispatch decodes one request frame and submits it. Everything the
-// request needs afterwards — the interned dataset name, the query bounds,
-// the copied insert items — survives the frame buffer, so the reader can
-// reuse it for the next message immediately; the submitted work answers
-// through a pooled Reply that encodes and enqueues the response from the
-// delivering flusher goroutine.
+// dispatch hands one request frame to the dispatcher. The response buffer
+// starts with the response envelope, its length patched on delivery; the
+// frame buffer is free for the next message as soon as ServeFrame returns.
 func (c *conn) dispatch(id uint64, frame []byte) {
-	switch frame[0] {
-	case wire.FrameSample, wire.FrameSampleStats:
-		raw, err := wire.DecodeSampleRequestRaw(frame)
-		if err != nil {
-			c.sendErr(id, err)
-			return
-		}
-		name := c.srv.names.intern(raw.Name)
-		p := samplePool.Get().(*pendingSample)
-		dst := wire.GetF64()
-		p.c, p.id, p.dst, p.withStats = c, id, dst, raw.Stats
-		p.start = time.Now()
-		var stats *server.SampleStats
-		if raw.Stats {
-			stats = &p.stats // pooled with p: no allocation per request
-		}
-		c.inflight.Add(1)
-		c.srv.inst.inflight.Add(1)
-		if err := c.srv.backend.SampleAsync(name, (*dst)[:0], raw.Lo, raw.Hi, raw.T, stats, p); err != nil {
-			c.inflight.Done()
-			c.srv.inst.inflight.Add(-1)
-			p.c, p.dst = nil, nil
-			samplePool.Put(p)
-			wire.PutF64(dst)
-			c.sendErr(id, err)
-		}
-	case wire.FrameInsert:
-		items := wire.GetItems()
-		rawName, all, err := wire.DecodeInsertRequestItems(frame, (*items)[:0])
-		*items = all
-		if err != nil {
-			wire.PutItems(items)
-			c.sendErr(id, err)
-			return
-		}
-		name := c.srv.names.intern(rawName)
-		p := insertPool.Get().(*pendingInsert)
-		p.c, p.id, p.items = c, id, items
-		p.start = time.Now()
-		c.inflight.Add(1)
-		c.srv.inst.inflight.Add(1)
-		if err := c.srv.backend.InsertAsync(name, all, p); err != nil {
-			c.inflight.Done()
-			c.srv.inst.inflight.Add(-1)
-			p.c, p.items = nil, nil
-			insertPool.Put(p)
-			wire.PutItems(items)
-			c.sendErr(id, err)
-		}
-	// The cold-path frames (delete, update, stats, rangestats) each run on
-	// their own goroutine against the backend's synchronous methods: they
-	// are rare (operational tooling, router probes), so a goroutine per
-	// request is the right trade against threading four more shapes through
-	// the async core — and the reader still never parks behind one.
-	case wire.FrameDelete:
-		keys := wire.GetF64()
-		rawName, ks, err := wire.DecodeDeleteRequest(frame, (*keys)[:0])
-		*keys = ks
-		if err != nil {
-			wire.PutF64(keys)
-			c.sendErr(id, err)
-			return
-		}
-		name := c.srv.names.intern(rawName)
-		c.startCold(id, func(b []byte) ([]byte, error) {
-			n, err := c.srv.backend.Delete(name, *keys)
-			wire.PutF64(keys)
-			if err != nil {
-				return b, err
-			}
-			return wire.EncodeDeleteResponse(b, n), nil
-		})
-	case wire.FrameUpdate:
-		items := wire.GetItems()
-		rawName, its, err := wire.DecodeUpdateRequest(frame, (*items)[:0])
-		*items = its
-		if err != nil {
-			wire.PutItems(items)
-			c.sendErr(id, err)
-			return
-		}
-		name := c.srv.names.intern(rawName)
-		c.startCold(id, func(b []byte) ([]byte, error) {
-			n, err := c.srv.backend.Update(name, *items)
-			wire.PutItems(items)
-			if err != nil {
-				return b, err
-			}
-			return wire.EncodeUpdateResponse(b, n), nil
-		})
-	case wire.FrameStats:
-		if err := wire.DecodeStatsRequest(frame); err != nil {
-			c.sendErr(id, err)
-			return
-		}
-		c.startCold(id, func(b []byte) ([]byte, error) {
-			doc, err := json.Marshal(c.srv.backend.Stats())
-			if err != nil {
-				return b, err
-			}
-			return append(b, doc...), nil
-		})
-	case wire.FrameRangeStats:
-		rawName, lo, hi, err := wire.DecodeRangeStatsRequest(frame)
-		if err != nil {
-			c.sendErr(id, err)
-			return
-		}
-		name := c.srv.names.intern(rawName)
-		c.startCold(id, func(b []byte) ([]byte, error) {
-			n, mass, err := c.srv.backend.RangeStats(name, lo, hi)
-			if err != nil {
-				return b, err
-			}
-			return wire.EncodeRangeStatsResponse(b, n, mass), nil
-		})
-	default:
-		c.sendErr(id, fmt.Errorf("%w: unknown frame kind 0x%02x", wire.ErrFrame, frame[0]))
-	}
-}
-
-// startCold answers one cold-path request on its own goroutine. run
-// appends the success payload to b (the prepared response envelope) and is
-// responsible for recycling any pooled buffers it captured; on error the
-// envelope is discarded and the error response takes its place.
-func (c *conn) startCold(id uint64, run func(b []byte) ([]byte, error)) {
+	p := replyPool.Get().(*reply)
+	p.c, p.id, p.start = c, id, time.Now()
+	out := wire.GetBuf()
+	*out = appendRespHeader((*out)[:0], id, statusOK)
 	c.inflight.Add(1)
 	c.srv.inst.inflight.Add(1)
-	go func() {
-		defer c.inflight.Done()
-		start := time.Now()
-		buf := wire.GetBuf()
-		b := (*buf)[:0]
-		b = wire.AppendU32(b, 0) // length, patched below
-		b = wire.AppendU64(b, id)
-		b = append(b, statusOK)
-		b, err := run(b)
-		if err != nil {
-			wire.PutBuf(buf)
-			c.sendErr(id, err)
-		} else {
-			binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-4))
-			*buf = b
-			c.send(buf)
-		}
-		c.srv.inst.reqSeconds.Observe(time.Since(start))
-		c.srv.inst.inflight.Add(-1)
-	}()
+	c.srv.backend.ServeFrame(frame, out, p)
 }
 
-// sendErr encodes and enqueues one error response. Errors are off the hot
-// path; this path may allocate (the message string).
-func (c *conn) sendErr(id uint64, err error) {
-	code, status := wire.ErrCode(err)
-	msg := err.Error()
-	if len(msg) > 1<<15 {
-		msg = msg[:1<<15]
-	}
-	buf := wire.GetBuf()
-	b := (*buf)[:0]
-	b = wire.AppendU32(b, uint32(minResponseLen+2+1+len(code)+2+len(msg)))
+// appendRespHeader appends a response envelope with its length to patch.
+func appendRespHeader(b []byte, id uint64, status byte) []byte {
+	b = wire.AppendU32(b, 0)
 	b = wire.AppendU64(b, id)
-	b = append(b, statusErr)
-	b = wire.EncodeError(b, code, status, msg)
-	*buf = b
-	c.send(buf)
+	return append(b, status)
+}
+
+// reply is one dispatched request's server.FrameReply: a pooled pointer
+// (boxing into the interface without allocating) that finishes the
+// envelope — or replaces it with the error envelope — and enqueues it.
+type reply struct {
+	c     *conn
+	id    uint64
+	start time.Time // dispatch time, for the request-latency histogram
+}
+
+var replyPool = sync.Pool{New: func() any { return new(reply) }}
+
+// Deliver implements server.FrameReply; it runs on whichever goroutine
+// answered and must only encode and enqueue.
+func (p *reply) Deliver(out *[]byte, err error) {
+	c := p.c
+	b := *out
+	if err != nil {
+		// Errors are off the hot path; this may allocate (the message).
+		code, status := wire.ErrCode(err)
+		b = wire.EncodeError(appendRespHeader(b[:0], p.id, statusErr), code, status, err.Error())
+	}
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-4))
+	*out = b
+	c.send(out)
+	c.srv.inst.reqSeconds.Observe(time.Since(p.start))
+	c.srv.inst.inflight.Add(-1)
+	*p = reply{}
+	replyPool.Put(p)
+	c.inflight.Done()
 }
 
 // send hands buf to the writer; ownership transfers on success. After the
@@ -457,117 +327,4 @@ func (c *conn) writeLoop(done chan struct{}) {
 		}
 		spare = batch
 	}
-}
-
-// pendingSample is one in-flight sample request's Reply: a pooled pointer
-// (boxing into the Reply interface without allocating) that encodes the
-// response envelope around the delivered samples and enqueues it. It owns
-// the SampleStats a sample-with-stats request is answered into, so that
-// kind allocates no more than a plain sample.
-type pendingSample struct {
-	c         *conn
-	id        uint64
-	dst       *[]float64 // pooled result buffer the core appends into
-	start     time.Time  // dispatch time, for the request-latency histogram
-	stats     server.SampleStats
-	withStats bool // kind 0x07: the response leads with stats
-}
-
-var samplePool = sync.Pool{New: func() any { return new(pendingSample) }}
-
-// Deliver implements server.SampleReply; it runs on a core flusher
-// goroutine and must only encode and enqueue.
-func (p *pendingSample) Deliver(v []float64, err error) {
-	c, id := p.c, p.id
-	if err != nil {
-		c.sendErr(id, err)
-	} else {
-		buf := wire.GetBuf()
-		b := (*buf)[:0]
-		b = wire.AppendU32(b, 0) // length, patched below
-		b = wire.AppendU64(b, id)
-		b = append(b, statusOK)
-		if p.withStats {
-			b = wire.EncodeSampleStatsResponse(b, p.stats.N, p.stats.Mass, v)
-		} else {
-			b = wire.EncodeSampleResponse(b, v)
-		}
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-4))
-		*buf = b
-		c.send(buf)
-		*p.dst = v[:0] // keep the buffer's growth pooled
-	}
-	c.srv.inst.reqSeconds.Observe(time.Since(p.start))
-	c.srv.inst.inflight.Add(-1)
-	wire.PutF64(p.dst)
-	p.c, p.dst, p.stats = nil, nil, server.SampleStats{}
-	samplePool.Put(p)
-	c.inflight.Done()
-}
-
-// pendingInsert is pendingSample's insert counterpart; it also owns the
-// pooled decoded-items buffer until delivery (the core requires the items
-// unmutated until then).
-type pendingInsert struct {
-	c     *conn
-	id    uint64
-	items *[]wire.Item
-	start time.Time // dispatch time, for the request-latency histogram
-}
-
-var insertPool = sync.Pool{New: func() any { return new(pendingInsert) }}
-
-// Deliver implements server.InsertReply.
-func (p *pendingInsert) Deliver(n int, err error) {
-	c, id := p.c, p.id
-	if err != nil {
-		c.sendErr(id, err)
-	} else {
-		buf := wire.GetBuf()
-		b := (*buf)[:0]
-		b = wire.AppendU32(b, uint32(minResponseLen+4))
-		b = wire.AppendU64(b, id)
-		b = append(b, statusOK)
-		b = wire.EncodeInsertResponse(b, n)
-		*buf = b
-		c.send(buf)
-	}
-	c.srv.inst.reqSeconds.Observe(time.Since(p.start))
-	c.srv.inst.inflight.Add(-1)
-	wire.PutItems(p.items)
-	p.c, p.items = nil, nil
-	insertPool.Put(p)
-	c.inflight.Done()
-}
-
-// internTable interns dataset names decoded off request frames, so the
-// steady-state path hands the core an existing string instead of
-// allocating one per request (map lookup by []byte compiles to no
-// allocation). It is bounded: a hostile stream of unique names falls back
-// to plain allocation instead of growing the table forever.
-type internTable struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-const maxInterned = 1024
-
-func (t *internTable) intern(b []byte) string {
-	t.mu.RLock()
-	s, ok := t.m[string(b)]
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.m[string(b)]; ok {
-		return s
-	}
-	if len(t.m) >= maxInterned {
-		return string(b)
-	}
-	s = string(b)
-	t.m[s] = s
-	return s
 }

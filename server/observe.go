@@ -152,16 +152,6 @@ func (s *Server) serverInfo() ServerInfo {
 	}
 }
 
-// observeRequest times one HTTP data-endpoint request into the
-// per-encoding histogram.
-func (s *Server) observeRequest(binary bool, d time.Duration) {
-	if binary {
-		s.obs.reqBinary.Observe(d)
-	} else {
-		s.obs.reqJSON.Observe(d)
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Liveness: the process is up and serving HTTP. Always 200 — a
 	// draining daemon is still alive and must not be restarted.

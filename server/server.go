@@ -27,12 +27,13 @@
 // coalesced requests — verified through the full HTTP stack by this
 // package's chi-square and independence suites.
 //
-// The two hot endpoints, /sample and /insert, additionally speak a compact
-// binary format negotiated per request via Content-Type:
-// application/x-irs-bin (see binary.go for the frame layout); the typed
-// client opts in with Client.Binary. Both encodings return bit-identical
-// sample streams for a fixed daemon seed and request sequence, and errors
-// keep the JSON envelope either way.
+// Every data endpoint (/sample, /insert, /delete, /update, /rangestats,
+// and POST /stats) also accepts the binary frames of internal/wire, of any
+// kind, negotiated per request via Content-Type: application/x-irs-bin;
+// they go to the same dispatcher the TCP transport uses (ServeFrame, see
+// frame.go), and FrameClient is their typed client. Both encodings return
+// bit-identical sample streams for a fixed daemon seed and request
+// sequence, and errors keep the JSON envelope either way.
 package server
 
 import (
@@ -95,8 +96,8 @@ var ErrProxy = errors.New("server: proxy servers cannot register datasets")
 const maxBodyBytes = 8 << 20
 
 // Backend is the request-serving surface the transport layers (this
-// package's HTTP handlers and server/irsnet's TCP dispatch) are written
-// against. The local serving core (*internal/server.Core[float64])
+// package's HTTP handlers and its frame dispatcher, which server/irsnet
+// carries) are written against. The local serving core (*internal/server.Core[float64])
 // satisfies it directly; a cluster router (internal/cluster.Router)
 // satisfies it by fanning requests out to the nodes owning each key range.
 // Everything transport-specific — encodings, wire codes, probes, pooled
@@ -110,8 +111,8 @@ const maxBodyBytes = 8 << 20
 // synchronously and done never runs; on a nil return done.Deliver runs
 // exactly once with the samples appended to dst, or the stored count, or
 // the error (an empty insert is answered inline); and Close drains, so
-// every accepted request is still answered. irsnet's reader hands in a
-// Reply that encodes the response; the HTTP handlers, which want the
+// every accepted request is still answered. The frame dispatcher hands in
+// a Reply that encodes the response; the JSON handlers, which want the
 // answer as a return value, wait on the same call through srv.Blocking.
 // A sample's non-nil stats asks for the range's in-range (count, mass) as
 // well, read under the same locks as the samples and filled before done
@@ -133,6 +134,23 @@ type Backend interface {
 	Close() error
 }
 
+// SampleReply and InsertReply receive the answers of the Backend's two
+// asynchronous operations, under the contract stated at Backend. Deliver
+// runs on a serving-core flusher goroutine and must not block for long — it
+// is inside the flush loop that answers every other coalesced request in
+// the batch. Implementations meant for hot paths should be pooled
+// pointer-structs: a pointer already on the heap boxes into the interface
+// without allocating.
+type (
+	SampleReply = srv.Reply[[]float64]
+	InsertReply = srv.Reply[int]
+)
+
+// SampleStats is the in-range (count, mass) a sample request may ask for
+// alongside its samples, read under the same locks as the draws; see
+// Backend.
+type SampleStats = srv.SampleStats
+
 // Server is the HTTP serving layer: register datasets (or front a Backend
 // via NewProxy), then serve it like any http.Handler. Safe for concurrent
 // use once serving has started; AddUnweighted/AddWeighted are intended for
@@ -143,10 +161,12 @@ type Server struct {
 	mux     *http.ServeMux
 	obs     observe
 	adm     admin
+	names   internTable // dataset names decoded off frames
 
 	// The HTTP handlers answer in their own goroutine, so they wait here.
 	sampleWait srv.Blocking[[]float64]
 	insertWait srv.Blocking[int]
+	frameWait  srv.Blocking[*[]byte]
 }
 
 // New returns a Server with no datasets.
@@ -161,7 +181,7 @@ func New(cfg Config) *Server {
 // instead of a local core — the seam cmd/irsrouter fronts the cluster
 // router through. Dataset registration (Add*, AddDurable*) is rejected
 // with ErrProxy; everything else, including the TCP transport wrapper
-// (server/irsnet.New), works unchanged.
+// (server/irsnet.NewServer), works unchanged.
 func NewProxy(backend Backend) *Server {
 	return newServer(backend)
 }
@@ -221,24 +241,6 @@ func (s *Server) Snapshot(name string) (SnapshotInfo, error) {
 	return s.backend.Snapshot(name)
 }
 
-// Delete removes one occurrence of each key from the named dataset — the
-// in-process form of /delete, used by the TCP transport's delete frame.
-func (s *Server) Delete(dataset string, keys []float64) (int, error) {
-	return s.backend.Delete(dataset, keys)
-}
-
-// Update sets the weight of one occurrence of each item's key on a
-// weighted dataset — the in-process form of /update.
-func (s *Server) Update(dataset string, items []Item) (int, error) {
-	return s.backend.Update(dataset, items)
-}
-
-// RangeStats returns the in-range key count and sampling mass of [lo, hi]
-// — the in-process form of /rangestats.
-func (s *Server) RangeStats(dataset string, lo, hi float64) (int, float64, error) {
-	return s.backend.RangeStats(dataset, lo, hi)
-}
-
 // Stats returns the serving snapshot of every dataset with the process
 // identity block filled in — the in-process form of GET /stats.
 func (s *Server) Stats() Stats {
@@ -247,7 +249,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// sample and insert are the HTTP handlers' blocking view of the backend's
+// sample and insert are the JSON handlers' blocking view of the backend's
 // two asynchronous operations.
 func (s *Server) sample(dataset string, dst []float64, lo, hi float64, t int, stats *SampleStats) ([]float64, error) {
 	return s.sampleWait.Do(func(done SampleReply) error {
@@ -261,16 +263,23 @@ func (s *Server) insert(dataset string, items []Item) (int, error) {
 	})
 }
 
-// ServeHTTP implements http.Handler. The four data endpoints are timed
-// into the per-encoding request-latency histograms; infrastructure
-// endpoints (/stats, /metrics, probes, /snapshot — which has its own
-// duration histogram) are not, so scrapes never skew request latency.
+// ServeHTTP implements http.Handler. Binary frames (on any data endpoint)
+// and the four JSON data endpoints are timed into the per-encoding
+// request-latency histograms; infrastructure endpoints (/stats, /metrics,
+// probes, /snapshot — which has its own duration histogram) are not, so
+// scrapes never skew request latency.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && isBinary(r) && isFramePath(r.URL.Path) {
+		start := time.Now()
+		s.handleFrame(w, r)
+		s.obs.reqBinary.Observe(time.Since(start))
+		return
+	}
 	switch r.URL.Path {
 	case "/sample", "/insert", "/delete", "/update":
 		start := time.Now()
 		s.mux.ServeHTTP(w, r)
-		s.observeRequest(isBinary(r), time.Since(start))
+		s.obs.reqJSON.Observe(time.Since(start))
 	case "/rangestats", "/snapshot", "/stats", "/metrics", "/healthz", "/readyz", "/datasets":
 		s.mux.ServeHTTP(w, r)
 	default:
@@ -303,111 +312,39 @@ func isBinary(r *http.Request) bool {
 	return ct == ContentTypeBinary || strings.HasPrefix(ct, ContentTypeBinary+";")
 }
 
-// readFrame reads the whole (bounded) body into the pooled buffer,
-// answering the error itself on wrong method or unreadable body.
-func readFrame(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return nil, false
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	b := *buf
+// handleFrame is the HTTP carrier of the frame protocol: the body is one
+// request frame, handed to ServeFrame and waited on; the response body is
+// the response frame, with no envelope around it, and errors answer in the
+// JSON envelope.
+func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
+	in := wire.GetBuf()
+	defer wire.PutBuf(in)
+	b := *in
 	if n := r.ContentLength; n > 0 && n <= maxBodyBytes && int64(cap(b)) < n {
 		b = make([]byte, 0, n)
 	}
-	b, err := wire.ReadAllInto(body, b)
-	*buf = b
+	b, err := wire.ReadAllInto(http.MaxBytesReader(w, r.Body, maxBodyBytes), b)
+	*in = b
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
-		return nil, false
+		return
 	}
-	return b, true
-}
-
-// writeFrame sends a binary response frame.
-func writeFrame(w http.ResponseWriter, frame []byte) {
+	out, err := s.frameWait.Do(func(done FrameReply) error {
+		s.ServeFrame(b, wire.GetBuf(), done)
+		return nil
+	})
+	defer wire.PutBuf(out)
+	if err != nil {
+		writeCoreError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(*out)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
-}
-
-// handleSampleBinary is the hot-path form of /sample: pooled body buffer,
-// pooled float64 result buffer appended to by the zero-alloc core, and the
-// response frame encoded over the request's own (already decoded) buffer.
-// A sample-with-stats frame (kind 0x07) runs the same path and leads its
-// response with the range's (count, mass).
-func (s *Server) handleSampleBinary(w http.ResponseWriter, r *http.Request) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	body, ok := readFrame(w, r, buf)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeSampleRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	var stats *SampleStats // the backend keeps it until delivery: heap, so only when asked
-	if req.Stats {
-		stats = new(SampleStats)
-	}
-	dst := wire.GetF64()
-	defer wire.PutF64(dst)
-	samples, err := s.sample(req.Dataset, (*dst)[:0], req.Lo, req.Hi, req.T, stats)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	*dst = samples[:0] // keep any growth for the next request
-	// The request frame is fully decoded, so its buffer doubles as the
-	// response frame; the (usually larger) grown buffer stays pooled.
-	var frame []byte
-	if stats != nil {
-		frame = wire.EncodeSampleStatsResponse(body[:0], stats.N, stats.Mass, samples)
-	} else {
-		frame = wire.EncodeSampleResponse(body[:0], samples)
-	}
-	*buf = frame[:0]
-	writeFrame(w, frame)
-}
-
-// handleInsertBinary is the binary form of /insert: pooled buffers for the
-// body, the decoded keys/items, and the response frame.
-func (s *Server) handleInsertBinary(w http.ResponseWriter, r *http.Request) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	body, ok := readFrame(w, r, buf)
-	if !ok {
-		return
-	}
-	// Keys decode ahead of items as unit-weight entries of one combined
-	// slice — the JSON handler's apply order — so a mixed frame inserts
-	// identically over every transport.
-	items := wire.GetItems()
-	defer wire.PutItems(items)
-	name, all, err := wire.DecodeInsertRequestItems(body, (*items)[:0])
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	*items = all[:0]
-	n, err := s.insert(string(name), all)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	frame := wire.EncodeInsertResponse(body[:0], n)
-	*buf = frame[:0]
-	writeFrame(w, frame)
+	_, _ = w.Write(*out)
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleSampleBinary(w, r)
-		return
-	}
 	var req SampleRequest
 	name, ok := s.readNamed(w, r, &req, &req.Dataset)
 	if !ok {
@@ -422,10 +359,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleInsertBinary(w, r)
-		return
-	}
 	var req InsertRequest
 	name, ok := s.readNamed(w, r, &req, &req.Dataset)
 	if !ok {
@@ -473,32 +406,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRangeStats answers the in-range (count, mass) probe a cluster
-// router sums into its own RangeStats. Binary requests carry a rangestats
-// frame (kind 0x06) and get the binary response; JSON requests mirror the
-// other endpoints' envelope.
+// router sums into its own RangeStats.
 func (s *Server) handleRangeStats(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
-		body, ok := readFrame(w, r, buf)
-		if !ok {
-			return
-		}
-		name, lo, hi, err := wire.DecodeRangeStatsRequest(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		count, mass, err := s.backend.RangeStats(string(name), lo, hi)
-		if err != nil {
-			writeCoreError(w, err)
-			return
-		}
-		frame := wire.EncodeRangeStatsResponse(body[:0], count, mass)
-		*buf = frame[:0]
-		writeFrame(w, frame)
-		return
-	}
 	var req RangeStatsRequest
 	name, ok := s.readNamed(w, r, &req, &req.Dataset)
 	if !ok {

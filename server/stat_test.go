@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/internal/stats"
 	"github.com/irsgo/irs/server"
 )
@@ -78,6 +79,15 @@ func eachEncoding(t *testing.T, run func(t *testing.T, binary bool)) {
 	t.Run("binary", func(t *testing.T) { run(t, true) })
 }
 
+// encodingClient is the JSON client, or the binary-frame client of the
+// same daemon.
+func encodingClient(cl *server.Client, base string, binary bool) client.Conn {
+	if binary {
+		return server.NewBinaryClient(base)
+	}
+	return cl
+}
+
 // TestHTTPUniformityChiSquare: per-sample uniformity must survive the full
 // stack — wire codec, coalescing into shared SampleMany batches, concurrent
 // flushers — not just the in-process sampler. 200 distinct keys, 20k
@@ -91,11 +101,11 @@ func TestHTTPUniformityChiSquare(t *testing.T) {
 }
 
 func testHTTPUniformityChiSquare(t *testing.T, binary bool) {
-	_, cl, _, stop := newTestDaemon(t, server.Config{
+	_, jsonCl, base, stop := newTestDaemon(t, server.Config{
 		CoalesceWindow: 500 * time.Microsecond,
 	}, 200)
 	defer stop()
-	cl.Binary = binary
+	cl := encodingClient(jsonCl, base, binary)
 	ctx := context.Background()
 
 	const clients, reqs, tPer = 20, 100, 10
@@ -153,11 +163,11 @@ func TestHTTPWeightedProportionalChiSquare(t *testing.T) {
 }
 
 func testHTTPWeightedProportionalChiSquare(t *testing.T, binary bool) {
-	_, cl, _, stop := newTestDaemon(t, server.Config{
+	_, jsonCl, base, stop := newTestDaemon(t, server.Config{
 		CoalesceWindow: 500 * time.Microsecond,
 	}, 100)
 	defer stop()
-	cl.Binary = binary
+	cl := encodingClient(jsonCl, base, binary)
 	ctx := context.Background()
 
 	// Add a zero-weight key; it must never be sampled.
@@ -232,12 +242,12 @@ func TestHTTPIndependenceAcrossCoalescedRequests(t *testing.T) {
 }
 
 func testHTTPIndependenceAcrossCoalescedRequests(t *testing.T, binary bool) {
-	_, cl, _, stop := newTestDaemon(t, server.Config{
+	_, jsonCl, base, stop := newTestDaemon(t, server.Config{
 		CoalesceWindow: time.Millisecond,
 		MaxBatch:       8,
 	}, 10)
 	defer stop()
-	cl.Binary = binary
+	cl := encodingClient(jsonCl, base, binary)
 	ctx := context.Background()
 
 	const workers, rounds = 16, 250
