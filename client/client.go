@@ -5,7 +5,8 @@
 // (the binary frames, over HTTP or, as irsnet.Client, over irsnet). This
 // package names the shared surface as interfaces and provides Dial, so
 // code that talks to a node — the cluster router above all — depends on
-// the interface and never on a transport.
+// the interface and never on a transport. A daemon's HTTP address speaks
+// irsnet too, so one address serves every encoding.
 //
 // Every concrete client satisfies Conn (compile-time assertions below),
 // with one error contract: server-side failures arrive as *server.APIError and
@@ -101,8 +102,9 @@ var ErrUnknownEncoding = errors.New("client: unknown encoding")
 
 // Dial returns a Conn for the daemon at addr speaking the given encoding.
 // For the HTTP encodings addr may be a base URL ("http://host:port") or a
-// bare host:port (http is assumed); for tcp it must be a host:port (a
-// leading scheme is stripped). No connection is made until the first
+// bare host:port (http is assumed); for tcp it is the daemon's HTTP
+// address or its -tcp-addr, as a host:port (a leading scheme is
+// stripped). No connection is made until the first
 // request on any encoding, so Dial itself cannot observe a down node.
 func Dial(addr, encoding string) (Conn, error) {
 	switch encoding {

@@ -20,13 +20,15 @@ import (
 	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/internal/daemon"
 	"github.com/irsgo/irs/server"
+	"github.com/irsgo/irs/server/irsnet"
 )
 
 // TestReloadSwapsMapUnderLoad boots the whole router in-process from a
 // config file over three nodes, then reloads a repartitioned file while 16
 // callers sample through the proxy on all three encodings: not one request
 // may fail across the swap, the map epoch ends at 2, and the daemon drains
-// to exit 0.
+// to exit 0. The nodes serve HTTP and irsnet on one port, as irsd does, and
+// the router reaches them at its default node encoding.
 func TestReloadSwapsMapUnderLoad(t *testing.T) {
 	// Every node holds the full keyset, so any range split across any
 	// subset of them answers correctly under both topologies.
@@ -44,9 +46,15 @@ func TestReloadSwapsMapUnderLoad(t *testing.T) {
 		if err := s.AddUnweighted("d", u); err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(s)
+		ts := httptest.NewUnstartedServer(s)
+		httpL, irsnetL := daemon.Split(ts.Listener, 5*time.Second)
+		ts.Listener = httpL
+		ts.Start()
+		ns := irsnet.NewServer(s)
+		go func() { _ = ns.Serve(irsnetL) }()
 		defer s.Close()
 		defer ts.Close()
+		defer func() { _ = ns.Shutdown(context.Background()) }()
 		nodes[i] = strings.TrimPrefix(ts.URL, "http://")
 	}
 	conf := filepath.Join(t.TempDir(), "router.conf")

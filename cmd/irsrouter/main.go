@@ -13,7 +13,11 @@
 //
 // Partitions are "addr@lo:hi" specs (internal/spec grammar): contiguous
 // ascending key ranges, bounds accepting -inf/+inf. Each node must serve
-// the configured datasets over -node-encoding (json, binary, or tcp).
+// the configured datasets over -node-encoding: tcp by default — irsnet,
+// which a node's HTTP address speaks as well as its -tcp-addr — or binary
+// or json over HTTP. Upgrade nodes before routers: a node whose HTTP port
+// does not speak irsnet yet fails the default leg's calls, and
+// -node-encoding binary bridges the gap.
 //
 // With -config the topology (partition lines and dataset lines, same
 // grammar) comes from a config file instead of -partitions/-datasets, and
@@ -52,7 +56,7 @@ func app() daemon.App {
 	var (
 		partitions = fs.String("partitions", "", "comma-separated addr@lo:hi partition specs, contiguous and ascending (required unless -config)")
 		datasets   = fs.String("datasets", "demo", "comma-separated name[:weighted|:unweighted] specs the cluster serves")
-		encoding   = fs.String("node-encoding", "binary", "wire encoding toward the nodes: json, binary, or tcp")
+		encoding   = fs.String("node-encoding", client.EncodingTCP, "wire encoding toward the nodes: tcp (irsnet, on the node's HTTP address or its -tcp-addr), binary or json")
 		seed       = fs.Uint64("seed", 1, "seed for the cross-partition multinomial split")
 		timeout    = fs.Duration("node-timeout", 10*time.Second, "per-node request deadline (0 = none)")
 		refresh    = fs.Duration("refresh", 15*time.Second, "partition stats refresh period for /metrics gauges (0 disables)")

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	irs "github.com/irsgo/irs"
 	"github.com/irsgo/irs/client"
 	"github.com/irsgo/irs/internal/cluster"
+	"github.com/irsgo/irs/internal/daemon"
 	srv "github.com/irsgo/irs/internal/server"
 	"github.com/irsgo/irs/internal/stats"
 	"github.com/irsgo/irs/server"
@@ -28,25 +30,56 @@ import (
 // still caught, while honest sampling noise essentially never rejects.
 const statAlpha = 1e-4
 
-// testCluster is a full in-process deployment: n irsd nodes behind
-// httptest listeners, a Router over them, and that Router fronted by a
-// proxy Server behind its own httptest listener — so requests travel
-// client wire -> proxy -> router -> node wire, the same path a real
-// deployment exercises minus the TCP sockets.
+// testCluster is a full in-process deployment: n irsd nodes, a Router over
+// them, and that Router fronted by a proxy Server, each on one loopback
+// port speaking HTTP and irsnet — so requests travel client wire -> proxy
+// -> router -> node wire, the path a real deployment takes.
 type testCluster struct {
-	router *cluster.Router
-	nodes  []*server.Server
-	nodeTS []*httptest.Server
-	proxy  *httptest.Server
-	cl     client.Conn
+	router  *cluster.Router
+	nodes   []*server.Server
+	nodeTS  []*port
+	counted []*countingConn // the router's node connections
+	proxy   *port
+	cl      client.Conn
+}
+
+// port serves one Server over HTTP and irsnet on a single loopback
+// listener, told apart by daemon.Split exactly as irsd's -addr port is, so
+// a client of any encoding dials its URL.
+type port struct {
+	*httptest.Server
+	irsnet *irsnet.Server
+	served chan error
+	once   sync.Once
+}
+
+func newPort(s *server.Server) *port {
+	ts := httptest.NewUnstartedServer(s)
+	httpL, irsnetL := daemon.Split(ts.Listener, 5*time.Second)
+	ts.Listener = httpL
+	ts.Start()
+	p := &port{Server: ts, irsnet: irsnet.NewServer(s), served: make(chan error, 1)}
+	s.RegisterMetrics(p.irsnet)
+	go func() { p.served <- p.irsnet.Serve(irsnetL) }()
+	return p
+}
+
+// Close stops both protocols, and with them the shared listener.
+func (p *port) Close() {
+	p.once.Do(func() {
+		p.Server.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = p.irsnet.Shutdown(ctx)
+		<-p.served
+	})
 }
 
 // startCluster boots one node per adjacent pair in bounds, each loaded
 // with the integer keys its partition owns (keys bounds[0] <= k <
 // bounds[n], weighted with weight k+1 when weighted is set), and wires
-// the whole stack with the given client encoding on both hops. For the tcp
-// encoding every node and the proxy also serve irsnet, which both hops
-// then dial; the partition map keeps naming the HTTP listeners.
+// the whole stack with the given client encoding on both hops. The
+// partition map names the nodes' ports, which every encoding dials.
 func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string, cfg server.Config) *testCluster {
 	t.Helper()
 	n := len(bounds) - 1
@@ -79,15 +112,16 @@ func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string
 				t.Fatal(err)
 			}
 		}
-		ts := httptest.NewServer(s)
-		conn, err := client.Dial(dialAddr(t, s, ts.URL, encoding), encoding)
+		ts := newPort(s)
+		conn, err := client.Dial(ts.URL, encoding)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.nodes = append(tc.nodes, s)
 		tc.nodeTS = append(tc.nodeTS, ts)
+		tc.counted = append(tc.counted, &countingConn{Conn: conn})
 		parts[i] = cluster.Partition{Addr: ts.URL, Lo: lo, Hi: hi}
-		conns[i] = conn
+		conns[i] = tc.counted[i]
 	}
 	m, err := cluster.New(parts)
 	if err != nil {
@@ -101,37 +135,13 @@ func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := server.NewProxy(tc.router)
-	tc.proxy = httptest.NewServer(proxy)
-	tc.cl, err = client.Dial(dialAddr(t, proxy, tc.proxy.URL, encoding), encoding)
+	tc.proxy = newPort(server.NewProxy(tc.router))
+	tc.cl, err = client.Dial(tc.proxy.URL, encoding)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tc.stop)
 	return tc
-}
-
-// dialAddr is where a client of the given encoding reaches s: its HTTP
-// listener, or for tcp a fresh irsnet listener stopped at cleanup.
-func dialAddr(t *testing.T, s *server.Server, httpURL, encoding string) string {
-	t.Helper()
-	if encoding != client.EncodingTCP {
-		return httpURL
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := irsnet.NewServer(s)
-	served := make(chan error, 1)
-	go func() { served <- ts.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = ts.Shutdown(ctx)
-		<-served
-	})
-	return l.Addr().String()
 }
 
 func (tc *testCluster) stop() {
@@ -142,16 +152,12 @@ func (tc *testCluster) stop() {
 	}
 }
 
+// eachEncoding runs a suite over every encoding on both hops: tcp — the
+// router's default node leg — json and binary.
 func eachEncoding(t *testing.T, run func(t *testing.T, encoding string)) {
+	t.Run("tcp", func(t *testing.T) { run(t, client.EncodingTCP) })
 	t.Run("json", func(t *testing.T) { run(t, client.EncodingJSON) })
 	t.Run("binary", func(t *testing.T) { run(t, client.EncodingBinary) })
-}
-
-// everyEncoding is eachEncoding plus the persistent TCP transport on both
-// hops.
-func everyEncoding(t *testing.T, run func(t *testing.T, encoding string)) {
-	eachEncoding(t, run)
-	t.Run("tcp", func(t *testing.T) { run(t, client.EncodingTCP) })
 }
 
 // sampleCounts draws clients x reqs requests of tPer samples over [lo, hi]
@@ -214,7 +220,7 @@ func weightProbs(n int) []float64 {
 // cluster split — node samples with their masses, multinomial over those
 // masses, scatter — across three partitions, not just within one node.
 // 300 keys over 3 nodes, 30k samples from concurrent clients, chi-square
-// against uniform, over both encodings.
+// against uniform, over every encoding.
 func TestRouterUniformityChiSquare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite skipped with -short")
@@ -386,7 +392,7 @@ func TestRouterIndependenceAcrossRequests(t *testing.T) {
 
 // newFixedNode builds one node with a deterministic dataset and sampling
 // seed for the equivalence test.
-func newFixedNode(t *testing.T) (*server.Server, *httptest.Server) {
+func newFixedNode(t *testing.T) (*server.Server, *port) {
 	t.Helper()
 	s := server.New(server.Config{Flushers: 1})
 	keys := make([]float64, 1000)
@@ -400,8 +406,7 @@ func newFixedNode(t *testing.T) (*server.Server, *httptest.Server) {
 	if err := s.AddUnweighted("d", u); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
-	return s, ts
+	return s, newPort(s)
 }
 
 // TestRouterSinglePartitionEquivalence: a router whose map holds one
@@ -431,7 +436,7 @@ func TestRouterSinglePartitionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proxy := httptest.NewServer(server.NewProxy(router))
+		proxy := newPort(server.NewProxy(router))
 		defer proxy.Close()
 		routed, err := client.Dial(proxy.URL, encoding)
 		if err != nil {
@@ -733,7 +738,7 @@ func TestRouterLargeTChiSquare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite skipped with -short")
 	}
-	everyEncoding(t, func(t *testing.T, encoding string) {
+	eachEncoding(t, func(t *testing.T, encoding string) {
 		const clients, reqs, tPer = 4, 8, 4000
 		t.Run("uniform", func(t *testing.T) {
 			tc := startCluster(t, []float64{0, 100, 200, 300}, false, encoding, server.Config{})
@@ -770,7 +775,7 @@ func TestRouterLargeTIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite skipped with -short")
 	}
-	everyEncoding(t, func(t *testing.T, encoding string) {
+	eachEncoding(t, func(t *testing.T, encoding string) {
 		tc := startCluster(t, []float64{0, 3, 6, 9}, false, encoding, server.Config{})
 		ctx := context.Background()
 		const pairs, tPer = 6, 4000
@@ -815,7 +820,7 @@ func TestRouterLargeTIndependence(t *testing.T) {
 // Router.RangeStats — spanning, single-partition, outside the map and over
 // an empty sliver, where it answers no samples instead of an error.
 func TestRouterSampleStatsMatchesRangeStats(t *testing.T) {
-	everyEncoding(t, func(t *testing.T, encoding string) {
+	eachEncoding(t, func(t *testing.T, encoding string) {
 		tc := startCluster(t, []float64{0, 100, 200, 300}, true, encoding, server.Config{})
 		ctx := context.Background()
 		for _, q := range []struct {
@@ -955,5 +960,81 @@ func TestSpanningSampleCallsPerNode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// nodeSeries sums the samples of every series named name (any labels) in
+// the /metrics exposition at base — an untimed endpoint, so scraping moves
+// no request histogram.
+func nodeSeries(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, line := range strings.Split(string(body), "\n") {
+		if line != name && !strings.HasPrefix(line, name+" ") && !strings.HasPrefix(line, name+"{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestNodeLegIsIrsnetOnHTTPPort: at the router's default encoding the node
+// leg is irsnet on each node's HTTP address. Under sampling traffic the
+// nodes' HTTP request histograms do not move, while each node's irsnet
+// request count grows by exactly the calls the router made to it: one per
+// overlapping node per request at t <= the prefetch.
+func TestNodeLegIsIrsnetOnHTTPPort(t *testing.T) {
+	tc := startCluster(t, []float64{0, 100, 200, 300}, false, client.EncodingTCP, server.Config{})
+	const httpCount, tcpCount = "irsd_http_request_duration_seconds_count", "irsd_tcp_request_duration_seconds_count"
+	httpBefore, tcpBefore, callsBefore := make([]float64, 3), make([]float64, 3), make([]int64, 3)
+	for i, ts := range tc.nodeTS {
+		httpBefore[i], tcpBefore[i], callsBefore[i] = nodeSeries(t, ts.URL, httpCount), nodeSeries(t, ts.URL, tcpCount), tc.counted[i].calls()
+	}
+	ctx := context.Background()
+	const reqs = 30
+	for r := 0; r < reqs; r++ {
+		if out, err := tc.cl.Sample(ctx, "d", 0, 299, 64); err != nil || len(out) != 64 {
+			t.Fatalf("spanning sample: %d samples, %v", len(out), err)
+		}
+		if out, err := tc.cl.Sample(ctx, "d", 10, 90, 8); err != nil || len(out) != 8 {
+			t.Fatalf("single-partition sample: %d samples, %v", len(out), err)
+		}
+	}
+	for i, ts := range tc.nodeTS {
+		calls := tc.counted[i].calls() - callsBefore[i]
+		if want := map[bool]int64{true: 2 * reqs, false: reqs}[i == 0]; calls != want {
+			t.Errorf("node %d: %d calls from the router, want %d", i, calls, want)
+		}
+		if got := nodeSeries(t, ts.URL, httpCount) - httpBefore[i]; got != 0 {
+			t.Errorf("node %d: %v HTTP data requests under sampling traffic, want 0", i, got)
+		}
+		// A request is timed just after its response is queued, so the
+		// count may trail the client by a moment.
+		eventually(t, fmt.Sprintf("node %d's irsnet request count reaches its %d calls", i, calls), func() bool {
+			return nodeSeries(t, ts.URL, tcpCount)-tcpBefore[i] == float64(calls)
+		})
+	}
+}
+
+// eventually polls cond until it holds, for up to five seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 5s", what)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package daemon is the process shell irsd and irsrouter share: the common
-// flags and their validation, the logger, both listeners, the HTTP and
+// flags and their validation, the logger, the listeners, the HTTP and
 // irsnet servers, one serve / reload / drain loop, and the exit codes. A
 // daemon supplies only what differs — its own flags, how to build its
 // backend, its reload function and its periodic jobs — as an App.
@@ -8,12 +8,16 @@
 // and a reload channel, so a test can boot, reload and drain a whole
 // daemon in-process. Main wires both to the process signals.
 //
+// The -addr port speaks both protocols: Split hands each connection to
+// net/http or to irsnet by its first four bytes, so a client of either
+// dials the one address. -tcp-addr adds a listener that speaks irsnet only.
+//
 // Wrappers, CI and benchmark/daemons.go parse stdout: the tcp and serving
-// address lines, in that order, once both listeners are bound, and the bye
+// address lines, in that order, once every listener is bound, and the bye
 // line after the drain (the three Fprintf calls in Run). Everything else
 // is slog on stderr.
 //
-// Drain order: readiness drops (/readyz answers draining), both listeners
+// Drain order: readiness drops (/readyz answers draining), the listeners
 // shut down and requests already read are answered, the periodic jobs
 // stop, then server.Server.Close drains the backend (coalescers answered,
 // WALs synced). Exit codes: 2 invalid flags, 1 boot or serve failure, 0
@@ -108,7 +112,7 @@ func (c *Common) Explicit(name string) bool { return c.explicit[name] }
 
 func (c *Common) register(fs *flag.FlagSet, addr string, configReplaces []string) {
 	fs.StringVar(&c.Addr, "addr", addr, "listen address (port 0 picks a free port)")
-	fs.StringVar(&c.TCPAddr, "tcp-addr", "", "persistent binary TCP listen address (empty disables; port 0 picks a free port)")
+	fs.StringVar(&c.TCPAddr, "tcp-addr", "", "extra listen address speaking irsnet only; -addr speaks irsnet too (empty disables; port 0 picks a free port)")
 	fs.DurationVar(&c.ReadHeaderTimeout, "read-header-timeout", 5*time.Second, "HTTP header read deadline per request (guards against slowloris connections)")
 	fs.DurationVar(&c.IdleTimeout, "idle-timeout", 2*time.Minute, "HTTP keep-alive idle connection deadline")
 	fs.StringVar(&c.LogFormat, "log-format", "text", "structured log encoding: text or json")
@@ -234,23 +238,31 @@ func Run(ctx context.Context, reload <-chan os.Signal, args []string, stdout io.
 	}
 	fmt.Fprintf(stdout, "%s: serving on http://%s\n", name, ln.Addr())
 
-	servers := []transport{&http.Server{
+	httpSrv := &http.Server{
 		Handler:           s,
 		ReadHeaderTimeout: c.ReadHeaderTimeout,
 		IdleTimeout:       c.IdleTimeout,
-	}}
-	listeners := []net.Listener{ln}
+	}
+	tcpSrv := irsnet.NewServer(s)
+	// The irsnet transport's connection and latency series join /metrics.
+	s.RegisterMetrics(tcpSrv)
+	servers := []transport{httpSrv, tcpSrv}
+	// A silent client is closed after the same deadline net/http gives a
+	// request's headers.
+	port := split(ln, c.ReadHeaderTimeout)
+	type leg struct {
+		srv transport
+		ln  net.Listener
+	}
+	legs := []leg{{httpSrv, port.http}, {tcpSrv, port.irsnet}}
 	if tln != nil {
-		tcpSrv := irsnet.NewServer(s)
-		// The TCP transport's connection and latency series join /metrics.
-		s.RegisterMetrics(tcpSrv)
-		servers, listeners = append(servers, tcpSrv), append(listeners, tln)
+		legs = append(legs, leg{tcpSrv, tln})
 	}
-	served := make(chan error, len(servers))
-	for i, srv := range servers {
-		go func() { served <- srv.Serve(listeners[i]) }()
+	served := make(chan error, len(legs))
+	for _, leg := range legs {
+		go func() { served <- leg.srv.Serve(leg.ln) }()
 	}
-	exit, serving := 0, len(servers)
+	exit, serving := 0, len(legs)
 	// noteServed records one Serve returning; anything but the answer to
 	// Shutdown is a failure.
 	noteServed := func(err error) {
@@ -308,6 +320,9 @@ serve:
 	s.SetDraining()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	// A connection accepted but not yet sniffed reaches its server before
+	// that server stops accepting, exactly as if net/http had accepted it.
+	port.drain(shutCtx)
 	for _, srv := range servers {
 		if err := srv.Shutdown(shutCtx); err != nil {
 			logger.Error("shutdown failed", "err", err)

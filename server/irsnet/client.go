@@ -22,7 +22,8 @@ type Options struct {
 	// so a small pool saturates a server — the default of 2 exists mainly
 	// so one slow TCP window does not gate everything. <= 0 means 2.
 	Conns int
-	// DialTimeout bounds each (re)connect. <= 0 means 5s.
+	// DialTimeout bounds each (re)connect, within the caller's context.
+	// <= 0 means 5s.
 	DialTimeout time.Duration
 }
 
@@ -56,11 +57,19 @@ type Client struct {
 	*server.FrameClient
 }
 
-// NewClient returns a client for the irsnet listener at addr (host:port).
-// No connection is made until the first request.
-func NewClient(addr string, opts Options) *Client {
+// NewClient returns a client for the daemon at addr (host:port): its HTTP
+// address, which speaks irsnet too, or its -tcp-addr. No connection is
+// made until the first request.
+func NewClient(addr string, opts Options) *Client { return newClient(addr, opts, nil) }
+
+// newClient is NewClient with the dial replaceable; nil dials TCP bounded
+// by opts.DialTimeout.
+func newClient(addr string, opts Options, dial func(ctx context.Context, network, addr string) (net.Conn, error)) *Client {
 	opts = opts.withDefaults()
-	return &Client{server.NewFrameClient(&carrier{addr: addr, opts: opts, slots: make([]*clientConn, opts.Conns)})}
+	if dial == nil {
+		dial = (&net.Dialer{Timeout: opts.DialTimeout}).DialContext
+	}
+	return &Client{server.NewFrameClient(&carrier{addr: addr, opts: opts, dial: dial, slots: make([]slot, opts.Conns)})}
 }
 
 // carrier is the connection pool the frame client's round trips travel
@@ -68,11 +77,19 @@ func NewClient(addr string, opts Options) *Client {
 type carrier struct {
 	addr string
 	opts Options
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	next atomic.Uint64 // round-robin slot cursor
 
 	mu     sync.Mutex
-	slots  []*clientConn // lazily dialed; nil or broken entries re-dial
+	slots  []slot
 	closed bool
+}
+
+// slot is one pool position: its connection, lazily dialed (nil or broken
+// re-dials), and while a dial is in progress a channel closed when it ends.
+type slot struct {
+	cc      *clientConn
+	dialing chan struct{}
 }
 
 // Close closes every connection; calls in flight fail with a connection
@@ -87,9 +104,9 @@ func (c *carrier) Close() error {
 	slots := c.slots
 	c.slots = nil
 	c.mu.Unlock()
-	for _, cc := range slots {
-		if cc != nil {
-			cc.fail(ErrClosed)
+	for _, s := range slots {
+		if s.cc != nil {
+			s.cc.fail(ErrClosed)
 		}
 	}
 	return nil
@@ -115,7 +132,7 @@ func (c *carrier) RoundTrip(ctx context.Context, msg []byte, readOnly bool, resp
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cc, err := c.conn()
+		cc, err := c.conn(ctx)
 		if err != nil {
 			if lastErr == nil {
 				lastErr = err
@@ -186,26 +203,56 @@ func (c *carrier) RoundTrip(ctx context.Context, msg []byte, readOnly bool, resp
 	return lastErr
 }
 
-// conn picks the next pool slot, dialing it if empty or broken.
-func (c *carrier) conn() (*clientConn, error) {
-	slot := int(c.next.Add(1)-1) % c.opts.Conns
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+// conn picks the next pool slot, dialing it if empty or broken. The dial
+// runs outside c.mu and under ctx, at most one per slot: a caller finding
+// its slot mid-dial waits for that dial or its own ctx, whichever ends
+// first, so a black-holed node costs each caller its own deadline and no
+// more.
+func (c *carrier) conn(ctx context.Context) (*clientConn, error) {
+	i := int(c.next.Add(1)-1) % c.opts.Conns
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, ErrClosed
+		}
+		s := &c.slots[i]
+		if s.cc != nil && !s.cc.isBroken() {
+			cc := s.cc
+			c.mu.Unlock()
+			return cc, nil
+		}
+		if wait := s.dialing; wait != nil {
+			c.mu.Unlock()
+			select {
+			case <-wait:
+				continue // dialed or failed: look again
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		done := make(chan struct{})
+		s.dialing = done
+		c.mu.Unlock()
+
+		nc, err := c.dial(ctx, "tcp", c.addr)
+		var cc *clientConn
+		c.mu.Lock()
+		s.dialing = nil
+		switch {
+		case err != nil:
+		case c.closed: // Close has already failed every slot's connection
+			_ = nc.Close()
+			err = ErrClosed
+		default:
+			cc = &clientConn{nc: nc, pending: make(map[uint64]*call)}
+			go cc.readLoop()
+			s.cc = cc
+		}
+		c.mu.Unlock()
+		close(done)
+		return cc, err
 	}
-	cc := c.slots[slot]
-	if cc != nil && !cc.isBroken() {
-		return cc, nil
-	}
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	cc = &clientConn{nc: nc, pending: make(map[uint64]*call)}
-	go cc.readLoop()
-	c.slots[slot] = cc
-	return cc, nil
 }
 
 // clientConn is one pooled connection: a write path serialized by wmu, a

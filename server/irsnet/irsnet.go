@@ -44,9 +44,15 @@
 // unrecoverable — the stream has lost sync — so the server drops the
 // connection.
 //
+// # One port
+//
+// The protocol has no preface: a daemon serves it on its HTTP port too,
+// telling the two apart by each connection's first four bytes (Sniff), so
+// a client dials the HTTP address or a dedicated irsnet listener alike.
+//
 // # Shutdown
 //
-// Server.Shutdown stops the listener, unblocks every connection's reader,
+// Server.Shutdown stops the listeners, unblocks every connection's reader,
 // waits for in-flight requests to be answered and written, then closes
 // the connections — the same drain contract as http.Server.Shutdown plus
 // the serving core's Close.
@@ -79,6 +85,18 @@ const (
 // megabyte-scale insert batch is the intended granularity, anything larger
 // should arrive as several requests.
 const MaxMessageBytes = 8 << 20
+
+// The sniff below relies on a request's length field never reaching 2^24;
+// this fails to compile if MaxMessageBytes ever allows it.
+const _ = uint(1<<24 - 1 - MaxMessageBytes)
+
+// Sniff reports whether a connection whose first bytes are head carries
+// irsnet rather than HTTP, so one listener can serve both. Every valid
+// request message opens with its u32 little-endian length, at most
+// MaxMessageBytes < 2^24, so its fourth byte is 0; no HTTP/1.x request line
+// and no HTTP/2 connection preface contains a NUL byte. Fewer than four
+// bytes is not irsnet.
+func Sniff(head []byte) bool { return len(head) >= 4 && head[3] == 0 }
 
 // ErrClosed is returned by client calls after Close, and wrapped into the
 // failure of calls in flight when their connection breaks.

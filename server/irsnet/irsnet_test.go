@@ -8,12 +8,15 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	irs "github.com/irsgo/irs"
+	"github.com/irsgo/irs/internal/daemon"
 	srv "github.com/irsgo/irs/internal/server"
 	"github.com/irsgo/irs/server"
 	"github.com/irsgo/irs/server/irsnet"
@@ -907,5 +910,114 @@ func TestTCPContextCancellation(t *testing.T) {
 	// The connection must still serve.
 	if out, err := cl.Sample(context.Background(), "u", 0, 999, 3); err != nil || len(out) != 3 {
 		t.Fatalf("sample after cancellation: %v, %v", out, err)
+	}
+}
+
+// TestDialHonoursCallerContext: a node that never answers a dial costs each
+// caller its own deadline and no more. The dial runs under the caller's
+// context and outside the pool lock, at most one per slot, so a caller
+// whose slot is mid-dial waits on its own clock, not behind the dial.
+func TestDialHonoursCallerContext(t *testing.T) {
+	var dials atomic.Int32
+	blackHole := func(ctx context.Context, _, _ string) (net.Conn, error) {
+		dials.Add(1)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	cl := irsnet.NewClientDial("192.0.2.1:9", irsnet.Options{Conns: 1}, blackHole)
+	defer cl.Close()
+
+	// The first caller has no deadline: its dial would hang for good.
+	first, cancelFirst := context.WithCancel(context.Background())
+	defer cancelFirst()
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := cl.Sample(first, "u", 0, 1, 1)
+		firstErr <- err
+	}()
+	for dials.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	secondErr := make(chan error, 1)
+	go func() {
+		_, err := cl.Sample(ctx, "u", 0, 1, 1)
+		secondErr <- err
+	}()
+	select {
+	case err := <-secondErr:
+		if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > 20*deadline {
+			t.Fatalf("second caller on the dialing slot: %v after %v, want %v near %v", err, took, context.DeadlineExceeded, deadline)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second caller with a 50ms deadline still waiting after 5s, behind the first caller's dial")
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials in flight on one slot, want 1", n)
+	}
+
+	cancelFirst()
+	select {
+	case err := <-firstErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("first caller after cancel: %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first caller still dialing after its context was cancelled")
+	}
+}
+
+// TestSharedPortZeroAllocs repeats TestTCPServerZeroAllocs' two hot kinds
+// over a connection accepted on a daemon's HTTP port: the sniff is paid
+// once per connection, and the replayed read side costs nothing per
+// request.
+func TestSharedPortZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates and drops pool Puts")
+	}
+	s := newBackend(t, server.Config{Flushers: 1}, 10_000, 7)
+	defer s.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpL, irsnetL := daemon.Split(l, 5*time.Second)
+	hs := &http.Server{Handler: s}
+	go func() { _ = hs.Serve(httpL) }()
+	defer hs.Close()
+	ts := irsnet.NewServer(s)
+	go func() { _ = ts.Serve(irsnetL) }()
+	defer func() { _ = ts.Shutdown(context.Background()) }()
+	cl := irsnet.NewClient(l.Addr().String(), irsnet.Options{Conns: 1})
+	defer cl.Close()
+	ctx := context.Background()
+
+	var dst []float64
+	for _, kind := range []struct {
+		name string
+		call func() error
+	}{
+		{"sample (0x01)", func() (err error) { dst, err = cl.SampleAppend(ctx, "u", dst[:0], 0, 9_999, 16); return err }},
+		{"sample with stats (0x07)", func() (err error) {
+			dst, _, _, err = cl.SampleStatsAppend(ctx, "u", dst[:0], 0, 9_999, 16)
+			return err
+		}},
+	} {
+		for i := 0; i < 64; i++ {
+			if err := kind.call(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() { err = kind.call() })
+		if err != nil || len(dst) != 16 {
+			t.Fatalf("%s over the shared port: %d samples, %v", kind.name, len(dst), err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s over the shared port allocates %.1f times per request, want 0", kind.name, allocs)
+		}
 	}
 }

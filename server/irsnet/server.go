@@ -28,7 +28,7 @@ type Server struct {
 	inst    instruments
 
 	mu     sync.Mutex
-	lis    net.Listener
+	lis    []net.Listener // every listener Serve is running on
 	conns  map[*conn]struct{}
 	closed bool
 	wg     sync.WaitGroup // one count per live connection handler
@@ -71,7 +71,8 @@ func NewServer(backend *server.Server) *Server {
 }
 
 // Serve accepts connections on l until Shutdown (returning nil) or an
-// accept error (returning it). The listener is closed either way.
+// accept error (returning it). The listener is closed either way. Serve
+// may run on several listeners at once; Shutdown stops them all.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -79,7 +80,7 @@ func (s *Server) Serve(l net.Listener) error {
 		_ = l.Close()
 		return nil
 	}
-	s.lis = l
+	s.lis = append(s.lis, l)
 	s.mu.Unlock()
 	defer l.Close()
 	for {
@@ -116,7 +117,7 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Shutdown gracefully stops the server: it closes the listener, unblocks
+// Shutdown gracefully stops the server: it closes the listeners, unblocks
 // every connection's reader (no further requests are accepted), and waits
 // for requests already read to be answered and their responses written.
 // If ctx expires first, remaining connections are force-closed and
@@ -131,8 +132,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	if lis != nil {
-		_ = lis.Close()
+	for _, l := range lis {
+		_ = l.Close()
 	}
 	for _, c := range conns {
 		// A deadline in the past fails the reader's current and future
