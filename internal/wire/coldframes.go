@@ -6,10 +6,11 @@ package wire
 
 import "math"
 
-// DeleteReq is a decoded delete request frame.
+// DeleteReq is a delete request (JSON body of /delete): remove one
+// occurrence of each key.
 type DeleteReq struct {
-	Dataset string
-	Keys    []float64
+	Dataset string    `json:"dataset,omitempty"`
+	Keys    []float64 `json:"keys,omitempty"`
 }
 
 // EncodeDeleteRequest appends the delete request frame to b.
@@ -30,34 +31,19 @@ func EncodeDeleteRequest(b []byte, req DeleteReq) ([]byte, error) {
 // into the caller's (pooled) dst slice. The returned name aliases b.
 func DecodeDeleteRequest(b []byte, keys []float64) (name []byte, _ []float64, err error) {
 	r := frameReader{b: b}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, keys, err
-	}
-	if kind != FrameDelete {
-		return nil, keys, frameErr("kind 0x%02x on delete, want 0x%02x", kind, FrameDelete)
-	}
-	if name, err = r.name(); err != nil {
-		return nil, keys, err
-	}
-	nk, err := r.count(8)
-	if err != nil {
-		return nil, keys, err
-	}
-	for i := 0; i < nk; i++ {
-		v, err := r.f64()
-		if err != nil {
-			return nil, keys, err
-		}
-		keys = append(keys, v)
+	r.kind("delete", FrameDelete)
+	name = r.name()
+	for n := r.count(8); n > 0; n-- {
+		keys = append(keys, r.f64())
 	}
 	return name, keys, r.done()
 }
 
-// UpdateReq is a decoded update request frame.
+// UpdateReq is an update request (JSON body of /update): set the weight
+// of one occurrence of each item's key on a weighted dataset.
 type UpdateReq struct {
-	Dataset string
-	Items   []Item
+	Dataset string `json:"dataset,omitempty"`
+	Items   []Item `json:"items,omitempty"`
 }
 
 // EncodeUpdateRequest appends the update request frame to b.
@@ -79,29 +65,10 @@ func EncodeUpdateRequest(b []byte, req UpdateReq) ([]byte, error) {
 // into the caller's (pooled) dst slice. The returned name aliases b.
 func DecodeUpdateRequest(b []byte, items []Item) (name []byte, _ []Item, err error) {
 	r := frameReader{b: b}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, items, err
-	}
-	if kind != FrameUpdate {
-		return nil, items, frameErr("kind 0x%02x on update, want 0x%02x", kind, FrameUpdate)
-	}
-	if name, err = r.name(); err != nil {
-		return nil, items, err
-	}
-	ni, err := r.count(16)
-	if err != nil {
-		return nil, items, err
-	}
-	for i := 0; i < ni; i++ {
-		k, err := r.f64()
-		if err != nil {
-			return nil, items, err
-		}
-		w, err := r.f64()
-		if err != nil {
-			return nil, items, err
-		}
+	r.kind("update", FrameUpdate)
+	name = r.name()
+	for n := r.count(16); n > 0; n-- {
+		k, w := r.f64(), r.f64()
 		items = append(items, Item{Key: k, Weight: w})
 	}
 	return name, items, r.done()
@@ -115,20 +82,17 @@ func EncodeStatsRequest(b []byte) []byte {
 // DecodeStatsRequest validates a stats request frame.
 func DecodeStatsRequest(b []byte) error {
 	r := frameReader{b: b}
-	kind, err := r.u8()
-	if err != nil {
-		return err
-	}
-	if kind != FrameStats {
-		return frameErr("kind 0x%02x on stats, want 0x%02x", kind, FrameStats)
-	}
+	r.kind("stats", FrameStats)
 	return r.done()
 }
 
-// RangeStatsReq is a decoded rangestats request frame.
+// RangeStatsReq is a rangestats request (JSON body of /rangestats): the
+// in-range key count and sampling mass of [Lo, Hi], the probe a cluster
+// router splits its multinomial with.
 type RangeStatsReq struct {
-	Dataset string
-	Lo, Hi  float64
+	Dataset string  `json:"dataset,omitempty"`
+	Lo      float64 `json:"lo"`
+	Hi      float64 `json:"hi"`
 }
 
 // EncodeRangeStatsRequest appends the rangestats request frame to b.
@@ -147,22 +111,9 @@ func EncodeRangeStatsRequest(b []byte, req RangeStatsReq) ([]byte, error) {
 // name aliases b.
 func DecodeRangeStatsRequest(b []byte) (name []byte, lo, hi float64, err error) {
 	r := frameReader{b: b}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if kind != FrameRangeStats {
-		return nil, 0, 0, frameErr("kind 0x%02x on rangestats, want 0x%02x", kind, FrameRangeStats)
-	}
-	if name, err = r.name(); err != nil {
-		return nil, 0, 0, err
-	}
-	if lo, err = r.f64(); err != nil {
-		return nil, 0, 0, err
-	}
-	if hi, err = r.f64(); err != nil {
-		return nil, 0, 0, err
-	}
+	r.kind("rangestats", FrameRangeStats)
+	name = r.name()
+	lo, hi = r.f64(), r.f64()
 	return name, lo, hi, r.done()
 }
 
@@ -175,25 +126,19 @@ func EncodeRangeStatsResponse(b []byte, count int, mass float64) []byte {
 // DecodeRangeStatsResponse parses a rangestats response frame.
 func DecodeRangeStatsResponse(b []byte) (count int, mass float64, err error) {
 	r := frameReader{b: b}
-	if count, mass, err = r.rangeStats(); err != nil {
-		return 0, 0, err
-	}
+	count, mass = r.rangeStats()
 	return count, mass, r.done()
 }
 
 // rangeStats reads the u64 count and f64 mass of a rangestats response,
 // which also lead a sample-with-stats response.
-func (r *frameReader) rangeStats() (int, float64, error) {
-	c, err := r.u64()
-	if err != nil {
-		return 0, 0, err
-	}
-	m, err := r.f64()
-	if err != nil {
-		return 0, 0, err
-	}
+func (r *frameReader) rangeStats() (int, float64) {
+	c, m := r.u64(), r.f64()
 	if c > math.MaxInt {
-		return 0, 0, frameErr("count %d overflows int", c)
+		r.fail("count %d overflows int", c)
 	}
-	return int(c), m, nil
+	if r.err != nil {
+		return 0, 0
+	}
+	return int(c), m
 }

@@ -85,23 +85,12 @@ func EncodeError(b []byte, code string, status int, msg string) []byte {
 // DecodeError parses the TCP transport's error payload.
 func DecodeError(b []byte) (code string, status int, msg string, err error) {
 	r := frameReader{b: b}
-	st, err := r.u16()
-	if err != nil {
+	st, cb := r.u16(), r.name()
+	mb := r.bytes(int(r.u16()), "payload")
+	if err := r.done(); err != nil {
 		return "", 0, "", err
 	}
-	cb, err := r.name()
-	if err != nil {
-		return "", 0, "", err
-	}
-	n, err := r.u16()
-	if err != nil {
-		return "", 0, "", err
-	}
-	mb, err := r.bytes(int(n))
-	if err != nil {
-		return "", 0, "", err
-	}
-	return string(cb), int(st), string(mb), r.done()
+	return string(cb), int(st), string(mb), nil
 }
 
 func binAppendU16(b []byte, v uint16) []byte {

@@ -6,9 +6,11 @@
 // server/irsnet, which wraps each frame in a length and a request ID).
 // JSON costs the serving stack more than the samplers cost it — float
 // formatting/parsing plus per-request decoder allocation — so the frames
-// carry raw little-endian values instead. Package server holds the one
-// table mapping each kind to its backend call and JSON path; this comment
-// is the one place the layouts are written down.
+// carry raw little-endian values instead. JSON itself is a codec onto these
+// frames: the request types' json tags spell the JSON bodies, and package
+// server holds the one table mapping each kind to its backend call, HTTP
+// path and JSON codec. This comment is the one place the layouts are
+// written down.
 //
 // Frame layout (all integers little-endian, all floats IEEE-754 bits
 // little-endian; a carrier delivers exactly one frame per request,
@@ -32,7 +34,8 @@
 //
 // Sample and insert are the hot kinds; sample-with-stats is a sample whose
 // answer leads with the range's (count, mass), read under the same locks
-// as the samples — a cluster router's one round trip per node. The stats
+// as the samples — a cluster router's one round trip per node. A sample's
+// t is at most MaxSampleCount, so its response fits one message. The stats
 // response reuses the JSON document rather than a binary layout: stats are
 // scraped a few times a second at most, and the document's shape (nested,
 // optional persist section) would make a fixed layout brittle for zero win.
@@ -58,6 +61,19 @@ import (
 // ContentTypeBinary is the negotiated media type of the binary frames on
 // the HTTP transport.
 const ContentTypeBinary = "application/x-irs-bin"
+
+// MaxMessageBytes bounds one message on every carrier: an HTTP request
+// body, and the length field of an irsnet message (the bytes after it). A
+// megabyte-scale insert batch is the intended granularity; anything larger
+// should arrive as several requests.
+const MaxMessageBytes = 8 << 20
+
+// MaxSampleCount is the largest sample count a request may ask for: the
+// most samples whose sample-with-stats response (u64 count, f64 mass,
+// u32 n, n f64s) still fits one MaxMessageBytes message behind irsnet's
+// 9-byte response header (u64 id, u8 status). The dispatcher refuses a
+// larger count with invalid_count before anything is drawn.
+const MaxSampleCount = (MaxMessageBytes - 9 - 8 - 8 - 4) / 8
 
 // Item is one insert element as the serving core stores it.
 type Item = srv.Item[float64]
@@ -170,111 +186,98 @@ func AppendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// frameReader consumes one frame front to back with bounds checking; every
-// read reports a typed framing error instead of panicking, which is the
-// property the fuzz target pins.
+// frameReader consumes one frame front to back with bounds checking. The
+// first failure sticks: fail keeps it in err and drops the rest of the
+// frame, so later reads return zero values (and later failures are
+// ignored), and a decoder reads its whole layout and checks once, at done. A malformed frame errors instead of
+// panicking, which is the property the fuzz target pins.
 type frameReader struct {
-	b []byte
+	b   []byte
+	err error
 }
 
-func (r *frameReader) u8() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, frameErr("truncated u8")
+// fail records the frame's first failure, and drops what is left of the
+// frame so every later read fails too.
+func (r *frameReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = frameErr(format, args...)
 	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
+	r.b = nil
 }
 
-func (r *frameReader) u16() (uint16, error) {
-	if len(r.b) < 2 {
-		return 0, frameErr("truncated u16")
-	}
-	v := binary.LittleEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v, nil
-}
+// zeros is what fixed reads once the frame has failed.
+var zeros [8]byte
 
-func (r *frameReader) u32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, frameErr("truncated u32")
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
-}
-
-func (r *frameReader) u64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, frameErr("truncated u64")
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func (r *frameReader) f64() (float64, error) {
-	if len(r.b) < 8 {
-		return 0, frameErr("truncated f64")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v, nil
-}
-
-// name returns the u8-length-prefixed name as a subslice of the frame —
-// valid only while the frame's backing buffer is.
-func (r *frameReader) name() ([]byte, error) {
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if len(r.b) < int(n) {
-		return nil, frameErr("truncated name (%d bytes declared, %d left)", n, len(r.b))
-	}
-	name := r.b[:n]
-	r.b = r.b[n:]
-	return name, nil
-}
-
-// bytes returns n raw bytes as a subslice of the frame.
-func (r *frameReader) bytes(n int) ([]byte, error) {
+// fixed returns the next n <= 8 bytes, what naming them in the truncation
+// error.
+func (r *frameReader) fixed(n int, what string) []byte {
 	if len(r.b) < n {
-		return nil, frameErr("truncated payload (%d bytes declared, %d left)", n, len(r.b))
+		r.fail("truncated %s", what)
+		return zeros[:n]
 	}
-	b := r.b[:n]
+	v := r.b[:n]
 	r.b = r.b[n:]
-	return b, nil
+	return v
+}
+
+func (r *frameReader) u8() byte    { return r.fixed(1, "u8")[0] }
+func (r *frameReader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2, "u16")) }
+func (r *frameReader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4, "u32")) }
+func (r *frameReader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8, "u64")) }
+func (r *frameReader) f64() float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(r.fixed(8, "f64")))
+}
+func (r *frameReader) name() []byte { return r.bytes(int(r.u8()), "name") }
+
+// bytes returns n raw bytes as a subslice of the frame — valid only while
+// the frame's backing buffer is — or nil once the frame has failed.
+func (r *frameReader) bytes(n int, what string) []byte {
+	if len(r.b) < n {
+		r.fail("truncated %s (%d bytes declared, %d left)", what, n, len(r.b))
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// kind reads the kind byte, which must be want; op names the decoder in
+// the error.
+func (r *frameReader) kind(op string, want byte) {
+	if k := r.u8(); k != want {
+		r.fail("kind 0x%02x on %s, want 0x%02x", k, op, want)
+	}
 }
 
 // count reads a u32 element count and checks it against the bytes
 // actually remaining at elemSize bytes per element, so a hostile count
 // can never drive an oversized allocation.
-func (r *frameReader) count(elemSize int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
+func (r *frameReader) count(elemSize int) int {
+	n := r.u32()
 	if int64(n)*int64(elemSize) > int64(len(r.b)) {
-		return 0, frameErr("count %d exceeds remaining %d bytes", n, len(r.b))
+		r.fail("count %d exceeds remaining %d bytes", n, len(r.b))
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
+// done returns the frame's first failure, or a trailing-bytes error.
 func (r *frameReader) done() error {
 	if len(r.b) != 0 {
-		return frameErr("%d trailing bytes", len(r.b))
+		r.fail("%d trailing bytes", len(r.b))
 	}
-	return nil
+	return r.err
 }
 
-// SampleReq is a decoded sample request frame; Stats marks the
-// sample-with-stats kind.
+// SampleReq is a sample request, as a frame carries it and as the JSON
+// body of /sample spells it. Stats marks the sample-with-stats kind, which
+// has no JSON form, so a "stats" field is unknown to the JSON decoder.
 type SampleReq struct {
-	Dataset string
-	Lo, Hi  float64
-	T       int
-	Stats   bool
+	Dataset string  `json:"dataset,omitempty"`
+	Lo      float64 `json:"lo"`
+	Hi      float64 `json:"hi"`
+	T       int     `json:"t"`
+	Stats   bool    `json:"-"`
 }
 
 // RawSampleReq is SampleReq with the dataset name still aliasing the frame
@@ -319,29 +322,14 @@ func EncodeSampleRequest(b []byte, req SampleReq) ([]byte, error) {
 // frame without allocating: the returned name aliases b.
 func DecodeSampleRequestRaw(b []byte) (RawSampleReq, error) {
 	r := frameReader{b: b}
-	var req RawSampleReq
-	kind, err := r.u8()
-	if err != nil {
-		return req, err
-	}
+	kind := r.u8()
 	if kind != FrameSample && kind != FrameSampleStats {
-		return req, frameErr("kind 0x%02x on sample, want 0x%02x or 0x%02x", kind, FrameSample, FrameSampleStats)
+		r.fail("kind 0x%02x on sample, want 0x%02x or 0x%02x", kind, FrameSample, FrameSampleStats)
 	}
-	req.Stats = kind == FrameSampleStats
-	if req.Name, err = r.name(); err != nil {
-		return req, err
-	}
-	if req.Lo, err = r.f64(); err != nil {
-		return req, err
-	}
-	if req.Hi, err = r.f64(); err != nil {
-		return req, err
-	}
-	t, err := r.u32()
-	if err != nil {
-		return req, err
-	}
-	req.T = int(int32(t)) // round-trips the client's int32 truncation, sign included
+	req := RawSampleReq{Stats: kind == FrameSampleStats}
+	req.Name = r.name()
+	req.Lo, req.Hi = r.f64(), r.f64()
+	req.T = int(int32(r.u32())) // round-trips the client's int32 truncation, sign included
 	return req, r.done()
 }
 
@@ -383,9 +371,7 @@ func EncodeSampleStatsResponse(b []byte, count int, mass float64, samples []floa
 // length, as DecodeSampleResponse does.
 func DecodeSampleStatsResponse(b []byte, dst []float64) (_ []float64, count int, mass float64, err error) {
 	r := frameReader{b: b}
-	if count, mass, err = r.rangeStats(); err != nil {
-		return dst, 0, 0, err
-	}
+	count, mass = r.rangeStats()
 	if dst, err = r.samples(dst); err != nil {
 		return dst, 0, 0, err
 	}
@@ -396,16 +382,8 @@ func DecodeSampleStatsResponse(b []byte, dst []float64) (_ []float64, count int,
 // the end of the frame, appending to dst; on error dst keeps its length.
 func (r *frameReader) samples(dst []float64) ([]float64, error) {
 	base := len(dst)
-	n, err := r.count(8)
-	if err != nil {
-		return dst, err
-	}
-	for i := 0; i < n; i++ {
-		v, err := r.f64()
-		if err != nil {
-			return dst[:base], err
-		}
-		dst = append(dst, v)
+	for n := r.count(8); n > 0; n-- {
+		dst = append(dst, r.f64())
 	}
 	if err := r.done(); err != nil {
 		return dst[:base], err
@@ -413,12 +391,13 @@ func (r *frameReader) samples(dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// InsertReq is a decoded insert request frame. Keys is the unit-weight
-// shorthand, Items the weighted form — the same split as the JSON request.
+// InsertReq is an insert request, as a frame carries it and as the JSON
+// body of /insert spells it. Keys is the unit-weight shorthand, Items the
+// weighted form; on unweighted datasets all weights are ignored.
 type InsertReq struct {
-	Dataset string
-	Keys    []float64
-	Items   []Item
+	Dataset string    `json:"dataset,omitempty"`
+	Keys    []float64 `json:"keys,omitempty"`
+	Items   []Item    `json:"items,omitempty"`
 }
 
 // EncodeInsertRequest appends the insert request frame to b.
@@ -464,45 +443,17 @@ func DecodeInsertRequestItems(b []byte, items []Item) (name []byte, _ []Item, er
 // weighted items) and the keys slice is untouched.
 func decodeInsert(b []byte, keys []float64, items []Item, merge bool) ([]byte, []float64, []Item, error) {
 	r := frameReader{b: b}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, keys, items, err
-	}
-	if kind != FrameInsert {
-		return nil, keys, items, frameErr("kind 0x%02x on insert, want 0x%02x", kind, FrameInsert)
-	}
-	name, err := r.name()
-	if err != nil {
-		return nil, keys, items, err
-	}
-	nk, err := r.count(8)
-	if err != nil {
-		return nil, keys, items, err
-	}
-	for i := 0; i < nk; i++ {
-		v, err := r.f64()
-		if err != nil {
-			return nil, keys, items, err
-		}
-		if merge {
-			items = append(items, Item{Key: v, Weight: 1})
+	r.kind("insert", FrameInsert)
+	name := r.name()
+	for n := r.count(8); n > 0; n-- {
+		if k := r.f64(); merge {
+			items = append(items, Item{Key: k, Weight: 1})
 		} else {
-			keys = append(keys, v)
+			keys = append(keys, k)
 		}
 	}
-	ni, err := r.count(16)
-	if err != nil {
-		return nil, keys, items, err
-	}
-	for i := 0; i < ni; i++ {
-		k, err := r.f64()
-		if err != nil {
-			return nil, keys, items, err
-		}
-		w, err := r.f64()
-		if err != nil {
-			return nil, keys, items, err
-		}
+	for n := r.count(16); n > 0; n-- {
+		k, w := r.f64(), r.f64()
 		items = append(items, Item{Key: k, Weight: w})
 	}
 	return name, keys, items, r.done()
@@ -517,9 +468,6 @@ func EncodeCountResponse(b []byte, n int) []byte {
 // DecodeCountResponse parses an insert, delete, or update response frame.
 func DecodeCountResponse(b []byte) (int, error) {
 	r := frameReader{b: b}
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
+	n := r.u32()
 	return int(n), r.done()
 }

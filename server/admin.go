@@ -33,6 +33,40 @@ import (
 // Proxy servers answer not_supported (501): the registry lives on the
 // nodes, not the router.
 
+// AddDatasetRequest creates a dataset at runtime (POST /datasets) through
+// the server's Provisioner.
+type AddDatasetRequest struct {
+	Dataset  string `json:"dataset"`
+	Weighted bool   `json:"weighted,omitempty"`
+}
+
+// AddDatasetResponse confirms the registration.
+type AddDatasetResponse struct {
+	Dataset string `json:"dataset"`
+	Kind    string `json:"kind"`
+}
+
+// DropDatasetResponse confirms a DELETE /datasets/{name}: the dataset has
+// been drained, its store synced and closed, and the name unregistered.
+type DropDatasetResponse struct {
+	Dataset string `json:"dataset"`
+	Dropped bool   `json:"dropped"`
+}
+
+// DatasetInfo is one GET /datasets element: the registry's view of a
+// dataset without the serving counters /stats carries.
+type DatasetInfo struct {
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	State   string `json:"state,omitempty"`
+	Durable bool   `json:"durable,omitempty"`
+}
+
+// ListDatasetsResponse is the GET /datasets payload.
+type ListDatasetsResponse struct {
+	Datasets []DatasetInfo `json:"datasets"`
+}
+
 // Provisioner builds and registers one dataset at runtime under the
 // caller's naming. Implementations must register through the Add* family
 // (or the core) so the registered dataset carries the usual lifecycle.

@@ -37,6 +37,20 @@ type File = persist.File
 // SnapshotInfo reports one committed snapshot.
 type SnapshotInfo = srv.SnapshotInfo
 
+// SnapshotRequest triggers a point-in-time snapshot (and WAL compaction)
+// of a durable dataset.
+type SnapshotRequest struct {
+	Dataset string `json:"dataset,omitempty"`
+}
+
+// SnapshotResponse reports the committed snapshot: the WAL sequence it
+// covers and the number of items serialized.
+type SnapshotResponse struct {
+	Dataset string `json:"dataset"`
+	Seq     uint64 `json:"seq"`
+	Items   int    `json:"items"`
+}
+
 // DurableOptions configures one durable dataset's persistence.
 type DurableOptions struct {
 	// Dir is the dataset's own directory (one dataset per directory);

@@ -9,13 +9,14 @@ import (
 	"github.com/irsgo/irs/internal/wire"
 )
 
-// The binary frame protocol, written once. Every carrier — the HTTP
-// handler (ServeHTTP, Content-Type application/x-irs-bin on any data
-// endpoint) and the persistent TCP transport (server/irsnet) — hands its
+// The frame protocol, written once. Every carrier — the HTTP handler
+// (ServeHTTP) and the persistent TCP transport (server/irsnet) — hands its
 // request frames to ServeFrame and wraps the answer in its own envelope;
 // the typed client (FrameClient) is the same protocol's other end. Frame
 // layouts live in the internal/wire package comment; frameOps below is the
-// one place a kind is mapped to its path, retry rule, and backend call.
+// one place a kind is mapped to its path, retry rule, backend call, and
+// JSON codec (jsoncodec.go), which is how the HTTP carrier turns a JSON
+// body into the kind's frame and its response frame into JSON.
 
 // FrameReply receives ServeFrame's one answer to one frame: the carrier's
 // buffer with the response frame appended after whatever envelope the
@@ -27,9 +28,14 @@ type FrameReply = srv.Reply[*[]byte]
 
 // frameOp is one row of the frame table.
 type frameOp struct {
-	path     string // the JSON endpoint of the same op; the HTTP carrier posts the frame there
+	path     string // the HTTP path of the op; the HTTP carrier posts the frame there
 	readOnly bool   // answering it twice changes nothing, so a client may resend after a break
 	serve    func(s *Server, frame []byte, out *[]byte, done FrameReply)
+	// The JSON codec (jsoncodec.go), nil for a kind with no JSON form:
+	// fromJSON appends the request frame of a JSON body, toJSON the
+	// response's JSON fields read off its response frame.
+	fromJSON func(body, b []byte) ([]byte, error)
+	toJSON   func(b, frame []byte) ([]byte, error)
 }
 
 // frameOps is the frame table, indexed by kind byte. The hot kinds submit
@@ -37,13 +43,13 @@ type frameOp struct {
 // backend's blocking methods on their own goroutine (cold), so no carrier's
 // reader ever parks behind a backend call.
 var frameOps = [...]frameOp{
-	wire.FrameSample:      {"/sample", true, (*Server).serveSample},
-	wire.FrameInsert:      {"/insert", false, (*Server).serveInsert},
-	wire.FrameDelete:      {"/delete", false, (*Server).serveDelete},
-	wire.FrameUpdate:      {"/update", false, (*Server).serveUpdate},
-	wire.FrameStats:       {"/stats", true, (*Server).serveStats},
-	wire.FrameRangeStats:  {"/rangestats", true, (*Server).serveRangeStats},
-	wire.FrameSampleStats: {"/sample", true, (*Server).serveSample},
+	wire.FrameSample:      {"/sample", true, (*Server).serveSample, jsonRequest(sampleFrame), sampleJSON},
+	wire.FrameInsert:      {"/insert", false, (*Server).serveInsert, jsonRequest(wire.EncodeInsertRequest), countJSON("inserted")},
+	wire.FrameDelete:      {"/delete", false, (*Server).serveDelete, jsonRequest(wire.EncodeDeleteRequest), countJSON("removed")},
+	wire.FrameUpdate:      {"/update", false, (*Server).serveUpdate, jsonRequest(wire.EncodeUpdateRequest), countJSON("updated")},
+	wire.FrameStats:       {path: "/stats", readOnly: true, serve: (*Server).serveStats},
+	wire.FrameRangeStats:  {"/rangestats", true, (*Server).serveRangeStats, jsonRequest(wire.EncodeRangeStatsRequest), rangeStatsJSON},
+	wire.FrameSampleStats: {path: "/sample", readOnly: true, serve: (*Server).serveSample},
 }
 
 // frameOpOf returns the table row of the frame's kind, or false for an empty
@@ -55,15 +61,15 @@ func frameOpOf(frame []byte) (frameOp, bool) {
 	return frameOps[frame[0]], true
 }
 
-// isFramePath reports whether path is a data endpoint, where binary frames
-// of every kind are accepted.
-func isFramePath(path string) bool {
-	for _, op := range frameOps {
-		if op.serve != nil && op.path == path {
-			return true
+// pathOp returns the first row posted to path — the one with the JSON
+// form, if the path has one — or nil for a path that is no data endpoint.
+func pathOp(path string) *frameOp {
+	for i := range frameOps {
+		if op := &frameOps[i]; op.serve != nil && op.path == path {
+			return op
 		}
 	}
-	return false
+	return nil
 }
 
 // ServeFrame answers one binary request frame through done, exactly once:
@@ -82,7 +88,13 @@ func (s *Server) ServeFrame(frame []byte, out *[]byte, done FrameReply) {
 }
 
 func (s *Server) serveSample(frame []byte, out *[]byte, done FrameReply) {
+	// Every codec and carrier, and a router's front, passes through here:
+	// a count whose answer cannot fit one message is refused before
+	// anything is drawn.
 	req, err := wire.DecodeSampleRequestRaw(frame)
+	if err == nil && req.T > wire.MaxSampleCount {
+		err = countError(req.T)
+	}
 	if err != nil {
 		done.Deliver(out, err)
 		return
@@ -98,10 +110,19 @@ func (s *Server) serveSample(frame []byte, out *[]byte, done FrameReply) {
 	}
 }
 
+// countError refuses a sample count above wire.MaxSampleCount. It is an
+// ErrInvalidCount, with a message of its own.
+type countError int
+
+func (t countError) Error() string {
+	return fmt.Sprintf("server: sample count %d exceeds %d, the most one response carries", int(t), wire.MaxSampleCount)
+}
+
+func (countError) Is(target error) bool { return target == ErrInvalidCount }
+
 func (s *Server) serveInsert(frame []byte, out *[]byte, done FrameReply) {
 	// Keys decode ahead of items as unit-weight entries of one combined
-	// slice — the JSON handler's apply order — so a mixed frame inserts
-	// identically over every carrier.
+	// slice, so a request with both inserts identically over every codec.
 	items := wire.GetItems()
 	name, all, err := wire.DecodeInsertRequestItems(frame, (*items)[:0])
 	*items = all

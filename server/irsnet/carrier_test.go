@@ -23,7 +23,8 @@ import (
 // TestThreeEncodingsIdenticalSamples, then one row per remaining method,
 // then the error rows. Every row must answer identically on both carriers,
 // errors by wire code and status; the rows JSON can express run over JSON
-// too and must agree with it.
+// too and must agree with it, float edge cases and the sign of zero
+// included.
 func TestCarrierEquivalence(t *testing.T) {
 	ctx := context.Background()
 	type row struct {
@@ -52,6 +53,19 @@ func TestCarrierEquivalence(t *testing.T) {
 		{"update", true, nil, func(cl client.Conn) (any, error) {
 			return cl.Update(ctx, "w", []server.Item{{Key: 5, Weight: 40}, {Key: 5e4, Weight: 1}})
 		}},
+		{"insert keys", true, nil, func(cl client.Conn) (any, error) {
+			return cl.InsertKeys(ctx, "u", []float64{5e-324, math.Copysign(0, -1), 1e-7})
+		}},
+		{"insert items", true, nil, func(cl client.Conn) (any, error) {
+			return cl.InsertItems(ctx, "w", []server.Item{{Key: 1e21, Weight: 1e-7}, {Key: -1e-7, Weight: 2}})
+		}},
+		{"sample of float edge cases", true, nil, func(cl client.Conn) (any, error) {
+			return cl.Sample(ctx, "u", -1, 1e-6, 9)
+		}},
+		{"sample with stats of float edge cases", true, nil, func(cl client.Conn) (any, error) {
+			out, n, mass, err := cl.SampleStatsAppend(ctx, "w", nil, -1, 1e22, 6)
+			return fmt.Sprint(out, n, mass), err
+		}},
 		{"stats", true, nil, func(cl client.Conn) (any, error) {
 			st, err := cl.Stats(ctx)
 			var out []string
@@ -76,6 +90,13 @@ func TestCarrierEquivalence(t *testing.T) {
 		}},
 		{"t below MinInt32", true, server.ErrInvalidCount, func(cl client.Conn) (any, error) {
 			return cl.Sample(ctx, "u", 0, 10, -(1<<32)+5)
+		}},
+		{"t above the response bound", true, server.ErrInvalidCount, func(cl client.Conn) (any, error) {
+			return cl.Sample(ctx, "u", 0, 10, wire.MaxSampleCount+1)
+		}},
+		{"ambiguous dataset", true, server.ErrAmbiguousDataset, func(cl client.Conn) (any, error) {
+			n, mass, err := cl.RangeStats(ctx, "", 0, 10)
+			return fmt.Sprint(n, mass), err
 		}},
 	}
 

@@ -58,7 +58,11 @@
 // the serving core's Close.
 package irsnet
 
-import "errors"
+import (
+	"errors"
+
+	"github.com/irsgo/irs/internal/wire"
+)
 
 const (
 	// reqHeaderSize is the fixed prefix of a request message
@@ -81,10 +85,14 @@ const (
 )
 
 // MaxMessageBytes bounds a message's length field (the bytes after it) on
-// both sides, mirroring the HTTP layer's request-body bound: a
-// megabyte-scale insert batch is the intended granularity, anything larger
-// should arrive as several requests.
-const MaxMessageBytes = 8 << 20
+// both sides: the bound every carrier shares, so the largest response —
+// a sample of wire.MaxSampleCount, the most the dispatcher accepts — fits.
+const MaxMessageBytes = wire.MaxMessageBytes
+
+// The largest response — ID, status, and a sample-with-stats frame of
+// wire.MaxSampleCount samples — fits one message; this fails to compile
+// if it ever stops fitting.
+const _ = uint(MaxMessageBytes - minResponseLen - (8 + 8 + 4 + 8*wire.MaxSampleCount))
 
 // The sniff below relies on a request's length field never reaching 2^24;
 // this fails to compile if MaxMessageBytes ever allows it.

@@ -1,39 +1,39 @@
-// Package server is irsd's HTTP/JSON serving layer over the concurrent IRS
-// structures: an embeddable http.Handler plus a typed client. The heavy
+// Package server is irsd's HTTP serving layer over the concurrent IRS
+// structures: an embeddable http.Handler plus typed clients. The heavy
 // lifting — request coalescing into SampleMany/InsertBatch, bounded-queue
 // admission control, graceful drain, live stats — lives in the transport-
-// agnostic core (internal/server); this package speaks JSON over four
-// endpoints and maps the core's typed errors to wire codes:
+// agnostic core (internal/server). Besides the dataset admin (admin.go),
+// the probes, /metrics and /debug/pprof/ (observe.go), it serves:
 //
-//	POST /sample   {"dataset":"d","lo":0,"hi":9,"t":3}  -> {"dataset":"d","samples":[...]}
-//	POST /insert   {"dataset":"d","keys":[1,2]}          -> {"dataset":"d","inserted":2}
-//	               {"dataset":"w","items":[{"key":1,"weight":2.5}]}
-//	POST /delete   {"dataset":"d","keys":[1,2]}          -> {"dataset":"d","removed":2}
-//	POST /update   {"dataset":"w","items":[{"key":1,"weight":9}]} -> {"dataset":"w","updated":1}
-//	POST /snapshot {"dataset":"d"}                       -> {"dataset":"d","seq":3,"items":1000}
-//	GET  /stats                                          -> {"datasets":[...]}
+//	POST /sample     {"dataset":"d","lo":0,"hi":9,"t":3}  -> {"dataset":"d","samples":[...]}
+//	POST /insert     {"dataset":"d","keys":[1,2]}          -> {"dataset":"d","inserted":2}
+//	                 {"dataset":"w","items":[{"key":1,"weight":2.5}]}
+//	POST /delete     {"dataset":"d","keys":[1,2]}          -> {"dataset":"d","removed":2}
+//	POST /update     {"dataset":"w","items":[{"key":1,"weight":9}]} -> {"dataset":"w","updated":1}
+//	POST /rangestats {"dataset":"d","lo":0,"hi":9}         -> {"dataset":"d","count":10,"mass":10}
+//	POST /snapshot   {"dataset":"d"}                       -> {"dataset":"d","seq":3,"items":1000}
+//	GET  /stats                                            -> {"datasets":[...]}
 //
-// Datasets registered through the durable constructors (AddDurable*) write
-// every mutation ahead to a per-dataset WAL and serve /snapshot; see
-// durable.go and internal/persist.
-//
+// The five data endpoints, /sample to /rangestats, are one path: the frame
+// table (frame.go) maps the URL path to its row, the row's codec turns the
+// body into one binary frame of internal/wire, ServeFrame answers it, and
+// the codec turns the response frame into the body. The codecs are JSON
+// (jsoncodec.go) and the frames themselves, sent with Content-Type:
+// application/x-irs-bin — any kind, POST /stats too — which server/irsnet
+// also carries over TCP and FrameClient speaks. Both give bit-identical
+// samples for a fixed daemon seed and request sequence. Every error
+// answers in the JSON envelope {"error":{"code":"...","message":"..."}}
+// with the status of internal/wire.ErrCode, and the typed clients turn the
+// codes back into the exported sentinels, so errors.Is works end to end.
 // The dataset field may be omitted when exactly one dataset is registered.
-// Errors arrive as {"error":{"code":"...","message":"..."}} with the
-// status codes listed at errCodeStatus; the typed client converts codes
-// back into the exported sentinel errors, so errors.Is works end to end.
+// One request asks for at most 1,048,572 samples (wire.MaxSampleCount),
+// the most one response message carries.
 //
-// Keys on the wire are float64 (JSON numbers). Server coalescing preserves
-// the IRS contract — per-sample uniformity and independence across
-// coalesced requests — verified through the full HTTP stack by this
-// package's chi-square and independence suites.
-//
-// Every data endpoint (/sample, /insert, /delete, /update, /rangestats,
-// and POST /stats) also accepts the binary frames of internal/wire, of any
-// kind, negotiated per request via Content-Type: application/x-irs-bin;
-// they go to the same dispatcher the TCP transport uses (ServeFrame, see
-// frame.go), and FrameClient is their typed client. Both encodings return
-// bit-identical sample streams for a fixed daemon seed and request
-// sequence, and errors keep the JSON envelope either way.
+// Durable datasets (AddDurable*) write every mutation ahead to a WAL and
+// serve /snapshot; see durable.go. Coalescing preserves the IRS contract —
+// per-sample uniformity and independence across coalesced requests —
+// verified through the full HTTP stack by this package's chi-square and
+// independence suites.
 package server
 
 import (
@@ -91,13 +91,9 @@ var (
 // behind the backend.
 var ErrProxy = errors.New("server: proxy servers cannot register datasets")
 
-// maxBodyBytes bounds request bodies; a megabyte-scale insert batch is the
-// intended granularity, anything larger should arrive as several requests.
-const maxBodyBytes = 8 << 20
-
 // Backend is the request-serving surface the transport layers (this
-// package's HTTP handlers and its frame dispatcher, which server/irsnet
-// carries) are written against. The local serving core (*internal/server.Core[float64])
+// package's frame dispatcher, which every codec and carrier goes through)
+// are written against. The local serving core (*internal/server.Core[float64])
 // satisfies it directly; a cluster router (internal/cluster.Router)
 // satisfies it by fanning requests out to the nodes owning each key range.
 // Everything transport-specific — encodings, wire codes, probes, pooled
@@ -112,8 +108,7 @@ const maxBodyBytes = 8 << 20
 // exactly once with the samples appended to dst, or the stored count, or
 // the error (an empty insert is answered inline); and Close drains, so
 // every accepted request is still answered. The frame dispatcher hands in
-// a Reply that encodes the response; the JSON handlers, which want the
-// answer as a return value, wait on the same call through srv.Blocking.
+// a Reply that encodes the response frame.
 // A sample's non-nil stats asks for the range's in-range (count, mass) as
 // well, read under the same locks as the samples and filled before done
 // runs; a range without sampling mass then answers no samples and mass 0
@@ -163,10 +158,8 @@ type Server struct {
 	adm     admin
 	names   internTable // dataset names decoded off frames
 
-	// The HTTP handlers answer in their own goroutine, so they wait here.
-	sampleWait srv.Blocking[[]float64]
-	insertWait srv.Blocking[int]
-	frameWait  srv.Blocking[*[]byte]
+	// The HTTP carrier answers in the handler's goroutine, so it waits here.
+	frameWait srv.Blocking[*[]byte]
 }
 
 // New returns a Server with no datasets.
@@ -189,11 +182,6 @@ func NewProxy(backend Backend) *Server {
 func newServer(backend Backend) *Server {
 	s := &Server{backend: backend, mux: http.NewServeMux()}
 	s.obs.start = time.Now()
-	s.mux.HandleFunc("/sample", s.handleSample)
-	s.mux.HandleFunc("/insert", s.handleInsert)
-	s.mux.HandleFunc("/delete", s.handleDelete)
-	s.mux.HandleFunc("/update", s.handleUpdate)
-	s.mux.HandleFunc("/rangestats", s.handleRangeStats)
 	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -249,38 +237,28 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// sample and insert are the JSON handlers' blocking view of the backend's
-// two asynchronous operations.
-func (s *Server) sample(dataset string, dst []float64, lo, hi float64, t int, stats *SampleStats) ([]float64, error) {
-	return s.sampleWait.Do(func(done SampleReply) error {
-		return s.backend.SampleAppendAsync(dataset, dst, lo, hi, t, stats, done)
-	})
-}
-
-func (s *Server) insert(dataset string, items []Item) (int, error) {
-	return s.insertWait.Do(func(done InsertReply) error {
-		return s.backend.InsertAsync(dataset, items, done)
-	})
-}
-
-// ServeHTTP implements http.Handler. Binary frames (on any data endpoint)
-// and the four JSON data endpoints are timed into the per-encoding
+// ServeHTTP implements http.Handler. The data endpoints go through the
+// frame table (serveData) and are timed into the per-encoding
 // request-latency histograms; infrastructure endpoints (/stats, /metrics,
 // probes, /snapshot — which has its own duration histogram) are not, so
 // scrapes never skew request latency.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && isBinary(r) && isFramePath(r.URL.Path) {
-		start := time.Now()
-		s.handleFrame(w, r)
-		s.obs.reqBinary.Observe(time.Since(start))
-		return
+	if op := pathOp(r.URL.Path); op != nil {
+		ct := r.Header.Get("Content-Type")
+		binary := r.Method == http.MethodPost && (ct == ContentTypeBinary || strings.HasPrefix(ct, ContentTypeBinary+";"))
+		if binary || op.toJSON != nil {
+			start := time.Now()
+			s.serveData(w, r, op, binary)
+			hist := &s.obs.reqJSON
+			if binary {
+				hist = &s.obs.reqBinary
+			}
+			hist.Observe(time.Since(start))
+			return
+		}
 	}
 	switch r.URL.Path {
-	case "/sample", "/insert", "/delete", "/update":
-		start := time.Now()
-		s.mux.ServeHTTP(w, r)
-		s.obs.reqJSON.Observe(time.Since(start))
-	case "/rangestats", "/snapshot", "/stats", "/metrics", "/healthz", "/readyz", "/datasets":
+	case "/snapshot", "/stats", "/metrics", "/healthz", "/readyz", "/datasets":
 		s.mux.ServeHTTP(w, r)
 	default:
 		if strings.HasPrefix(r.URL.Path, "/debug/pprof") {
@@ -295,42 +273,43 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveName turns a request's dataset field into the name echoed in the
-// response. Only the empty name needs resolving (to the sole dataset); an
-// explicit name is echoed as-is and validated by the core call itself, so
-// the common case costs a single lookup.
-func (s *Server) resolveName(name string) (string, error) {
-	if name != "" {
-		return name, nil
-	}
-	return s.backend.Resolve("")
-}
-
-// isBinary reports whether the request negotiated the binary frames.
-func isBinary(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == ContentTypeBinary || strings.HasPrefix(ct, ContentTypeBinary+";")
-}
-
-// handleFrame is the HTTP carrier of the frame protocol: the body is one
-// request frame, handed to ServeFrame and waited on; the response body is
-// the response frame, with no envelope around it, and errors answer in the
-// JSON envelope.
-func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
-	in := wire.GetBuf()
-	defer wire.PutBuf(in)
-	b := *in
-	if n := r.ContentLength; n > 0 && n <= maxBodyBytes && int64(cap(b)) < n {
-		b = make([]byte, 0, n)
-	}
-	b, err := wire.ReadAllInto(http.MaxBytesReader(w, r.Body, maxBodyBytes), b)
-	*in = b
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+// serveData is the HTTP carrier's one data path: the body, in the codec
+// the request negotiated, becomes one request frame; ServeFrame answers
+// it; and the response frame goes back in the same codec. Errors answer in
+// the JSON envelope whatever the codec.
+func (s *Server) serveData(w http.ResponseWriter, r *http.Request, op *frameOp, binary bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
+	body := wire.GetBuf()
+	defer wire.PutBuf(body)
+	b := *body
+	if n := r.ContentLength; n > 0 && n <= wire.MaxMessageBytes && int64(cap(b)) < n {
+		b = make([]byte, 0, n)
+	}
+	b, err := wire.ReadAllInto(http.MaxBytesReader(w, r.Body, wire.MaxMessageBytes), b)
+	*body = b
+	switch {
+	case err != nil && binary:
+		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		return
+	case err != nil:
+		writeCoreError(w, badJSON{err})
+		return
+	}
+	frame, name := b, []byte(nil)
+	if !binary {
+		fb := wire.GetBuf()
+		defer wire.PutBuf(fb)
+		if *fb, err = s.frameOfJSON(op, b, *fb); err != nil {
+			writeCoreError(w, err)
+			return
+		}
+		frame, name = *fb, (*fb)[2:2+int((*fb)[1])]
+	}
 	out, err := s.frameWait.Do(func(done FrameReply) error {
-		s.ServeFrame(b, wire.GetBuf(), done)
+		s.ServeFrame(frame, wire.GetBuf(), done)
 		return nil
 	})
 	defer wire.PutBuf(out)
@@ -338,96 +317,42 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		writeCoreError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(*out)))
+	resp, ct := *out, binaryType
+	if !binary {
+		// The request body has been consumed: its buffer takes the response.
+		if *body, err = jsonResponse(op, (*body)[:0], name, *out); err != nil {
+			writeCoreError(w, err)
+			return
+		}
+		resp, ct = *body, jsonType
+	}
+	h := w.Header()
+	h["Content-Type"] = ct
+	h.Set("Content-Length", strconv.Itoa(len(resp)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(*out)
+	_, _ = w.Write(resp)
 }
 
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	var req SampleRequest
-	name, ok := s.readNamed(w, r, &req, &req.Dataset)
-	if !ok {
-		return
-	}
-	samples, err := s.sample(name, nil, req.Lo, req.Hi, req.T, nil)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SampleResponse{Dataset: name, Samples: samples})
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req InsertRequest
-	name, ok := s.readNamed(w, r, &req, &req.Dataset)
-	if !ok {
-		return
-	}
-	items := make([]Item, 0, len(req.Keys)+len(req.Items))
-	for _, k := range req.Keys {
-		items = append(items, Item{Key: k, Weight: 1})
-	}
-	items = append(items, req.Items...)
-	n, err := s.insert(name, items)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, InsertResponse{Dataset: name, Inserted: n})
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req DeleteRequest
-	name, ok := s.readNamed(w, r, &req, &req.Dataset)
-	if !ok {
-		return
-	}
-	n, err := s.backend.Delete(name, req.Keys)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, DeleteResponse{Dataset: name, Removed: n})
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
-	name, ok := s.readNamed(w, r, &req, &req.Dataset)
-	if !ok {
-		return
-	}
-	n, err := s.backend.Update(name, req.Items)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, UpdateResponse{Dataset: name, Updated: n})
-}
-
-// handleRangeStats answers the in-range (count, mass) probe a cluster
-// router sums into its own RangeStats.
-func (s *Server) handleRangeStats(w http.ResponseWriter, r *http.Request) {
-	var req RangeStatsRequest
-	name, ok := s.readNamed(w, r, &req, &req.Dataset)
-	if !ok {
-		return
-	}
-	count, mass, err := s.backend.RangeStats(name, req.Lo, req.Hi)
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RangeStatsResponse{Dataset: name, Count: count, Mass: mass})
-}
+// The Content-Type of each codec's responses, shared by all of them:
+// header values are replaced, never appended to in place.
+var (
+	jsonType   = []string{"application/json"}
+	binaryType = []string{ContentTypeBinary}
+)
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req SnapshotRequest
-	name, ok := s.readNamed(w, r, &req, &req.Dataset)
-	if !ok {
+	if !readJSON(w, r, &req) {
 		return
 	}
-	info, err := s.backend.Snapshot(name)
+	name, err := req.Dataset, error(nil)
+	if name == "" { // the sole dataset, echoed by its name
+		name, err = s.backend.Resolve("")
+	}
+	var info SnapshotInfo
+	if err == nil {
+		info, err = s.backend.Snapshot(name)
+	}
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -443,20 +368,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// readNamed is readJSON followed by resolveName on the request's dataset
-// field, answering either failure itself.
-func (s *Server) readNamed(w http.ResponseWriter, r *http.Request, req any, dataset *string) (name string, ok bool) {
-	if !readJSON(w, r, req) {
-		return "", false
-	}
-	name, err := s.resolveName(*dataset)
-	if err != nil {
-		writeCoreError(w, err)
-		return "", false
-	}
-	return name, true
-}
-
 // readJSON decodes a strict JSON body into dst, answering the error itself
 // (and returning false) on malformed input or a wrong method.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
@@ -464,10 +375,10 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxMessageBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
+		writeCoreError(w, badJSON{err})
 		return false
 	}
 	return true

@@ -1,29 +1,30 @@
 package server
 
-// Wire types of the irsd JSON protocol. The Dataset field of every request
-// may be empty when exactly one dataset is registered; responses always
-// echo the resolved name.
+import "github.com/irsgo/irs/internal/wire"
 
-// SampleRequest asks for T independent samples from [Lo, Hi].
-type SampleRequest struct {
-	Dataset string  `json:"dataset,omitempty"`
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
-	T       int     `json:"t"`
-}
+// Wire types of the irsd JSON data protocol (the snapshot and admin
+// endpoints keep theirs in durable.go and admin.go). The Dataset field of
+// every request may be empty when exactly one dataset is registered;
+// responses always echo the resolved name.
+
+// The data requests are the frame protocol's own request types, whose json
+// tags spell the JSON bodies: one struct per operation, whatever the codec.
+type (
+	SampleRequest     = wire.SampleReq // Stats (frame kind 0x07) has no JSON form
+	InsertRequest     = wire.InsertReq
+	DeleteRequest     = wire.DeleteReq
+	UpdateRequest     = wire.UpdateReq
+	RangeStatsRequest = wire.RangeStatsReq
+)
+
+// ContentTypeBinary is the media type of the binary frames on HTTP; the
+// frame layouts are listed in the internal/wire package comment.
+const ContentTypeBinary = wire.ContentTypeBinary
 
 // SampleResponse carries the T samples, in draw order.
 type SampleResponse struct {
 	Dataset string    `json:"dataset"`
 	Samples []float64 `json:"samples"`
-}
-
-// InsertRequest stores keys and/or weighted items. Keys is shorthand for
-// unit-weight items; on unweighted datasets all weights are ignored.
-type InsertRequest struct {
-	Dataset string    `json:"dataset,omitempty"`
-	Keys    []float64 `json:"keys,omitempty"`
-	Items   []Item    `json:"items,omitempty"`
 }
 
 // InsertResponse reports how many items were stored.
@@ -32,25 +33,10 @@ type InsertResponse struct {
 	Inserted int    `json:"inserted"`
 }
 
-// UpdateRequest sets the weight of one occurrence of each item's key on a
-// weighted dataset.
-type UpdateRequest struct {
-	Dataset string `json:"dataset,omitempty"`
-	Items   []Item `json:"items,omitempty"`
-}
-
 // UpdateResponse reports how many keys were present and re-weighted.
 type UpdateResponse struct {
 	Dataset string `json:"dataset"`
 	Updated int    `json:"updated"`
-}
-
-// RangeStatsRequest asks for the in-range key count and sampling mass of
-// [Lo, Hi] — the probe a cluster router splits its multinomial with.
-type RangeStatsRequest struct {
-	Dataset string  `json:"dataset,omitempty"`
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
 }
 
 // RangeStatsResponse reports the in-range key count and sampling mass.
@@ -60,64 +46,10 @@ type RangeStatsResponse struct {
 	Mass    float64 `json:"mass"`
 }
 
-// SnapshotRequest triggers a point-in-time snapshot (and WAL compaction)
-// of a durable dataset.
-type SnapshotRequest struct {
-	Dataset string `json:"dataset,omitempty"`
-}
-
-// SnapshotResponse reports the committed snapshot: the WAL sequence it
-// covers and the number of items serialized.
-type SnapshotResponse struct {
-	Dataset string `json:"dataset"`
-	Seq     uint64 `json:"seq"`
-	Items   int    `json:"items"`
-}
-
-// DeleteRequest removes one occurrence of each key.
-type DeleteRequest struct {
-	Dataset string    `json:"dataset,omitempty"`
-	Keys    []float64 `json:"keys,omitempty"`
-}
-
 // DeleteResponse reports how many keys were present and removed.
 type DeleteResponse struct {
 	Dataset string `json:"dataset"`
 	Removed int    `json:"removed"`
-}
-
-// AddDatasetRequest creates a dataset at runtime (POST /datasets) through
-// the server's Provisioner.
-type AddDatasetRequest struct {
-	Dataset  string `json:"dataset"`
-	Weighted bool   `json:"weighted,omitempty"`
-}
-
-// AddDatasetResponse confirms the registration.
-type AddDatasetResponse struct {
-	Dataset string `json:"dataset"`
-	Kind    string `json:"kind"`
-}
-
-// DropDatasetResponse confirms a DELETE /datasets/{name}: the dataset has
-// been drained, its store synced and closed, and the name unregistered.
-type DropDatasetResponse struct {
-	Dataset string `json:"dataset"`
-	Dropped bool   `json:"dropped"`
-}
-
-// DatasetInfo is one GET /datasets element: the registry's view of a
-// dataset without the serving counters /stats carries.
-type DatasetInfo struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"`
-	State   string `json:"state,omitempty"`
-	Durable bool   `json:"durable,omitempty"`
-}
-
-// ListDatasetsResponse is the GET /datasets payload.
-type ListDatasetsResponse struct {
-	Datasets []DatasetInfo `json:"datasets"`
 }
 
 // ErrorResponse is the error envelope every non-2xx response carries.
