@@ -1,10 +1,11 @@
 // Command irsd is the IRS sampling daemon: it serves named unweighted or
-// weighted datasets over HTTP/JSON, HTTP binary frames and (with -tcp-addr)
-// the irsnet TCP transport, coalescing concurrent requests into batched
-// calls against the concurrent sharded structures. Package server
-// documents the protocol and the typed client; DESIGN.md "Daemon runtime"
-// the process lifecycle (scraped stdout lines, signals, drain order, exit
-// codes) irsd shares with irsrouter through internal/daemon.
+// weighted datasets over HTTP/JSON, HTTP binary frames and the irsnet TCP
+// transport, all on -addr (a connection's first bytes pick the protocol;
+// -tcp-addr adds an irsnet-only listener), coalescing concurrent requests
+// into batched calls against the concurrent sharded structures. Package
+// server documents the protocol and the typed client; DESIGN.md "Daemon
+// runtime" the process lifecycle (scraped stdout lines, signals, drain
+// order, exit codes) irsd shares with irsrouter through internal/daemon.
 //
 //	irsd -addr 127.0.0.1:8080 -datasets events,logs:weighted
 //	irsd -addr 127.0.0.1:0 -datasets demo -preload 100000

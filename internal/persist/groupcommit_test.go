@@ -201,7 +201,7 @@ func TestSyncIntervalStickyFsyncError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.LogInsert(mkEntries([]float64{1}, []float64{1})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{1}, []float64{1})); err != nil {
 		t.Fatalf("append before the background sync ran: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -214,7 +214,7 @@ func TestSyncIntervalStickyFsyncError(t *testing.T) {
 	if err := st.Err(); !errors.Is(err, errBoom) {
 		t.Fatalf("sticky error %v, want the injected failure", err)
 	}
-	if err := st.LogInsert(mkEntries([]float64{2}, []float64{1})); !errors.Is(err, errBoom) {
+	if err := write(st, st.StageInsert, mkEntries([]float64{2}, []float64{1})); !errors.Is(err, errBoom) {
 		t.Fatalf("append after failure: %v, want sticky error", err)
 	}
 	if st.Stats().SyncError == "" {
@@ -228,7 +228,7 @@ func TestSyncIntervalStickyFsyncError(t *testing.T) {
 func TestOpenStreamMatchesOpen(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindWeighted)
-	if err := st.LogInsert(mkEntries([]float64{1, 2, 3}, []float64{1, 2, 3})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{1, 2, 3}, []float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	if _, commit, err := st.BeginSnapshot(); err != nil {
@@ -236,10 +236,10 @@ func TestOpenStreamMatchesOpen(t *testing.T) {
 	} else if err := commit(mkEntries([]float64{1, 2, 3}, []float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogDelete([]float64{2}); err != nil {
+	if err := write(st, st.StageDelete, mkEntries([]float64{2}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogUpdate(mkEntries([]float64{3}, []float64{9})); err != nil {
+	if err := write(st, st.StageUpdate, mkEntries([]float64{3}, []float64{9})); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

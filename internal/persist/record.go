@@ -37,11 +37,14 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"github.com/irsgo/irs/internal/weighted"
 )
 
 // Op identifies one WAL record type.
@@ -71,14 +74,12 @@ func (o Op) String() string {
 	}
 }
 
-// Entry is one key (with, for insert and update records, its weight).
-type Entry[K any] struct {
-	Key    K
-	Weight float64
-}
+// Entry is one key (with, for insert and update records, its weight): the
+// engine's own weighted.Item, so the serving layer stages its batches as-is.
+type Entry[K cmp.Ordered] = weighted.Item[K]
 
 // Record is one decoded WAL record: a batch of entries under one op.
-type Record[K any] struct {
+type Record[K cmp.Ordered] struct {
 	Op      Op
 	Entries []Entry[K]
 }
@@ -86,7 +87,7 @@ type Record[K any] struct {
 // KeyCodec serializes keys of one type. Append writes a key's encoding to
 // dst; Read decodes one key from the front of b and returns the rest.
 // Encodings must be self-delimiting (fixed width, or length-prefixed).
-type KeyCodec[K any] struct {
+type KeyCodec[K cmp.Ordered] struct {
 	Append func(dst []byte, key K) []byte
 	Read   func(b []byte) (key K, rest []byte, err error)
 }
@@ -122,7 +123,7 @@ var (
 )
 
 // appendRecord encodes rec as one CRC-framed record appended to dst.
-func appendRecord[K any](dst []byte, codec KeyCodec[K], rec Record[K]) ([]byte, error) {
+func appendRecord[K cmp.Ordered](dst []byte, codec KeyCodec[K], rec Record[K]) ([]byte, error) {
 	if !rec.Op.valid() {
 		return dst, fmt.Errorf("persist: cannot encode %v record", rec.Op)
 	}
@@ -149,7 +150,7 @@ func appendRecord[K any](dst []byte, codec KeyCodec[K], rec Record[K]) ([]byte, 
 // decodeRecord decodes one frame payload (the bytes after the header).
 // It never panics on malformed input; every structural violation returns
 // an error wrapping ErrCorrupt (FuzzWALDecode enforces this).
-func decodeRecord[K any](codec KeyCodec[K], payload []byte) (Record[K], error) {
+func decodeRecord[K cmp.Ordered](codec KeyCodec[K], payload []byte) (Record[K], error) {
 	return decodeRecordInto(codec, payload, nil)
 }
 
@@ -157,7 +158,7 @@ func decodeRecord[K any](codec KeyCodec[K], payload []byte) (Record[K], error) {
 // hot path's spelling, so replaying a long WAL tail reuses one entries
 // backing across every record instead of allocating per record. The
 // returned Record's Entries aliases (the possibly-grown) entries.
-func decodeRecordInto[K any](codec KeyCodec[K], payload []byte, entries []Entry[K]) (Record[K], error) {
+func decodeRecordInto[K cmp.Ordered](codec KeyCodec[K], payload []byte, entries []Entry[K]) (Record[K], error) {
 	var rec Record[K]
 	if len(payload) < 5 {
 		return rec, fmt.Errorf("%w: payload too short", ErrCorrupt)

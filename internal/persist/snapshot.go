@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,7 +38,7 @@ const snapshotMagic = "irssnap1"
 // guards against later bit rot.
 
 // writeSnapshotFile writes entries atomically to path.
-func writeSnapshotFile[K any](path string, codec KeyCodec[K], kind uint8, seq uint64, entries []Entry[K]) (err error) {
+func writeSnapshotFile[K cmp.Ordered](path string, codec KeyCodec[K], kind uint8, seq uint64, entries []Entry[K]) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -94,7 +95,7 @@ func writeSnapshotFile[K any](path string, codec KeyCodec[K], kind uint8, seq ui
 
 // readSnapshotFile loads and verifies a snapshot file, materializing its
 // entries.
-func readSnapshotFile[K any](path string, codec KeyCodec[K], wantKind uint8) (seq uint64, entries []Entry[K], err error) {
+func readSnapshotFile[K cmp.Ordered](path string, codec KeyCodec[K], wantKind uint8) (seq uint64, entries []Entry[K], err error) {
 	seq, _, err = readSnapshotStream(path, codec, wantKind,
 		func(count int) error {
 			entries = make([]Entry[K], 0, count)
@@ -115,7 +116,7 @@ func readSnapshotFile[K any](path string, codec KeyCodec[K], wantKind uint8) (se
 // key order; start, if non-nil, first announces the entry count so the
 // receiver can pre-size. Either callback may be nil. Callback errors abort
 // the read unchanged.
-func readSnapshotStream[K any](path string, codec KeyCodec[K], wantKind uint8, start func(count int) error, entry func(Entry[K]) error) (seq uint64, count int, err error) {
+func readSnapshotStream[K cmp.Ordered](path string, codec KeyCodec[K], wantKind uint8, start func(count int) error, entry func(Entry[K]) error) (seq uint64, count int, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err

@@ -74,7 +74,7 @@ type Recovery[K cmp.Ordered] struct {
 // Record receives WAL tail records in append order; its Entries slice is
 // reused between calls and must not be retained. Any callback error
 // aborts the open.
-type RecoverySink[K any] struct {
+type RecoverySink[K cmp.Ordered] struct {
 	SnapshotStart func(count int) error
 	SnapshotEntry func(e Entry[K]) error
 	Record        func(rec Record[K]) error
@@ -558,38 +558,6 @@ func (s *Store[K]) commitOnce() {
 	s.metrics.CommitRecords.Observe(seq - already)
 	s.syncs.Add(1)
 	s.publish(seq)
-}
-
-// append stages one record and waits for durability per policy — the
-// non-group-commit convenience path.
-func (s *Store[K]) append(rec Record[K]) error {
-	t, err := s.stage(rec)
-	if err != nil {
-		return err
-	}
-	return s.WaitDurable(t)
-}
-
-// LogInsert appends one insert record covering entries, durable per policy
-// on return.
-func (s *Store[K]) LogInsert(entries []Entry[K]) error {
-	return s.append(Record[K]{Op: OpInsert, Entries: entries})
-}
-
-// LogDelete appends one delete record covering keys, durable per policy on
-// return.
-func (s *Store[K]) LogDelete(keys []K) error {
-	entries := make([]Entry[K], len(keys))
-	for i, k := range keys {
-		entries[i].Key = k
-	}
-	return s.append(Record[K]{Op: OpDelete, Entries: entries})
-}
-
-// LogUpdate appends one update-weight record covering entries, durable per
-// policy on return.
-func (s *Store[K]) LogUpdate(entries []Entry[K]) error {
-	return s.append(Record[K]{Op: OpUpdate, Entries: entries})
 }
 
 // Sync flushes and fsyncs the active segment. A failure is sticky.

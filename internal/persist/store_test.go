@@ -38,13 +38,13 @@ func TestStoreEmptyDirRecoversEmpty(t *testing.T) {
 func TestStoreWALTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindWeighted)
-	if err := st.LogInsert(mkEntries([]float64{1, 2, 3}, []float64{1, 1, 2})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{1, 2, 3}, []float64{1, 1, 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogDelete([]float64{2}); err != nil {
+	if err := write(st, st.StageDelete, mkEntries([]float64{2}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogUpdate(mkEntries([]float64{3}, []float64{9})); err != nil {
+	if err := write(st, st.StageUpdate, mkEntries([]float64{3}, []float64{9})); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: never closed.
@@ -80,11 +80,11 @@ func TestStoreReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindUnweighted)
 	for i := 0; i < 50; i++ {
-		if err := st.LogInsert(mkEntries([]float64{float64(i), float64(i) / 3}, []float64{1, 1})); err != nil {
+		if err := write(st, st.StageInsert, mkEntries([]float64{float64(i), float64(i) / 3}, []float64{1, 1})); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if err := st.LogDelete([]float64{float64(i - 1)}); err != nil {
+			if err := write(st, st.StageDelete, mkEntries([]float64{float64(i - 1)}, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,7 +112,7 @@ func TestStoreReplayDeterminism(t *testing.T) {
 func TestStoreSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindUnweighted)
-	if err := st.LogInsert(mkEntries([]float64{1, 2}, []float64{1, 1})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{1, 2}, []float64{1, 1})); err != nil {
 		t.Fatal(err)
 	}
 	seq, commit, err := st.BeginSnapshot()
@@ -127,7 +127,7 @@ func TestStoreSnapshotAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-snapshot tail.
-	if err := st.LogInsert(mkEntries([]float64{3}, []float64{1})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{3}, []float64{1})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,7 +174,7 @@ func TestStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindUnweighted)
 	for i := 0; i < 3; i++ {
-		if err := st.LogInsert(mkEntries([]float64{float64(i)}, []float64{1})); err != nil {
+		if err := write(st, st.StageInsert, mkEntries([]float64{float64(i)}, []float64{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestStoreTornTail(t *testing.T) {
 		}
 		// The torn bytes must be truncated away: appending must produce a
 		// log that replays cleanly.
-		if err := st2.LogInsert(mkEntries([]float64{99}, []float64{1})); err != nil {
+		if err := write(st2, st2.StageInsert, mkEntries([]float64{99}, []float64{1})); err != nil {
 			t.Fatal(err)
 		}
 		st3, rec3 := reopen(t, scratch, KindUnweighted)
@@ -225,7 +225,7 @@ func TestStoreCorruptMiddleFrame(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindUnweighted)
 	for i := 0; i < 4; i++ {
-		if err := st.LogInsert(mkEntries([]float64{float64(i)}, []float64{1})); err != nil {
+		if err := write(st, st.StageInsert, mkEntries([]float64{float64(i)}, []float64{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestStoreKindMismatchRejected(t *testing.T) {
 func TestStoreKindMismatchRejectedWALOnly(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindUnweighted)
-	if err := st.LogInsert(mkEntries([]float64{1}, []float64{1})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{1}, []float64{1})); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -297,7 +297,7 @@ func TestStoreClosedErrors(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := st.LogInsert(mkEntries([]float64{1}, []float64{1})); !errors.Is(err, ErrClosed) {
+	if err := write(st, st.StageInsert, mkEntries([]float64{1}, []float64{1})); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append on closed store: %v", err)
 	}
 	if _, _, err := st.BeginSnapshot(); !errors.Is(err, ErrClosed) {
@@ -313,7 +313,7 @@ func TestStoreClosedErrors(t *testing.T) {
 func TestStoreInterruptedSnapshotTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, KindUnweighted)
-	if err := st.LogInsert(mkEntries([]float64{5}, []float64{1})); err != nil {
+	if err := write(st, st.StageInsert, mkEntries([]float64{5}, []float64{1})); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -329,6 +329,17 @@ func TestStoreInterruptedSnapshotTmpIgnored(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("stale .tmp not removed")
 	}
+}
+
+// write stages one record through stage (the store's StageInsert,
+// StageDelete, or StageUpdate) and waits for its covering fsync — the
+// (stage, WaitDurable) pair the serving layer commits every batch with.
+func write(st *Store[float64], stage func([]Entry[float64]) (Ticket, error), entries []Entry[float64]) error {
+	t, err := stage(entries)
+	if err != nil {
+		return err
+	}
+	return st.WaitDurable(t)
 }
 
 func keysOf(entries []Entry[float64]) []float64 {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -161,7 +162,7 @@ func (w *walWriter) close() error {
 // entries backing are recycled from record to record, so a long WAL tail
 // replays without per-record allocation. The Record handed to fn aliases
 // this scratch and must not be retained across calls.
-type replayScratch[K any] struct {
+type replayScratch[K cmp.Ordered] struct {
 	payload []byte
 	entries []Entry[K]
 }
@@ -171,7 +172,7 @@ type replayScratch[K any] struct {
 // and reports the length of the valid prefix and whether anything followed
 // it (a torn or corrupt tail); a missing file replays as empty. fn errors
 // abort the replay unchanged.
-func replaySegment[K any](path string, codec KeyCodec[K], scratch *replayScratch[K], fn func(Record[K]) error) (validLen int64, records int, torn bool, err error) {
+func replaySegment[K cmp.Ordered](path string, codec KeyCodec[K], scratch *replayScratch[K], fn func(Record[K]) error) (validLen int64, records int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {

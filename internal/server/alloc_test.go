@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/irsgo/irs/internal/persist"
@@ -196,6 +197,72 @@ func TestDurableInsertDeleteZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state durable insert+delete allocates %.1f times per round, want 0", allocs)
+	}
+}
+
+// TestSnapshotExportBytes pins what one Core.Snapshot allocates per stored
+// item: the dataset is exported once, into a presized slice of the element
+// the WAL serializes as-is, so a weighted snapshot costs one 16-byte item
+// per key and an unweighted one adds only its 8-byte key export. Extra
+// copies of the export (a conversion pass, an unsized append) show up here
+// as whole multiples of the item size.
+func TestSnapshotExportBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const n = 1 << 17
+	items := make([]Item[float64], n)
+	keys := make([]float64, n)
+	for i := range items {
+		keys[i] = float64(i)
+		items[i] = Item[float64]{Key: keys[i], Weight: 1 + float64(i%7)}
+	}
+	w, err := shard.NewWeightedFromSortedItems(items, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := shard.NewFromSortedSeeded(keys, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		kind     uint8
+		ds       Dataset[float64]
+		maxBytes float64 // per item
+	}{
+		{"weighted", persist.KindWeighted, NewWeightedDataset(w), 20},
+		{"unweighted", persist.KindUnweighted, NewUnweightedDataset(u), 28},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, rec, err := persist.Open(t.TempDir(), persist.Float64Keys(), persist.Options{Kind: tc.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			core := NewCore[float64](Config{})
+			defer core.Close()
+			if err := core.AddDurable("d", tc.ds, store, rec.Stats); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Snapshot("d"); err != nil { // warm the writer paths
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			info, err := core.Snapshot("d")
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Items != n {
+				t.Fatalf("snapshot covered %d items, want %d", info.Items, n)
+			}
+			perItem := float64(after.TotalAlloc-before.TotalAlloc) / n
+			t.Logf("%s snapshot: %.1f B/item", tc.name, perItem)
+			if perItem > tc.maxBytes {
+				t.Fatalf("%s snapshot allocates %.1f B/item, want <= %.0f", tc.name, perItem, tc.maxBytes)
+			}
+		})
 	}
 }
 

@@ -10,14 +10,12 @@ import (
 	"github.com/irsgo/irs/internal/xrand"
 )
 
-// Item is one element of an insert request: a key plus a sampling weight.
+// Item is one element of an insert or update request: a key plus a
+// sampling weight — the engine's weighted.Item, which the WAL stores as-is.
 // Unweighted datasets route and store the key and ignore the weight (every
 // key has unit mass); weighted datasets validate it with the usual rules
 // (non-negative, finite).
-type Item[K cmp.Ordered] struct {
-	Key    K       `json:"key"`
-	Weight float64 `json:"weight,omitempty"`
-}
+type Item[K cmp.Ordered] = weighted.Item[K]
 
 // Dataset is the backend surface a Core serves: exactly the slice of
 // irs.Concurrent / irs.WeightedConcurrent the serving layer needs, so tests
@@ -120,11 +118,10 @@ func (d *unweightedDataset[K]) DeleteKeys(keys []K) int { return d.DeleteBatch(k
 func (d *unweightedDataset[K]) Weighted() bool          { return false }
 
 // weightedDataset adapts *shard.WeightedConcurrent (= irs.WeightedConcurrent)
-// the same way. itemPool recycles the weighted-item buffers InsertItems
-// converts into, mirroring unweightedDataset's keyPool.
+// the same way. Items are the engine's own element, so InsertItems hands
+// them straight to InsertBatch (which copies into its own pooled buffer).
 type weightedDataset[K cmp.Ordered] struct {
 	*shard.WeightedConcurrent[K]
-	itemPool sync.Pool // *[]weighted.Item[K]
 }
 
 // NewWeightedDataset wraps a WeightedConcurrent as a servable Dataset.
@@ -132,22 +129,7 @@ func NewWeightedDataset[K cmp.Ordered](w *shard.WeightedConcurrent[K]) Dataset[K
 	return &weightedDataset[K]{WeightedConcurrent: w}
 }
 
-func (d *weightedDataset[K]) InsertItems(items []Item[K]) error {
-	wp, _ := d.itemPool.Get().(*[]weighted.Item[K])
-	if wp == nil {
-		wp = new([]weighted.Item[K])
-	}
-	witems := (*wp)[:0]
-	for _, it := range items {
-		witems = append(witems, weighted.Item[K]{Key: it.Key, Weight: it.Weight})
-	}
-	err := d.InsertBatch(witems)
-	if cap(witems) <= maxRetainedScratch {
-		*wp = witems[:0]
-		d.itemPool.Put(wp)
-	}
-	return err
-}
+func (d *weightedDataset[K]) InsertItems(items []Item[K]) error { return d.InsertBatch(items) }
 
 func (d *weightedDataset[K]) UpdateWeights(items []Item[K]) int {
 	n := 0
@@ -161,13 +143,9 @@ func (d *weightedDataset[K]) UpdateWeights(items []Item[K]) int {
 	return n
 }
 
+// ExportItems presizes dst so AppendItems fills it without regrowing.
 func (d *weightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
-	witems := d.AppendItems(make([]weighted.Item[K], 0, d.Len()))
-	dst = slices.Grow(dst, len(witems))
-	for _, it := range witems {
-		dst = append(dst, Item[K]{Key: it.Key, Weight: it.Weight})
-	}
-	return dst
+	return d.AppendItems(slices.Grow(dst, d.Len()))
 }
 
 func (d *weightedDataset[K]) DeleteKeys(keys []K) int { return d.DeleteBatch(keys) }

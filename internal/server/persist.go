@@ -22,8 +22,11 @@ import (
 //
 // Snapshots (Core.Snapshot) rotate the WAL and export the dataset under
 // the same log mutex — a brief write pause, sampling unaffected — then
-// serialize and compact outside the lock. Recovery (persist.Open + Replay)
-// loads the newest snapshot and replays the WAL tail in order.
+// serialize and compact outside the lock. Recovery (persist.OpenStream
+// feeding a ReplayApplier) loads the newest snapshot and replays the WAL
+// tail in order. Items and WAL entries are one type (weighted.Item), so
+// every path stages its batch as-is and a snapshot exports the dataset
+// once.
 
 // Typed errors of the durability paths.
 var (
@@ -81,10 +84,7 @@ func (st *dsState[K]) applyUpdate(items []Item[K]) (int, error) {
 	if st.store == nil {
 		return st.ds.UpdateWeights(items), nil
 	}
-	sp := st.getEntries()
-	defer st.putEntries(sp)
-	*sp = appendEntries(*sp, items)
-	return st.commit(st.store.StageUpdate, *sp, func() (int, error) { return st.ds.UpdateWeights(items), nil })
+	return st.commit(st.store.StageUpdate, items, func() (int, error) { return st.ds.UpdateWeights(items), nil })
 }
 
 // SnapshotInfo reports one committed snapshot.
@@ -129,25 +129,21 @@ func (st *dsState[K]) snapshotNow() (SnapshotInfo, error) {
 	items := st.ds.ExportItems(nil)
 	st.logMu.Unlock()
 
-	// The export is last used here, so it is garbage — not a third live
-	// copy of the dataset — while commit serializes the entries.
-	n := len(items)
-	entries := appendEntries(make([]persist.Entry[K], 0, n), items)
-	if err := commit(entries); err != nil {
+	if err := commit(items); err != nil {
 		return SnapshotInfo{}, err
 	}
 	st.counters.snapshotSeconds.Observe(time.Since(start))
-	return SnapshotInfo{Seq: seq, Items: n}, nil
+	return SnapshotInfo{Seq: seq, Items: len(items)}, nil
 }
 
 // ReplayApplier applies recovered WAL records to a Dataset one at a time,
-// reusing its conversion buffers across records — the streaming spelling
-// of Replay, fed directly from persist.OpenStream's record callback so a
-// long WAL tail replays without per-record allocation. The zero value is
-// ready to use; an applier serves one recovery at a time.
+// in append order, reusing its delete-key buffer across records. It is fed
+// directly from persist.OpenStream's record callback (after the snapshot
+// entries were bulk-loaded), so a long WAL tail replays without per-record
+// allocation. The zero value is ready to use; an applier serves one
+// recovery at a time.
 type ReplayApplier[K cmp.Ordered] struct {
-	items []Item[K]
-	keys  []K
+	keys []K
 }
 
 // Apply applies one recovered record. Weight updates are skipped on
@@ -157,11 +153,7 @@ type ReplayApplier[K cmp.Ordered] struct {
 func (ra *ReplayApplier[K]) Apply(ds Dataset[K], rec persist.Record[K]) error {
 	switch rec.Op {
 	case persist.OpInsert:
-		ra.items = ra.items[:0]
-		for _, e := range rec.Entries {
-			ra.items = append(ra.items, Item[K]{Key: e.Key, Weight: e.Weight})
-		}
-		return ds.InsertItems(ra.items)
+		return ds.InsertItems(rec.Entries)
 	case persist.OpDelete:
 		ra.keys = ra.keys[:0]
 		for _, e := range rec.Entries {
@@ -172,34 +164,7 @@ func (ra *ReplayApplier[K]) Apply(ds Dataset[K], rec persist.Record[K]) error {
 		if !ds.Weighted() {
 			return nil
 		}
-		ra.items = ra.items[:0]
-		for _, e := range rec.Entries {
-			ra.items = append(ra.items, Item[K]{Key: e.Key, Weight: e.Weight})
-		}
-		ds.UpdateWeights(ra.items)
+		ds.UpdateWeights(rec.Entries)
 	}
 	return nil
-}
-
-// Replay applies recovered WAL records to ds in append order. The caller
-// has already loaded the snapshot entries (typically through a bulk-load
-// constructor); Replay finishes the reconstruction.
-func Replay[K cmp.Ordered](ds Dataset[K], records []persist.Record[K]) error {
-	var ra ReplayApplier[K]
-	for _, rec := range records {
-		if err := ra.Apply(ds, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendEntries converts serving items to persistence entries, appending
-// to dst — the allocation-free spelling every durable path encodes
-// through.
-func appendEntries[K cmp.Ordered](dst []persist.Entry[K], items []Item[K]) []persist.Entry[K] {
-	for _, it := range items {
-		dst = append(dst, persist.Entry[K]{Key: it.Key, Weight: it.Weight})
-	}
-	return dst
 }

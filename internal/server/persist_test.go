@@ -10,7 +10,6 @@ import (
 	"github.com/irsgo/irs/internal/persist"
 	"github.com/irsgo/irs/internal/shard"
 	"github.com/irsgo/irs/internal/stats"
-	"github.com/irsgo/irs/internal/weighted"
 	"github.com/irsgo/irs/internal/xrand"
 )
 
@@ -24,18 +23,12 @@ func openDurableWeighted(t *testing.T, dir string, cfg Config) (*Core[float64], 
 	if err != nil {
 		t.Fatalf("persist.Open: %v", err)
 	}
-	items := make([]weighted.Item[float64], len(rec.Entries))
-	for i, e := range rec.Entries {
-		items[i] = weighted.Item[float64]{Key: e.Key, Weight: e.Weight}
-	}
-	w, err := shard.NewWeightedFromItems(items, 4, 7)
+	w, err := shard.NewWeightedFromItems(rec.Entries, 4, 7)
 	if err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
 	ds := NewWeightedDataset(w)
-	if err := Replay(ds, rec.Records); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	replay(t, ds, rec.Records)
 	core := NewCore[float64](cfg)
 	if err := core.AddDurable("d", ds, store, rec.Stats); err != nil {
 		t.Fatal(err)
@@ -58,14 +51,24 @@ func openDurableUnweighted(t *testing.T, dir string, cfg Config) (*Core[float64]
 		t.Fatalf("bulk load: %v", err)
 	}
 	ds := NewUnweightedDataset(c)
-	if err := Replay(ds, rec.Records); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	replay(t, ds, rec.Records)
 	core := NewCore[float64](cfg)
 	if err := core.AddDurable("d", ds, store, rec.Stats); err != nil {
 		t.Fatal(err)
 	}
 	return core, ds
+}
+
+// replay applies recovered WAL records to ds in append order, as irsd's
+// streaming boot does record by record.
+func replay(t *testing.T, ds Dataset[float64], records []persist.Record[float64]) {
+	t.Helper()
+	var ra ReplayApplier[float64]
+	for _, rec := range records {
+		if err := ra.Apply(ds, rec); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+	}
 }
 
 // exportMultiset renders a dataset's exact logical state as sorted
@@ -260,11 +263,7 @@ func TestDurableChurnCrashRecoveryAcceptance(t *testing.T) {
 	sameMultiset(t, exportMultiset(ds2), wantMultiset, "post-crash recovery")
 
 	// Never-crashed twin: the same logical state, built directly.
-	items := ds.ExportItems(nil)
-	twinItems := make([]weighted.Item[float64], len(items))
-	for i, it := range items {
-		twinItems[i] = weighted.Item[float64]{Key: it.Key, Weight: it.Weight}
-	}
+	twinItems := ds.ExportItems(nil)
 	twin, err := shard.NewWeightedFromItems(twinItems, 4, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -442,5 +441,25 @@ func TestDurableStatsSurface(t *testing.T) {
 	d2 := core2.Stats().Datasets[0]
 	if d2.Persist.Recovery.SnapshotEntries != 1 {
 		t.Fatalf("recovery stats not surfaced: %+v", d2.Persist)
+	}
+}
+
+// TestDurableEmptyDeleteWritesNothing: an empty delete is answered inline,
+// as empty inserts and updates are, so it neither stages a WAL record nor
+// waits on an fsync.
+func TestDurableEmptyDeleteWritesNothing(t *testing.T) {
+	core, _ := openDurableUnweighted(t, t.TempDir(), Config{})
+	defer core.Close()
+	for i := 0; i < 5; i++ {
+		if n, err := core.Delete("d", nil); err != nil || n != 0 {
+			t.Fatalf("empty delete: n=%d err=%v", n, err)
+		}
+	}
+	d := core.Stats().Datasets[0]
+	if d.Persist.Records != 0 || d.Persist.Syncs != 0 {
+		t.Fatalf("empty deletes reached the WAL: records=%d syncs=%d", d.Persist.Records, d.Persist.Syncs)
+	}
+	if d.DeleteRequests != 5 {
+		t.Fatalf("delete requests = %d, want 5", d.DeleteRequests)
 	}
 }

@@ -208,7 +208,7 @@ type dsState[K cmp.Ordered] struct {
 	// snapshot protocol's rotate+export; snapMu serializes whole snapshot
 	// protocols. The fsync wait happens outside logMu — the group-commit
 	// restructure (see persist.go). entryPool recycles the Entry buffers
-	// the non-coalesced durable paths (delete, update) encode through.
+	// durable deletes turn their keys into.
 	store     *persist.Store[K]
 	logMu     sync.Mutex
 	snapMu    sync.Mutex
@@ -569,13 +569,12 @@ func validItems[K cmp.Ordered](items []Item[K], weights bool) error {
 }
 
 // insertFlusher is one insert flush worker's private state: the reusable
-// concatenation buffer merged batches are assembled in plus the reusable
-// WAL-entry buffer they are encoded through, so a steady-state durable
-// flush performs no heap allocation of its own.
+// concatenation buffer merged batches are assembled in — and, on durable
+// datasets, staged from as-is — so a steady-state durable flush performs no
+// heap allocation of its own.
 type insertFlusher[K cmp.Ordered] struct {
-	st      *dsState[K]
-	items   []Item[K]
-	entries []persist.Entry[K]
+	st    *dsState[K]
+	items []Item[K]
 }
 
 // flush concatenates one coalesced batch of insert requests and stores it
@@ -592,7 +591,7 @@ func (f *insertFlusher[K]) flush(batch []request[[]Item[K], int]) {
 		f.items = append(f.items, r.q...)
 	}
 	total := len(f.items)
-	err := st.applyInsert(f.items, &f.entries)
+	err := st.applyInsert(f.items)
 	if cap(f.items) > maxRetainedScratch {
 		f.items = nil
 	}
@@ -611,7 +610,8 @@ func (f *insertFlusher[K]) flush(batch []request[[]Item[K], int]) {
 // Delete removes one occurrence of each key from the named dataset,
 // returning how many were present and removed. Deletes go straight to
 // DeleteBatch — the request body is already a batch — and remain subject
-// to the shutdown gate.
+// to the shutdown gate. An empty key list is answered inline, as Insert and
+// Update do, so it never stages a WAL record.
 func (c *Core[K]) Delete(name string, keys []K) (int, error) {
 	st, err := c.lookup(name)
 	if err != nil {
@@ -623,6 +623,9 @@ func (c *Core[K]) Delete(name string, keys []K) (int, error) {
 		}
 	}
 	st.counters.deleteRequests.Add(1)
+	if len(keys) == 0 {
+		return 0, nil
+	}
 	n, err := st.applyDelete(keys)
 	if err != nil {
 		return 0, st.dropErr(err)
@@ -652,19 +655,12 @@ func (st *dsState[K]) commit(stage func([]persist.Entry[K]) (persist.Ticket, err
 }
 
 // applyInsert applies one merged insert batch, write-ahead logged on
-// durable datasets. The caller's scratch buffer carries the encoded
-// entries and is trimmed back under the retention bound.
-func (st *dsState[K]) applyInsert(items []Item[K], scratch *[]persist.Entry[K]) error {
+// durable datasets.
+func (st *dsState[K]) applyInsert(items []Item[K]) error {
 	if st.store == nil {
 		return st.ds.InsertItems(items)
 	}
-	entries := appendEntries((*scratch)[:0], items)
-	if cap(entries) <= maxRetainedScratch {
-		*scratch = entries[:0]
-	} else {
-		*scratch = nil
-	}
-	_, err := st.commit(st.store.StageInsert, entries, func() (int, error) { return 0, st.ds.InsertItems(items) })
+	_, err := st.commit(st.store.StageInsert, items, func() (int, error) { return 0, st.ds.InsertItems(items) })
 	return err
 }
 

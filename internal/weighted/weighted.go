@@ -51,10 +51,12 @@ var (
 	ErrUnsortedItems = errors.New("weighted: items are not sorted by key")
 )
 
-// Item is a weighted key.
+// Item is a weighted key: the one (key, weight) element shared by the
+// engines, the serving layer's requests, and the WAL (JSON omits a zero
+// weight).
 type Item[K cmp.Ordered] struct {
-	Key    K
-	Weight float64
+	Key    K       `json:"key"`
+	Weight float64 `json:"weight,omitempty"`
 }
 
 // ValidWeight reports whether w is a usable weight: finite and

@@ -105,9 +105,7 @@ func (s *Server) AddDurableUnweighted(name string, opts DurableOptions) (*irs.Co
 // (key, weight) multiset.
 func (s *Server) AddDurableWeighted(name string, opts DurableOptions) (*irs.WeightedConcurrent[float64], Recovery, error) {
 	return addDurable(s, name, opts, persist.KindWeighted,
-		func(e persist.Entry[float64]) weighted.Item[float64] {
-			return weighted.Item[float64]{Key: e.Key, Weight: e.Weight}
-		},
+		func(e persist.Entry[float64]) weighted.Item[float64] { return e },
 		func(items []weighted.Item[float64]) (*irs.WeightedConcurrent[float64], error) {
 			return irs.NewWeightedConcurrentFromSortedItems(items, max(opts.Shards, 1), opts.Seed)
 		},

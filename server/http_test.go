@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,6 +192,40 @@ func TestHTTPRoundTrip(t *testing.T) {
 	for _, d := range st.Datasets {
 		if d.SampleRequests == 0 && d.Name == "u" {
 			t.Fatalf("no accounted requests: %+v", d)
+		}
+	}
+}
+
+// TestClientJSONRequestBodies pins the bytes server.Client puts on the
+// wire for item-carrying requests: items spell "key" and "weight", and a
+// zero weight is omitted. The server's case-insensitive decode would
+// accept a lost tag silently, so only the raw body can catch one.
+func TestClientJSONRequestBodies(t *testing.T) {
+	var path, body string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		path, body = r.URL.Path, string(b)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{}`)
+	}))
+	defer ts.Close()
+	cl := server.NewClient(ts.URL)
+	ctx := context.Background()
+	items := []server.Item{{Key: 1.5, Weight: 2}, {Key: -3}}
+	for _, tc := range []struct {
+		call       func() error
+		path, body string
+	}{
+		{func() error { _, err := cl.InsertItems(ctx, "w", items); return err },
+			"/insert", `{"dataset":"w","items":[{"key":1.5,"weight":2},{"key":-3}]}`},
+		{func() error { _, err := cl.Update(ctx, "w", items); return err },
+			"/update", `{"dataset":"w","items":[{"key":1.5,"weight":2},{"key":-3}]}`},
+	} {
+		if err := tc.call(); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if path != tc.path || body != tc.body {
+			t.Fatalf("sent %s %s, want %s %s", path, body, tc.path, tc.body)
 		}
 	}
 }
