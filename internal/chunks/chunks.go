@@ -7,6 +7,13 @@
 // retuned by a global rebuild whenever n doubles or halves, so the structure
 // is always within a constant factor of its intended geometry.
 //
+// The directory is stored inline: List.groups is a []group, and each group's
+// chunk headers are a []chunk whose entries are the key slices themselves
+// (each keeping capacity 2s+1). A probe for groups[g].chunks[c].keys[e]
+// therefore costs three dependent loads — the group header, the chunk
+// header, the key — and splits, merges and redistributions move 24-byte
+// chunk headers and 32-byte group headers instead of pointers.
+//
 // The point of the two levels is uniform sampling by rejection: a query
 // range maps to a run of groups; probing a uniformly random (group, chunk
 // slot, element slot) triple and rejecting empty or out-of-range probes
@@ -15,6 +22,20 @@
 // time after the O(log n) search that locates the run. This realizes the
 // "linear space, O(log n + k) expected query, O(log n) update" bounds
 // attributed to the PODS 2014 paper.
+//
+// Every draw goes through one blocked probe kernel (Run.probe). A probe's
+// cost is memory latency, not instructions, so the kernel draws up to
+// blockSize probes at once — never more than the samples still missing —
+// and resolves them stage by stage: every group load, then every chunk
+// load, then every key load, accepting in draw order. The loads of one
+// stage are independent of each other, so an out-of-order core keeps them
+// in flight together instead of paying one miss after another. Blocking is
+// exact: each probe draws its whole triple from the RNG — as one uniform
+// integer below span·2s·2s, which is also the position's identifier — in
+// the order a one-probe-at-a-time loop would; acceptance is decided per
+// probe in draw order; and no probe is drawn that such a loop would not
+// also draw. So the accepted samples, the probe counts and the generator's
+// final state are bit-identical to the scalar loop's.
 //
 // Invariants (with s fixed between rebuilds):
 //
@@ -60,16 +81,20 @@ type chunk[K cmp.Ordered] struct {
 }
 
 type group[K cmp.Ordered] struct {
-	chunks []*chunk[K] // in key order
-	count  int         // total keys across chunks
+	chunks []chunk[K] // in key order; capacity 2s+1
+	count  int        // total keys across chunks
 }
 
 // List is the two-level chunked sorted list. It stores an ordered multiset
 // of keys. The zero value is not usable; call New or NewFromSorted.
 // A List is not safe for concurrent mutation; concurrent readers are safe
 // as long as no writer runs.
+//
+// Groups live inline in the directory, so a *group taken from l.groups is
+// invalidated by any append to l.groups; the update paths below re-index
+// after every directory change.
 type List[K cmp.Ordered] struct {
-	groups     []*group[K]
+	groups     []group[K]
 	counts     *fenwick.Counts // per-group key counts, same order as groups
 	n          int
 	s          int
@@ -150,51 +175,38 @@ func (l *List[K]) build(keys []K) {
 	if !l.fixedS {
 		l.s = chooseS(n)
 	}
-	l.groups = l.groups[:0]
+	l.groups = nil
 	if n == 0 {
 		l.rebuildFenwick()
 		return
 	}
-	fill := l.s + l.s/2 // target chunk fill 1.5s
+	fill := l.s + l.s/2 // target fill 1.5s, for chunks and groups alike
 	numChunks := (n + fill - 1) / fill
-	if numChunks == 0 {
-		numChunks = 1
-	}
-	// Distribute keys evenly so every chunk gets floor or ceil of n/numChunks,
-	// which is >= s/2 whenever numChunks > 1 because fill > s.
-	chunksBuilt := make([]*chunk[K], 0, numChunks)
-	base, extra := n/numChunks, n%numChunks
-	idx := 0
-	for i := 0; i < numChunks; i++ {
-		sz := base
-		if i < extra {
-			sz++
+	numGroups := (numChunks + fill - 1) / fill
+	// Distribute keys evenly so every chunk gets floor or ceil of
+	// n/numChunks, which is >= s/2 whenever numChunks > 1 because fill > s;
+	// chunks are spread over groups the same way.
+	kBase, kExtra := n/numChunks, n%numChunks
+	cBase, cExtra := numChunks/numGroups, numChunks%numGroups
+	l.groups = make([]group[K], numGroups)
+	ci, idx := 0, 0
+	for gi := range l.groups {
+		g := &l.groups[gi]
+		nc := cBase
+		if gi < cExtra {
+			nc++
 		}
-		c := &chunk[K]{keys: make([]K, sz, 2*l.s+1)}
-		copy(c.keys, keys[idx:idx+sz])
-		idx += sz
-		chunksBuilt = append(chunksBuilt, c)
-	}
-	// Group the chunks with the same even distribution.
-	gFill := l.s + l.s/2
-	numGroups := (numChunks + gFill - 1) / gFill
-	if numGroups == 0 {
-		numGroups = 1
-	}
-	base, extra = numChunks/numGroups, numChunks%numGroups
-	idx = 0
-	for i := 0; i < numGroups; i++ {
-		sz := base
-		if i < extra {
-			sz++
+		g.chunks = make([]chunk[K], nc, 2*l.s+1)
+		for c := range g.chunks {
+			sz := kBase
+			if ci < kExtra {
+				sz++
+			}
+			g.chunks[c].keys = append(make([]K, 0, 2*l.s+1), keys[idx:idx+sz]...)
+			idx += sz
+			g.count += sz
+			ci++
 		}
-		g := &group[K]{chunks: make([]*chunk[K], sz, 2*l.s+1)}
-		copy(g.chunks, chunksBuilt[idx:idx+sz])
-		idx += sz
-		for _, c := range g.chunks {
-			g.count += len(c.keys)
-		}
-		l.groups = append(l.groups, g)
 	}
 	l.rebuildFenwick()
 }
@@ -203,8 +215,8 @@ func (l *List[K]) build(keys []K) {
 // group directory changes shape.
 func (l *List[K]) rebuildFenwick() {
 	counts := make([]int, len(l.groups))
-	for i, g := range l.groups {
-		counts[i] = g.count
+	for i := range l.groups {
+		counts[i] = l.groups[i].count
 	}
 	l.counts = fenwick.NewCountsFrom(counts)
 }
@@ -226,7 +238,7 @@ type pos struct{ g, c, e int }
 
 // lastKey returns the largest key in the group.
 func (g *group[K]) lastKey() K {
-	c := g.chunks[len(g.chunks)-1]
+	c := &g.chunks[len(g.chunks)-1]
 	return c.keys[len(c.keys)-1]
 }
 
@@ -265,7 +277,7 @@ func (l *List[K]) search(bound K, strict bool) (pos, bool) {
 		return pos{}, false
 	}
 	g := lo
-	grp := l.groups[g]
+	grp := &l.groups[g]
 	// First chunk whose last key is on the found side.
 	lo, hi = 0, len(grp.chunks)
 	for lo < hi {
@@ -278,12 +290,12 @@ func (l *List[K]) search(bound K, strict bool) (pos, bool) {
 		}
 	}
 	c := lo
-	ch := grp.chunks[c]
+	keys := grp.chunks[c].keys
 	// First key on the found side.
-	lo, hi = 0, len(ch.keys)
+	lo, hi = 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if after(ch.keys[mid]) {
+		if after(keys[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -295,9 +307,8 @@ func (l *List[K]) search(bound K, strict bool) (pos, bool) {
 // indexOf returns the number of keys strictly before p. O(s + log n).
 func (l *List[K]) indexOf(p pos) int {
 	idx := l.counts.PrefixSum(p.g)
-	grp := l.groups[p.g]
-	for i := 0; i < p.c; i++ {
-		idx += len(grp.chunks[i].keys)
+	for _, c := range l.groups[p.g].chunks[:p.c] {
+		idx += len(c.keys)
 	}
 	return idx + p.e
 }
@@ -350,8 +361,7 @@ func (l *List[K]) SelectRank(i int) K {
 	}
 	g := l.counts.Select(i)
 	i -= l.counts.PrefixSum(g)
-	grp := l.groups[g]
-	for _, c := range grp.chunks {
+	for _, c := range l.groups[g].chunks {
 		if i < len(c.keys) {
 			return c.keys[i]
 		}
@@ -372,11 +382,9 @@ func (l *List[K]) Contains(key K) bool {
 // Insert adds key to the multiset in O(log n) amortized time.
 func (l *List[K]) Insert(key K) {
 	if l.n == 0 {
-		c := &chunk[K]{keys: make([]K, 1, 2*l.s+1)}
-		c.keys[0] = key
-		g := &group[K]{chunks: make([]*chunk[K], 1, 2*l.s+1), count: 1}
-		g.chunks[0] = c
-		l.groups = append(l.groups[:0], g)
+		keys := append(make([]K, 0, 2*l.s+1), key)
+		chunks := append(make([]chunk[K], 0, 2*l.s+1), chunk[K]{keys: keys})
+		l.groups = append(l.groups[:0], group[K]{chunks: chunks, count: 1})
 		l.n = 1
 		l.rebuildFenwick()
 		return
@@ -386,12 +394,11 @@ func (l *List[K]) Insert(key K) {
 	if !ok {
 		// Larger than everything: append to the last chunk.
 		g := len(l.groups) - 1
-		grp := l.groups[g]
-		c := len(grp.chunks) - 1
-		p = pos{g, c, len(grp.chunks[c].keys)}
+		c := len(l.groups[g].chunks) - 1
+		p = pos{g, c, len(l.groups[g].chunks[c].keys)}
 	}
-	grp := l.groups[p.g]
-	ch := grp.chunks[p.c]
+	grp := &l.groups[p.g]
+	ch := &grp.chunks[p.c]
 	ch.keys = append(ch.keys, key) // value placeholder; order fixed below
 	copy(ch.keys[p.e+1:], ch.keys[p.e:])
 	ch.keys[p.e] = key
@@ -402,7 +409,7 @@ func (l *List[K]) Insert(key K) {
 	if len(ch.keys) > 2*l.s {
 		l.splitChunk(p.g, p.c)
 		if len(grp.chunks) > 2*l.s {
-			l.splitGroup(p.g)
+			l.splitGroup(p.g) // appends to l.groups: grp is stale from here
 			structural = true
 		}
 	}
@@ -416,30 +423,29 @@ func (l *List[K]) Insert(key K) {
 
 // splitChunk splits chunk c of group g into two halves.
 func (l *List[K]) splitChunk(g, c int) {
-	grp := l.groups[g]
-	ch := grp.chunks[c]
-	mid := len(ch.keys) / 2
-	right := &chunk[K]{keys: make([]K, len(ch.keys)-mid, 2*l.s+1)}
-	copy(right.keys, ch.keys[mid:])
-	ch.keys = ch.keys[:mid]
-	grp.chunks = append(grp.chunks, nil)
+	grp := &l.groups[g]
+	left := grp.chunks[c].keys
+	mid := len(left) / 2
+	right := append(make([]K, 0, 2*l.s+1), left[mid:]...)
+	grp.chunks[c].keys = left[:mid]
+	grp.chunks = append(grp.chunks, chunk[K]{})
 	copy(grp.chunks[c+2:], grp.chunks[c+1:])
-	grp.chunks[c+1] = right
+	grp.chunks[c+1] = chunk[K]{keys: right}
 }
 
-// splitGroup splits group g into two halves and rebuilds the directory
-// index. The caller must refresh the Fenwick tree.
+// splitGroup splits group g into two halves. The caller must refresh the
+// Fenwick tree.
 func (l *List[K]) splitGroup(g int) {
-	grp := l.groups[g]
+	grp := &l.groups[g]
 	mid := len(grp.chunks) / 2
-	right := &group[K]{chunks: make([]*chunk[K], len(grp.chunks)-mid, 2*l.s+1)}
-	copy(right.chunks, grp.chunks[mid:])
-	grp.chunks = grp.chunks[:mid]
+	right := group[K]{chunks: append(make([]chunk[K], 0, 2*l.s+1), grp.chunks[mid:]...)}
 	for _, c := range right.chunks {
 		right.count += len(c.keys)
 	}
+	clear(grp.chunks[mid:])
+	grp.chunks = grp.chunks[:mid]
 	grp.count -= right.count
-	l.groups = append(l.groups, nil)
+	l.groups = append(l.groups, group[K]{})
 	copy(l.groups[g+2:], l.groups[g+1:])
 	l.groups[g+1] = right
 }
@@ -451,8 +457,8 @@ func (l *List[K]) Delete(key K) bool {
 	if !ok {
 		return false
 	}
-	grp := l.groups[p.g]
-	ch := grp.chunks[p.c]
+	grp := &l.groups[p.g]
+	ch := &grp.chunks[p.c]
 	if ch.keys[p.e] != key {
 		return false
 	}
@@ -471,6 +477,7 @@ func (l *List[K]) Delete(key K) bool {
 		l.counts.Add(p.g, -1)
 	}
 	if l.n == 0 {
+		clear(l.groups)
 		l.groups = l.groups[:0]
 		l.rebuildFenwick()
 		return true
@@ -483,7 +490,7 @@ func (l *List[K]) Delete(key K) bool {
 // keys. It reports whether the group directory changed shape (requiring a
 // Fenwick rebuild).
 func (l *List[K]) fixChunkUnderflow(g, c int) bool {
-	grp := l.groups[g]
+	grp := &l.groups[g]
 	if len(grp.chunks) == 1 {
 		// Single chunk in its group. If this is the only group the small
 		// size is allowed; otherwise group invariants (>= s/2 >= 4 chunks)
@@ -495,13 +502,12 @@ func (l *List[K]) fixChunkUnderflow(g, c int) bool {
 	if left == len(grp.chunks)-1 {
 		left = c - 1
 	}
-	a, b := grp.chunks[left], grp.chunks[left+1]
+	a, b := &grp.chunks[left], &grp.chunks[left+1]
 	combined := len(a.keys) + len(b.keys)
 	if combined <= 2*l.s {
 		// Merge b into a, drop b.
 		a.keys = append(a.keys, b.keys...)
-		copy(grp.chunks[left+1:], grp.chunks[left+2:])
-		grp.chunks = grp.chunks[:len(grp.chunks)-1]
+		grp.chunks = deleteAt(grp.chunks, left+1)
 		if len(grp.chunks) < l.s/2 {
 			return l.fixGroupUnderflow(g)
 		}
@@ -516,6 +522,14 @@ func (l *List[K]) fixChunkUnderflow(g, c int) bool {
 	return false
 }
 
+// deleteAt removes s[i], shifting the tail down and clearing the vacated
+// last slot so it keeps nothing alive.
+func deleteAt[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	clear(s[len(s)-1:])
+	return s[:len(s)-1]
+}
+
 // fixGroupUnderflow repairs group g after its chunk count dropped below
 // s/2. Returns true: every path changes the directory or group contents in
 // a way that needs a Fenwick refresh.
@@ -527,27 +541,28 @@ func (l *List[K]) fixGroupUnderflow(g int) bool {
 	if left == len(l.groups)-1 {
 		left = g - 1
 	}
-	a, b := l.groups[left], l.groups[left+1]
+	a, b := &l.groups[left], &l.groups[left+1]
 	combined := len(a.chunks) + len(b.chunks)
 	if combined <= 2*l.s {
 		a.chunks = append(a.chunks, b.chunks...)
 		a.count += b.count
-		copy(l.groups[left+1:], l.groups[left+2:])
-		l.groups = l.groups[:len(l.groups)-1]
+		l.groups = deleteAt(l.groups, left+1) // b is stale from here
 		return true
 	}
 	// Redistribute chunks evenly.
 	mid := combined / 2
 	if len(a.chunks) > mid {
 		// Move the tail of a to the front of b.
-		moved := a.chunks[mid:]
-		b.chunks = append(append(make([]*chunk[K], 0, 2*l.s+1), moved...), b.chunks...)
+		b.chunks = append(append(make([]chunk[K], 0, 2*l.s+1), a.chunks[mid:]...), b.chunks...)
+		clear(a.chunks[mid:])
 		a.chunks = a.chunks[:mid]
 	} else {
 		// Move the front of b to the tail of a.
 		take := mid - len(a.chunks)
 		a.chunks = append(a.chunks, b.chunks[:take]...)
-		b.chunks = append(b.chunks[:0], b.chunks[take:]...)
+		kept := copy(b.chunks, b.chunks[take:])
+		clear(b.chunks[kept:])
+		b.chunks = b.chunks[:kept]
 	}
 	a.count = 0
 	for _, c := range a.chunks {
@@ -571,18 +586,17 @@ func (l *List[K]) AppendRange(dst []K, lo, hi K) []K {
 		return dst
 	}
 	for g := p.g; g < len(l.groups); g++ {
-		grp := l.groups[g]
+		grp := &l.groups[g]
 		c0 := 0
 		if g == p.g {
 			c0 = p.c
 		}
 		for c := c0; c < len(grp.chunks); c++ {
-			ch := grp.chunks[c]
 			e0 := 0
 			if g == p.g && c == p.c {
 				e0 = p.e
 			}
-			for _, k := range ch.keys[e0:] {
+			for _, k := range grp.chunks[c].keys[e0:] {
 				if k > hi {
 					return dst
 				}
@@ -595,8 +609,8 @@ func (l *List[K]) AppendRange(dst []K, lo, hi K) []K {
 
 // AppendKeys appends every key in sorted order to dst and returns it.
 func (l *List[K]) AppendKeys(dst []K) []K {
-	for _, g := range l.groups {
-		for _, c := range g.chunks {
+	for gi := range l.groups {
+		for _, c := range l.groups[gi].chunks {
 			dst = append(dst, c.keys...)
 		}
 	}
@@ -614,25 +628,27 @@ type Stats struct {
 // GeometryStats returns the current geometry.
 func (l *List[K]) GeometryStats() Stats {
 	st := Stats{N: l.n, S: l.s, Groups: len(l.groups)}
-	for _, g := range l.groups {
-		st.Chunks += len(g.chunks)
+	for gi := range l.groups {
+		st.Chunks += len(l.groups[gi].chunks)
 	}
 	return st
 }
 
 // Footprint estimates the resident size of the structure in bytes,
-// accounting for slice capacities, headers, and the Fenwick index.
+// accounting for slice capacities, the inline group and chunk headers, and
+// the Fenwick index.
 func (l *List[K]) Footprint() int64 {
 	var k K
 	keySize := int64(unsafe.Sizeof(k))
-	const ptrSize = int64(unsafe.Sizeof(uintptr(0)))
-	const sliceHeader = 3 * 8
+	groupSize := int64(unsafe.Sizeof(group[K]{}))
+	chunkSize := int64(unsafe.Sizeof(chunk[K]{}))
 	total := int64(unsafe.Sizeof(*l))
-	total += int64(cap(l.groups)) * ptrSize
-	for _, g := range l.groups {
-		total += int64(unsafe.Sizeof(*g)) + int64(cap(g.chunks))*ptrSize
+	total += int64(cap(l.groups)) * groupSize
+	for gi := range l.groups {
+		g := &l.groups[gi]
+		total += int64(cap(g.chunks)) * chunkSize
 		for _, c := range g.chunks {
-			total += sliceHeader + int64(cap(c.keys))*keySize
+			total += int64(cap(c.keys)) * keySize
 		}
 	}
 	total += int64(l.counts.Len()+1) * 8 // Fenwick tree array
@@ -653,7 +669,8 @@ func (l *List[K]) Validate() error {
 	var prev K
 	havePrev := false
 	singleGroup := len(l.groups) == 1
-	for gi, g := range l.groups {
+	for gi := range l.groups {
+		g := &l.groups[gi]
 		if len(g.chunks) == 0 {
 			return fmt.Errorf("chunks: group %d empty", gi)
 		}
@@ -767,8 +784,7 @@ func (l *List[K]) InitRun(r *Run[K], lo, hi K) {
 	// At most two chunks contain the range: materialize it.
 	r.mode = modeCollect
 	for j := 0; j < r.nChunks; j++ {
-		ch := r.chunkAt(j)
-		for _, k := range ch.keys {
+		for _, k := range r.chunkAt(j).keys {
 			if k >= lo && k <= hi {
 				r.scratch = append(r.scratch, k)
 			}
@@ -785,9 +801,8 @@ func (l *List[K]) lastLE(bound K) (pos, bool) {
 	if !ok {
 		// Everything is <= bound: last element.
 		g := len(l.groups) - 1
-		grp := l.groups[g]
-		c := len(grp.chunks) - 1
-		return pos{g, c, len(grp.chunks[c].keys) - 1}, true
+		c := len(l.groups[g].chunks) - 1
+		return pos{g, c, len(l.groups[g].chunks[c].keys) - 1}, true
 	}
 	return l.prevPos(p)
 }
@@ -799,33 +814,179 @@ func (l *List[K]) prevPos(p pos) (pos, bool) {
 		return pos{p.g, p.c, p.e - 1}, true
 	}
 	if p.c > 0 {
-		ch := l.groups[p.g].chunks[p.c-1]
-		return pos{p.g, p.c - 1, len(ch.keys) - 1}, true
+		return pos{p.g, p.c - 1, len(l.groups[p.g].chunks[p.c-1].keys) - 1}, true
 	}
 	if p.g > 0 {
-		grp := l.groups[p.g-1]
-		c := len(grp.chunks) - 1
-		return pos{p.g - 1, c, len(grp.chunks[c].keys) - 1}, true
+		c := len(l.groups[p.g-1].chunks) - 1
+		return pos{p.g - 1, c, len(l.groups[p.g-1].chunks[c].keys) - 1}, true
 	}
 	return pos{}, false
 }
 
-// chunkAt returns the j-th chunk of the run (chunk mode addressing).
+// chunkAt returns the j-th chunk of the run (chunk mode addressing). It
+// computes the header's address without loading the header.
 func (r *Run[K]) chunkAt(j int) *chunk[K] {
 	if j < r.nLeft {
-		return r.list.groups[r.gLo].chunks[r.cLo+j]
+		return &r.list.groups[r.gLo].chunks[r.cLo+j]
 	}
-	return r.list.groups[r.gHi].chunks[j-r.nLeft]
+	return &r.list.groups[r.gHi].chunks[j-r.nLeft]
 }
 
 // Empty reports whether the range holds no keys.
 func (r *Run[K]) Empty() bool { return r.mode == modeEmpty }
 
+// blockSize is the kernel's block: the most probes it keeps in flight. It
+// is enough independent misses to fill a core's miss buffers, and its
+// stage arrays stay small enough to live on the stack.
+const blockSize = 16
+
+// block receives the samples one kernel call accepts, in draw order.
+type block[K cmp.Ordered] struct {
+	keys [blockSize]K
+	ids  [blockSize]uint64 // position identifiers; see SamplePos
+	gaps [blockSize]int    // probes since the previous accept, this one included
+	// since counts the probes drawn since the last accept. It carries over
+	// from one call to the next, so gaps span block boundaries.
+	since int
+}
+
+// probe is the blocked probe kernel behind every draw. It draws exactly m
+// probes (1 <= m <= blockSize), writes the accepted ones to b in draw order
+// and returns how many it accepted. Callers pass m no larger than the
+// number of samples still missing, so the kernel never draws a probe that
+// a one-probe-at-a-time loop would not also have drawn.
+//
+// Each probe draws its whole triple — (group, chunk slot, element slot) in
+// groups mode, (chunk, element slot) in chunks mode — before any load, in
+// the scalar loop's order, as one bounded integer (one RNG step instead of
+// three; the mixed-radix digits of a uniform integer are independent and
+// uniform). The loads then go stage by stage over the
+// block: every group header, then every chunk header, then every key. The
+// loads within a stage are independent, so their misses overlap; a scalar
+// loop pays them one after another.
+func (r *Run[K]) probe(rng *xrand.RNG, m int, b *block[K]) int {
+	cap2s := uint64(2 * r.list.s)
+	var (
+		id   [blockSize]uint64    // position identifier
+		elem [blockSize]uint64    // element slot
+		ok   [blockSize]uint64    // 1 while no slot of the probe was empty
+		cs   [blockSize]*chunk[K] // chunk header (a real one even when ok is 0)
+	)
+	switch r.mode {
+	case modeGroups:
+		// Stage 1, the group headers, rides along with the draws: a
+		// header's address needs no load, and nothing waits on its value
+		// until the clamp.
+		span := uint64(r.gHi-r.gLo+1) * cap2s * cap2s
+		groups := r.list.groups[r.gLo : r.gHi+1]
+		for i := range m {
+			v := rng.Uint64n(span)
+			gc, e := v/cap2s, v%cap2s
+			g, c := gc/cap2s, gc%cap2s
+			chunks := groups[g].chunks
+			ok[i], cs[i] = below(c, len(chunks)), &chunks[min(c, uint64(len(chunks)-1))]
+			elem[i], id[i] = e, v
+		}
+	case modeChunks:
+		span := uint64(r.nChunks) * cap2s
+		for i := range m {
+			v := rng.Uint64n(span)
+			j, e := v/cap2s, v%cap2s
+			ok[i], cs[i] = 1, r.chunkAt(int(j))
+			elem[i], id[i] = e, v
+		}
+	case modeCollect:
+		for i := range m {
+			j := rng.Uint64n(uint64(len(r.scratch)))
+			b.keys[i], b.ids[i], b.gaps[i] = r.scratch[j], j, 1
+		}
+		return m
+	default:
+		panic("chunks: Sample on empty run")
+	}
+	// Empty slots are clamped to a real one and carried as ok = 0, so
+	// every stage loads unconditionally and no branch waits on a miss.
+	var ks [blockSize]*K
+	for i := range m { // stage 2: chunk headers
+		keys := cs[i].keys
+		ok[i] &= below(elem[i], len(keys))
+		ks[i] = &keys[min(elem[i], uint64(len(keys)-1))]
+	}
+	n, since := 0, b.since
+	lo, hi := r.lo, r.hi
+	for i := range m { // stage 3: keys, accepted in draw order
+		k := *ks[i]
+		since++
+		b.keys[n], b.ids[n], b.gaps[n] = k, id[i], since
+		acc := ok[i] & b2u(k >= lo) & b2u(k <= hi)
+		n += int(acc)
+		since &^= -int(acc) // an accept resets the gap
+	}
+	b.since = since
+	return n
+}
+
+// below returns 1 if x < n and 0 otherwise, without a branch (x and n are
+// far below 2^63).
+func below(x uint64, n int) uint64 { return (x - uint64(n)) >> 63 }
+
+// b2u returns 1 for true and 0 for false; it compiles to a flag move.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// SampleAppend appends t independent uniform samples from the run's range
+// to dst. It panics if the run is empty and t > 0. Expected O(t).
+func (r *Run[K]) SampleAppend(dst []K, t int, rng *xrand.RNG) []K {
+	var b block[K]
+	for t > 0 {
+		n := r.probe(rng, min(t, blockSize), &b)
+		dst = append(dst, b.keys[:n]...)
+		t -= n
+	}
+	return dst
+}
+
+// SampleProbesAppend is SampleAppend that also appends, per sample, the
+// number of rejection probes it took (>= 1): the draw-order gap between
+// consecutive accepts. The probe count is the quantity experiment E10
+// studies: its expectation is O(1) but its tail is geometric, which is
+// exactly the expected-versus-worst-case gap the follow-up literature
+// formalizes.
+func (r *Run[K]) SampleProbesAppend(dst []K, probes []int, t int, rng *xrand.RNG) ([]K, []int) {
+	var b block[K]
+	for t > 0 {
+		n := r.probe(rng, min(t, blockSize), &b)
+		dst = append(dst, b.keys[:n]...)
+		probes = append(probes, b.gaps[:n]...)
+		t -= n
+	}
+	return dst, probes
+}
+
+// one draws a single sample through the kernel, one probe per call.
+func (r *Run[K]) one(rng *xrand.RNG) (k K, probes int, id uint64) {
+	var b block[K]
+	for r.probe(rng, 1, &b) == 0 {
+	}
+	return b.keys[0], b.gaps[0], b.ids[0]
+}
+
 // Sample returns one key uniform over the range. It panics if the run is
-// empty. Expected O(1) time; see SampleProbes for the probe distribution.
+// empty. Expected O(1) time.
 func (r *Run[K]) Sample(rng *xrand.RNG) K {
-	k, _ := r.SampleProbes(rng)
+	k, _, _ := r.one(rng)
 	return k
+}
+
+// SampleProbes returns one uniform key and the number of rejection probes
+// it took (>= 1); see SampleProbesAppend.
+func (r *Run[K]) SampleProbes(rng *xrand.RNG) (K, int) {
+	k, p, _ := r.one(rng)
+	return k, p
 }
 
 // SamplePos returns one uniform key together with an opaque identifier of
@@ -834,98 +995,8 @@ func (r *Run[K]) Sample(rng *xrand.RNG) K {
 // exactly even when key values repeat. The identifier is only meaningful
 // for the lifetime of the run.
 func (r *Run[K]) SamplePos(rng *xrand.RNG) (K, uint64) {
-	l := r.list
-	cap2s := uint64(2 * l.s)
-	switch r.mode {
-	case modeCollect:
-		i := rng.Uint64n(uint64(len(r.scratch)))
-		return r.scratch[i], i
-	case modeChunks:
-		span := uint64(r.nChunks)
-		for {
-			j := rng.Uint64n(span)
-			ch := r.chunkAt(int(j))
-			e := rng.Uint64n(cap2s)
-			if e >= uint64(len(ch.keys)) {
-				continue
-			}
-			k := ch.keys[e]
-			if k < r.lo || k > r.hi {
-				continue
-			}
-			return k, j*cap2s + e
-		}
-	case modeGroups:
-		span := uint64(r.gHi - r.gLo + 1)
-		for {
-			gi := rng.Uint64n(span)
-			g := l.groups[r.gLo+int(gi)]
-			ci := rng.Uint64n(cap2s)
-			if ci >= uint64(len(g.chunks)) {
-				continue
-			}
-			ch := g.chunks[ci]
-			e := rng.Uint64n(cap2s)
-			if e >= uint64(len(ch.keys)) {
-				continue
-			}
-			k := ch.keys[e]
-			if k < r.lo || k > r.hi {
-				continue
-			}
-			return k, (gi*cap2s+ci)*cap2s + e
-		}
-	default:
-		panic("chunks: SamplePos on empty run")
-	}
-}
-
-// SampleProbes returns one uniform key and the number of rejection probes
-// it took (>= 1). The probe count is the quantity experiment E10 studies:
-// its expectation is O(1) but its tail is geometric, which is exactly the
-// expected-versus-worst-case gap the follow-up literature formalizes.
-func (r *Run[K]) SampleProbes(rng *xrand.RNG) (K, int) {
-	l := r.list
-	cap2s := uint64(2 * l.s)
-	switch r.mode {
-	case modeCollect:
-		return r.scratch[rng.Uint64n(uint64(len(r.scratch)))], 1
-	case modeChunks:
-		span := uint64(r.nChunks)
-		for probes := 1; ; probes++ {
-			ch := r.chunkAt(int(rng.Uint64n(span)))
-			e := int(rng.Uint64n(cap2s))
-			if e >= len(ch.keys) {
-				continue
-			}
-			k := ch.keys[e]
-			if k < r.lo || k > r.hi {
-				continue
-			}
-			return k, probes
-		}
-	case modeGroups:
-		span := uint64(r.gHi - r.gLo + 1)
-		for probes := 1; ; probes++ {
-			g := l.groups[r.gLo+int(rng.Uint64n(span))]
-			ci := int(rng.Uint64n(cap2s))
-			if ci >= len(g.chunks) {
-				continue
-			}
-			ch := g.chunks[ci]
-			e := int(rng.Uint64n(cap2s))
-			if e >= len(ch.keys) {
-				continue
-			}
-			k := ch.keys[e]
-			if k < r.lo || k > r.hi {
-				continue
-			}
-			return k, probes
-		}
-	default:
-		panic("chunks: Sample on empty run")
-	}
+	k, _, id := r.one(rng)
+	return k, id
 }
 
 // SampleAppend draws t independent uniform samples from [lo, hi], appending
@@ -940,8 +1011,5 @@ func (l *List[K]) SampleAppend(dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, b
 	if r.Empty() {
 		return dst, false
 	}
-	for i := 0; i < t; i++ {
-		dst = append(dst, r.Sample(rng))
-	}
-	return dst, true
+	return r.SampleAppend(dst, t, rng), true
 }

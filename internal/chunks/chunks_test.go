@@ -489,6 +489,22 @@ func TestFootprintLinear(t *testing.T) {
 	}
 }
 
+// TestFootprintPerKeyPinned pins space at 2^20 keys grown by random
+// inserts: the inline directory (24-byte chunk headers held in each group)
+// must cost no more than the pointer directory it replaced, which
+// estimated 13.0 bytes per key here.
+func TestFootprintPerKeyPinned(t *testing.T) {
+	const n = 1 << 20
+	l := New[float64]()
+	r := xrand.New(12)
+	for range n {
+		l.Insert(r.Float64())
+	}
+	if perKey := float64(l.Footprint()) / n; perKey > 13.0 {
+		t.Fatalf("%.2f bytes per key at 2^20 keys, want <= 13.0", perKey)
+	}
+}
+
 func seq(n int) []int {
 	keys := make([]int, n)
 	for i := range keys {

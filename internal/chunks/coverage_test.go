@@ -223,7 +223,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reach in and break the order.
-	g := l.groups[0]
+	g := &l.groups[0]
 	c := g.chunks[0]
 	c.keys[0], c.keys[len(c.keys)-1] = c.keys[len(c.keys)-1], c.keys[0]
 	if err := l.Validate(); err == nil {

@@ -99,20 +99,7 @@ func (d *Dynamic[K]) Sample(lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
 
 // SampleAppend is Sample appending into dst.
 func (d *Dynamic[K]) SampleAppend(dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
-	if err := sampleArgsErr(t); err != nil {
-		return dst, err
-	}
-	if t == 0 {
-		return dst, nil
-	}
-	d.list.InitRun(&d.run, lo, hi)
-	if d.run.Empty() {
-		return dst, ErrEmptyRange
-	}
-	for i := 0; i < t; i++ {
-		dst = append(dst, d.run.Sample(rng))
-	}
-	return dst, nil
+	return d.SampleRunAppend(&d.run, dst, lo, hi, t, rng)
 }
 
 // SampleRunAppend is SampleAppend drawing through caller-owned run scratch
@@ -135,10 +122,7 @@ func (d *Dynamic[K]) SampleRunAppend(run *chunks.Run[K], dst []K, lo, hi K, t in
 	if run.Empty() {
 		return dst, ErrEmptyRange
 	}
-	for i := 0; i < t; i++ {
-		dst = append(dst, run.Sample(rng))
-	}
-	return dst, nil
+	return run.SampleAppend(dst, t, rng), nil
 }
 
 // SampleProbesAppend is SampleAppend that also accumulates the number of
@@ -154,11 +138,7 @@ func (d *Dynamic[K]) SampleProbesAppend(dst []K, lo, hi K, t int, rng *xrand.RNG
 	if d.run.Empty() {
 		return dst, probes, ErrEmptyRange
 	}
-	for i := 0; i < t; i++ {
-		k, p := d.run.SampleProbes(rng)
-		dst = append(dst, k)
-		probes = append(probes, p)
-	}
+	dst, probes = d.run.SampleProbesAppend(dst, probes, t, rng)
 	return dst, probes, nil
 }
 
