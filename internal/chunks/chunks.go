@@ -23,13 +23,14 @@
 // "linear space, O(log n + k) expected query, O(log n) update" bounds
 // attributed to the PODS 2014 paper.
 //
-// Every draw goes through one blocked probe kernel (Run.probe). A probe's
-// cost is memory latency, not instructions, so the kernel draws up to
-// blockSize probes at once — never more than the samples still missing —
-// and resolves them stage by stage: every group load, then every chunk
+// Every draw goes through one blocked probe kernel (kernel.step). A probe's
+// cost is memory latency, not instructions, so the kernel draws blocks of
+// up to blockSize probes — never more than the samples still missing — and
+// resolves each block stage by stage: every group load, then every chunk
 // load, then every key load, accepting in draw order. The loads of one
 // stage are independent of each other, so an out-of-order core keeps them
-// in flight together instead of paying one miss after another. Blocking is
+// in flight together instead of paying one miss after another, and the
+// next block is drawn while the current block's keys load. Blocking is
 // exact: each probe draws its whole triple from the RNG — as one uniform
 // integer below span·2s·2s, which is also the position's identifier — in
 // the order a one-probe-at-a-time loop would; acceptance is decided per
@@ -835,48 +836,40 @@ func (r *Run[K]) chunkAt(j int) *chunk[K] {
 // Empty reports whether the range holds no keys.
 func (r *Run[K]) Empty() bool { return r.mode == modeEmpty }
 
-// blockSize is the kernel's block: the most probes it keeps in flight. It
-// is enough independent misses to fill a core's miss buffers, and its
-// stage arrays stay small enough to live on the stack.
+// blockSize is the kernel's block: the most probes one stage resolves at
+// once. It is enough independent misses to fill a core's miss buffers, and
+// its stage arrays stay small enough to live on the stack.
 const blockSize = 16
 
-// block receives the samples one kernel call accepts, in draw order.
-type block[K cmp.Ordered] struct {
-	keys [blockSize]K
-	ids  [blockSize]uint64 // position identifiers; see SamplePos
-	gaps [blockSize]int    // probes since the previous accept, this one included
-	// since counts the probes drawn since the last accept. It carries over
-	// from one call to the next, so gaps span block boundaries.
-	since int
+// flight is one block of drawn probes whose key loads have been issued but
+// not yet consumed.
+type flight[K cmp.Ordered] struct {
+	m   int               // probes in the block; 0 when the slot is idle
+	id  [blockSize]uint64 // position identifier of each probe
+	ok  [blockSize]uint64 // 1 while no slot of the probe was empty
+	key [blockSize]K      // the probed key (a real one even when ok is 0)
 }
 
-// probe is the blocked probe kernel behind every draw. It draws exactly m
-// probes (1 <= m <= blockSize), writes the accepted ones to b in draw order
-// and returns how many it accepted. Callers pass m no larger than the
-// number of samples still missing, so the kernel never draws a probe that
-// a one-probe-at-a-time loop would not also have drawn.
+// draw draws m probes (1 <= m <= blockSize) into f and issues every load
+// they need, stage by stage: group headers (alongside the draws), then
+// chunk headers, then keys. Nothing waits on a key until accept, so the
+// key loads of one block overlap the draws and header loads of the next.
 //
 // Each probe draws its whole triple — (group, chunk slot, element slot) in
 // groups mode, (chunk, element slot) in chunks mode — before any load, in
 // the scalar loop's order, as one bounded integer (one RNG step instead of
 // three; the mixed-radix digits of a uniform integer are independent and
-// uniform). The loads then go stage by stage over the
-// block: every group header, then every chunk header, then every key. The
-// loads within a stage are independent, so their misses overlap; a scalar
-// loop pays them one after another.
-func (r *Run[K]) probe(rng *xrand.RNG, m int, b *block[K]) int {
+// uniform). Empty slots are clamped to a real one and carried as ok = 0,
+// so every stage loads unconditionally and no branch waits on a miss.
+func (r *Run[K]) draw(rng *xrand.RNG, m int, f *flight[K]) {
 	cap2s := uint64(2 * r.list.s)
+	f.m = m
 	var (
-		id   [blockSize]uint64    // position identifier
 		elem [blockSize]uint64    // element slot
-		ok   [blockSize]uint64    // 1 while no slot of the probe was empty
-		cs   [blockSize]*chunk[K] // chunk header (a real one even when ok is 0)
+		cs   [blockSize]*chunk[K] // chunk header
 	)
 	switch r.mode {
 	case modeGroups:
-		// Stage 1, the group headers, rides along with the draws: a
-		// header's address needs no load, and nothing waits on its value
-		// until the clamp.
 		span := uint64(r.gHi-r.gLo+1) * cap2s * cap2s
 		groups := r.list.groups[r.gLo : r.gHi+1]
 		for i := range m {
@@ -884,45 +877,52 @@ func (r *Run[K]) probe(rng *xrand.RNG, m int, b *block[K]) int {
 			gc, e := v/cap2s, v%cap2s
 			g, c := gc/cap2s, gc%cap2s
 			chunks := groups[g].chunks
-			ok[i], cs[i] = below(c, len(chunks)), &chunks[min(c, uint64(len(chunks)-1))]
-			elem[i], id[i] = e, v
+			f.ok[i], cs[i] = below(c, len(chunks)), &chunks[min(c, uint64(len(chunks)-1))]
+			elem[i], f.id[i] = e, v
 		}
 	case modeChunks:
 		span := uint64(r.nChunks) * cap2s
 		for i := range m {
 			v := rng.Uint64n(span)
 			j, e := v/cap2s, v%cap2s
-			ok[i], cs[i] = 1, r.chunkAt(int(j))
-			elem[i], id[i] = e, v
+			f.ok[i], cs[i] = 1, r.chunkAt(int(j))
+			elem[i], f.id[i] = e, v
 		}
 	case modeCollect:
 		for i := range m {
 			j := rng.Uint64n(uint64(len(r.scratch)))
-			b.keys[i], b.ids[i], b.gaps[i] = r.scratch[j], j, 1
+			f.key[i], f.id[i], f.ok[i] = r.scratch[j], j, 1
 		}
-		return m
+		return
 	default:
 		panic("chunks: Sample on empty run")
 	}
-	// Empty slots are clamped to a real one and carried as ok = 0, so
-	// every stage loads unconditionally and no branch waits on a miss.
 	var ks [blockSize]*K
-	for i := range m { // stage 2: chunk headers
+	for i := range m { // chunk headers
 		keys := cs[i].keys
-		ok[i] &= below(elem[i], len(keys))
+		f.ok[i] &= below(elem[i], len(keys))
 		ks[i] = &keys[min(elem[i], uint64(len(keys)-1))]
 	}
+	for i := range m { // keys
+		f.key[i] = *ks[i]
+	}
+}
+
+// accept decides f's probes in draw order, writes the accepted ones to b
+// and returns how many it accepted.
+func (r *Run[K]) accept(f *flight[K], b *block[K]) int {
 	n, since := 0, b.since
 	lo, hi := r.lo, r.hi
-	for i := range m { // stage 3: keys, accepted in draw order
-		k := *ks[i]
+	for i := range f.m {
+		k := f.key[i]
 		since++
-		b.keys[n], b.ids[n], b.gaps[n] = k, id[i], since
-		acc := ok[i] & b2u(k >= lo) & b2u(k <= hi)
+		b.keys[n], b.ids[n], b.gaps[n] = k, f.id[i], since
+		acc := f.ok[i] & b2u(k >= lo) & b2u(k <= hi)
 		n += int(acc)
 		since &^= -int(acc) // an accept resets the gap
 	}
 	b.since = since
+	f.m = 0
 	return n
 }
 
@@ -938,14 +938,55 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
+// block receives the samples one kernel step accepts, in draw order.
+type block[K cmp.Ordered] struct {
+	keys [blockSize]K
+	ids  [blockSize]uint64 // position identifiers; see SamplePos
+	gaps [blockSize]int    // probes since the previous accept, this one included
+	// since counts the probes drawn since the last accept. It carries over
+	// from one step to the next, so gaps span block boundaries.
+	since int
+}
+
+// kernel is the blocked probe kernel behind every draw. It keeps up to two
+// blocks in flight — the next one is drawn while the current one's keys
+// load — but never more probes than samples are still missing, so it draws
+// exactly the probes a one-probe-at-a-time loop would draw, in the same
+// order, and accepts them in draw order: the samples, the probe counts and
+// the generator's final state are that loop's.
+type kernel[K cmp.Ordered] struct {
+	r       *Run[K]
+	rng     *xrand.RNG
+	missing int // samples still to accept
+	f       [2]flight[K]
+	cur     int // index in f of the oldest block in flight
+	block[K]
+}
+
+// step accepts the oldest block in flight into k.block, after drawing the
+// block behind it when that cannot overdraw, and returns how many samples
+// it accepted. The caller steps while k.missing > 0.
+func (k *kernel[K]) step() int {
+	f, next := &k.f[k.cur], &k.f[1-k.cur]
+	if f.m == 0 {
+		k.r.draw(k.rng, min(k.missing, blockSize), f)
+	}
+	if m := min(k.missing-f.m, blockSize); m > 0 {
+		k.r.draw(k.rng, m, next)
+	}
+	n := k.r.accept(f, &k.block)
+	k.missing -= n
+	k.cur = 1 - k.cur
+	return n
+}
+
 // SampleAppend appends t independent uniform samples from the run's range
 // to dst. It panics if the run is empty and t > 0. Expected O(t).
 func (r *Run[K]) SampleAppend(dst []K, t int, rng *xrand.RNG) []K {
-	var b block[K]
-	for t > 0 {
-		n := r.probe(rng, min(t, blockSize), &b)
-		dst = append(dst, b.keys[:n]...)
-		t -= n
+	k := kernel[K]{r: r, rng: rng, missing: t}
+	for k.missing > 0 {
+		n := k.step()
+		dst = append(dst, k.keys[:n]...)
 	}
 	return dst
 }
@@ -957,22 +998,21 @@ func (r *Run[K]) SampleAppend(dst []K, t int, rng *xrand.RNG) []K {
 // exactly the expected-versus-worst-case gap the follow-up literature
 // formalizes.
 func (r *Run[K]) SampleProbesAppend(dst []K, probes []int, t int, rng *xrand.RNG) ([]K, []int) {
-	var b block[K]
-	for t > 0 {
-		n := r.probe(rng, min(t, blockSize), &b)
-		dst = append(dst, b.keys[:n]...)
-		probes = append(probes, b.gaps[:n]...)
-		t -= n
+	k := kernel[K]{r: r, rng: rng, missing: t}
+	for k.missing > 0 {
+		n := k.step()
+		dst = append(dst, k.keys[:n]...)
+		probes = append(probes, k.gaps[:n]...)
 	}
 	return dst, probes
 }
 
-// one draws a single sample through the kernel, one probe per call.
-func (r *Run[K]) one(rng *xrand.RNG) (k K, probes int, id uint64) {
-	var b block[K]
-	for r.probe(rng, 1, &b) == 0 {
+// one draws a single sample through the kernel, one probe per block.
+func (r *Run[K]) one(rng *xrand.RNG) (key K, probes int, id uint64) {
+	k := kernel[K]{r: r, rng: rng, missing: 1}
+	for k.step() == 0 {
 	}
-	return b.keys[0], b.gaps[0], b.ids[0]
+	return k.keys[0], k.gaps[0], k.ids[0]
 }
 
 // Sample returns one key uniform over the range. It panics if the run is

@@ -211,14 +211,13 @@ func TestKernelMatchesScalarReference(t *testing.T) {
 			}
 
 			// The identifiers, straight from the kernel's blocks.
-			kern = xrand.New(seed)
-			var b block[int]
+			k := kernel[int]{r: run, rng: xrand.New(seed), missing: n}
 			var ids []uint64
-			for missing := n; missing > 0; {
-				m := run.probe(kern, min(missing, blockSize), &b)
-				ids = append(ids, b.ids[:m]...)
-				missing -= m
+			for k.missing > 0 {
+				m := k.step()
+				ids = append(ids, k.ids[:m]...)
 			}
+			kern = k.rng
 			if !slices.Equal(ids, wantIDs) || kern.Uint64() != next {
 				t.Fatalf("%s t=%d: kernel position identifiers differ from the scalar reference", name, n)
 			}
