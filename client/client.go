@@ -89,8 +89,8 @@ var (
 	_ Conn = (*irsnet.Client)(nil)
 )
 
-// Encodings accepted by Dial — the vocabulary of irsrouter's -node-encoding
-// flag and of the benchmark's workload table.
+// Encodings accepted by Dial — the vocabulary of the benchmark's workload
+// table; irsrouter dials its nodes with EncodingTCP.
 const (
 	EncodingJSON   = "json"   // HTTP, JSON bodies
 	EncodingBinary = "binary" // HTTP, compact binary frames

@@ -8,8 +8,12 @@
 // order, exit codes) irsd shares with irsrouter through internal/daemon.
 //
 //	irsd -addr 127.0.0.1:8080 -datasets events,logs:weighted
-//	irsd -addr 127.0.0.1:0 -datasets demo -preload 100000
 //	irsd -addr 127.0.0.1:8080 -datasets events -data-dir /var/lib/irsd
+//
+// Every dataset — at boot, on a config reload and on POST /datasets — is
+// created by one provisioner (see provisioner) from the same flags: its
+// shard count, its seed (derived from -seed and its name) and, with
+// -data-dir, its durability.
 //
 // With -config the dataset list comes from a config file instead of
 // -datasets (same element grammar; partition lines are ignored so one file
@@ -38,6 +42,7 @@ import (
 	irs "github.com/irsgo/irs"
 	"github.com/irsgo/irs/internal/daemon"
 	"github.com/irsgo/irs/internal/spec"
+	"github.com/irsgo/irs/internal/xrand"
 	"github.com/irsgo/irs/server"
 )
 
@@ -49,36 +54,25 @@ var version = "dev"
 
 func main() { os.Exit(daemon.Main(app())) }
 
-// app is irsd's half of the daemon: its flags, its dataset boot, its
-// config reload (on SIGHUP and on the -config-poll mtime watch) and its
+// app is irsd's half of the daemon: its flags, its dataset provisioner,
+// its config reload (on SIGHUP and on the -config-poll mtime watch) and its
 // periodic snapshots.
 func app() daemon.App {
 	fs := flag.NewFlagSet("irsd", flag.ContinueOnError)
 	var (
 		datasets = fs.String("datasets", "demo", "comma-separated name[:weighted|:unweighted] specs")
 		shards   = fs.Int("shards", runtime.GOMAXPROCS(0), "target shard count per dataset")
-		seed     = fs.Uint64("seed", 1, "seed anchoring each dataset's sampling streams")
-		preload  = fs.Int("preload", 0, "keys preloaded per dataset, uniform in [0, 1e6)")
 		queue    = fs.Int("queue", 0, "pending-request bound per dataset and path (0 = default)")
-		maxBatch = fs.Int("max-batch", 0, "max coalesced requests per backend call (0 = default)")
-		window   = fs.Duration("coalesce-window", 0, "deprecated: linger this long for batch-mates, adding at least that latency to every request (0 = batch only what queued while the flushers were busy)")
-		flushers = fs.Int("flushers", 0, "parallel backend calls per dataset and path (0 = GOMAXPROCS)")
 
-		dataDir     = fs.String("data-dir", "", "durability root: one WAL+snapshot directory per dataset (empty = memory-only)")
-		fsync       = fs.String("fsync", "always", "WAL fsync policy: always, interval, or none")
-		fsyncIvl    = fs.Duration("fsync-interval", 100*time.Millisecond, "background fsync period under -fsync interval")
-		snapEvery   = fs.Duration("snapshot-every", 15*time.Minute, "background snapshot/compaction period for durable datasets (0 disables)")
-		recoverConc = fs.Int("recover-concurrency", 0, "durable datasets recovered in parallel at boot (0 = GOMAXPROCS)")
+		dataDir   = fs.String("data-dir", "", "durability root: one WAL+snapshot directory per dataset (empty = memory-only)")
+		fsync     = fs.String("fsync", "always", "WAL fsync policy: always, interval, or none")
+		fsyncIvl  = fs.Duration("fsync-interval", 100*time.Millisecond, "background fsync period under -fsync interval")
+		snapEvery = fs.Duration("snapshot-every", 15*time.Minute, "background snapshot/compaction period for durable datasets (0 disables)")
 
 		configPoll = fs.Duration("config-poll", 0, "poll the -config file's mtime this often and reload on change (0 disables; SIGHUP always works)")
 	)
 	build := func(c *daemon.Common, logger *slog.Logger) (daemon.Instance, error) {
-		s := server.New(server.Config{
-			QueueDepth:     *queue,
-			MaxBatch:       *maxBatch,
-			CoalesceWindow: *window,
-			Flushers:       *flushers,
-		})
+		s := server.New(server.Config{QueueDepth: *queue})
 		inst := daemon.Instance{Server: s}
 		var policy server.SyncPolicy
 		if *dataDir != "" {
@@ -93,15 +87,10 @@ func app() daemon.App {
 		if err != nil {
 			return inst, err
 		}
-		if err := addDatasetList(s, logger, list, *shards, *seed, *preload, *dataDir, policy, *fsyncIvl, *recoverConc); err != nil {
+		s.SetProvisioner(provisioner(s, logger, *shards, c.Seed, *dataDir, policy, *fsyncIvl))
+		if err := addDatasets(s, list, runtime.GOMAXPROCS(0)); err != nil {
 			return inst, err
 		}
-		// Runtime-created datasets (POST /datasets, config reload) get the
-		// exact shape a boot-time one would: same shards, seed, and durability
-		// knobs, minus the preload (a boot convenience, not a lifecycle one).
-		s.SetProvisioner(func(name string, weighted bool) error {
-			return addDataset(s, logger, spec.Dataset{Name: name, Weighted: weighted}, *shards, *seed, 0, *dataDir, policy, *fsyncIvl)
-		})
 		if *dataDir != "" {
 			// Background snapshots bound WAL replay time after a crash; each
 			// run compacts the segments it covers.
@@ -119,7 +108,7 @@ func app() daemon.App {
 		Addr:           "127.0.0.1:8080",
 		ConfigReplaces: []string{"datasets"},
 		Validate: func(c *daemon.Common) error {
-			return validateFlags(c.Explicit, *dataDir, *fsync, *recoverConc, c.Config, *configPoll)
+			return validateFlags(c.Explicit, *dataDir, *fsync, c.Config, *configPoll)
 		},
 		Build: build,
 	}
@@ -147,18 +136,15 @@ func snapshotAll(s *server.Server, logger *slog.Logger) {
 // a background fsync period under a policy that never uses it, and a
 // config poll with no file to watch. explicit reports the flags the user
 // actually set, so defaults never trip the validation.
-func validateFlags(explicit func(string) bool, dataDir, fsyncPolicy string, recoverConc int, config string, configPoll time.Duration) error {
+func validateFlags(explicit func(string) bool, dataDir, fsyncPolicy, config string, configPoll time.Duration) error {
 	if configPoll < 0 {
 		return errors.New("-config-poll must be >= 0 (0 disables polling)")
 	}
 	if explicit("config-poll") && config == "" {
 		return errors.New("-config-poll has no effect without -config (there is no file to watch)")
 	}
-	if recoverConc < 0 {
-		return errors.New("-recover-concurrency must be >= 0 (0 means GOMAXPROCS)")
-	}
 	if dataDir == "" {
-		for _, name := range []string{"fsync", "fsync-interval", "snapshot-every", "recover-concurrency"} {
+		for _, name := range []string{"fsync", "fsync-interval", "snapshot-every"} {
 			if explicit(name) {
 				return fmt.Errorf("-%s has no effect without -data-dir (datasets are memory-only)", name)
 			}
@@ -171,9 +157,9 @@ func validateFlags(explicit func(string) bool, dataDir, fsyncPolicy string, reco
 	return nil
 }
 
-// kindOf renders a dataset spec's kind for log lines.
-func kindOf(sp spec.Dataset) string {
-	if sp.Weighted {
+// kindOf renders a dataset kind for log lines and errors.
+func kindOf(weighted bool) string {
+	if weighted {
 		return "weighted"
 	}
 	return "unweighted"
@@ -197,15 +183,13 @@ func bootDatasets(config, datasets string) ([]spec.Dataset, error) {
 	return f.Datasets, nil
 }
 
-// addDatasetList registers the boot datasets concurrently (bounded by
-// recoverConc; 0 means GOMAXPROCS): each durable dataset owns its
-// directory and registration is mutex-protected, so a daemon serving many
-// datasets boots in the time of its largest recovery, not their sum.
-func addDatasetList(s *server.Server, logger *slog.Logger, list []spec.Dataset, shards int, seed uint64, preload int, dataDir string, policy server.SyncPolicy, fsyncIvl time.Duration, recoverConc int) error {
-	if recoverConc <= 0 {
-		recoverConc = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, recoverConc)
+// addDatasets creates the boot datasets through s.AddDataset — the
+// provisioner config reload and POST /datasets use — at most bound at a
+// time: each durable dataset owns its directory and registration is
+// mutex-protected, so a daemon serving many datasets boots in the time of
+// its largest recovery, not their sum.
+func addDatasets(s *server.Server, list []spec.Dataset, bound int) error {
+	sem := make(chan struct{}, bound)
 	errs := make([]error, len(list))
 	var wg sync.WaitGroup
 	for i, sp := range list {
@@ -214,7 +198,9 @@ func addDatasetList(s *server.Server, logger *slog.Logger, list []spec.Dataset, 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs[i] = addDataset(s, logger, sp, shards, seed, preload, dataDir, policy, fsyncIvl)
+			if err := s.AddDataset(sp.Name, sp.Weighted); err != nil {
+				errs[i] = fmt.Errorf("dataset %q: %w", sp.Name, err)
+			}
 		}()
 	}
 	wg.Wait()
@@ -247,7 +233,7 @@ func reloadConfig(s *server.Server, logger *slog.Logger, path string) error {
 	for _, d := range list {
 		want[d.Name] = true
 		if kind, live := cur[d.Name]; live && (kind == "weighted") != d.Weighted {
-			return fmt.Errorf("dataset %q: cannot change kind %s -> %s across a reload (drop it first)", d.Name, kind, kindOf(d))
+			return fmt.Errorf("dataset %q: cannot change kind %s -> %s across a reload (drop it first)", d.Name, kind, kindOf(d.Weighted))
 		}
 	}
 	// Adds go first so a failing add can roll back to the pre-reload
@@ -284,83 +270,43 @@ func reloadConfig(s *server.Server, logger *slog.Logger, path string) error {
 	return errors.Join(dropErrs...)
 }
 
-// addDataset registers one dataset: recovered from <dataDir>/<name> and
-// durable when dataDir is set, memory-only otherwise. A preload applies
-// only to a dataset with no history at all — a restart must not re-preload
-// on top of recovered data, and a recovered dataset that happens to be
-// empty (everything deliberately deleted) must stay empty. It bypasses the
-// WAL, so on a durable dataset an immediate snapshot makes it durable —
-// all before the listener starts.
-func addDataset(s *server.Server, logger *slog.Logger, sp spec.Dataset, shards int, seed uint64, preload int, dataDir string, policy server.SyncPolicy, fsyncIvl time.Duration) error {
-	name, durable := sp.Name, dataDir != ""
-	opts := server.DurableOptions{
-		Dir:          filepath.Join(dataDir, name),
-		Sync:         policy,
-		SyncInterval: fsyncIvl,
-		Shards:       shards,
-		Seed:         seed,
-	}
-	rng := irs.NewRNG(seed)
-	var rec server.Recovery
-	var err error
-	var fill func() error
-	var size func() int
-	if sp.Weighted {
-		var w *irs.WeightedConcurrent[float64]
-		if durable {
-			w, rec, err = s.AddDurableWeighted(name, opts)
-		} else {
-			w = irs.NewWeightedConcurrent[float64](shards, seed)
-			err = s.AddWeighted(name, w)
+// provisioner is how irsd creates every dataset: shards per -shards, the
+// seed xrand.NameSeed(seed, name), and — when dataDir is set — recovered
+// from <dataDir>/<name> and durable, memory-only otherwise.
+func provisioner(s *server.Server, logger *slog.Logger, shards int, seed uint64, dataDir string, policy server.SyncPolicy, fsyncIvl time.Duration) server.Provisioner {
+	return func(name string, weighted bool) error {
+		dsSeed := xrand.NameSeed(seed, name)
+		if dataDir == "" {
+			var err error
+			if weighted {
+				err = s.AddWeighted(name, irs.NewWeightedConcurrent[float64](shards, dsSeed))
+			} else {
+				err = s.AddUnweighted(name, irs.NewConcurrentSeeded[float64](shards, dsSeed))
+			}
+			if err == nil {
+				logger.Info("dataset registered", "dataset", name, "kind", kindOf(weighted), "shards", shards)
+			}
+			return err
 		}
-		fill = func() error { return w.InsertBatch(preloadItems(rng, preload)) }
-		size = func() int { return w.Len() }
-	} else {
-		var c *irs.Concurrent[float64]
-		if durable {
-			c, rec, err = s.AddDurableUnweighted(name, opts)
-		} else {
-			c = irs.NewConcurrentSeeded[float64](shards, seed)
-			err = s.AddUnweighted(name, c)
+		rec, err := s.AddDurable(name, weighted, server.DurableOptions{
+			Dir:          filepath.Join(dataDir, name),
+			Sync:         policy,
+			SyncInterval: fsyncIvl,
+			Shards:       shards,
+			Seed:         dsSeed,
+		})
+		if err != nil {
+			return err
 		}
-		fill = func() error { c.InsertBatch(preloadKeys(rng, preload)); return nil }
-		size = func() int { return c.Len() }
-	}
-	if err != nil {
-		return fmt.Errorf("dataset %q: %w", name, err)
-	}
-	if preload > 0 && rec.SnapshotSeq == 0 && rec.RecordsReplayed == 0 {
-		if err := fill(); err != nil {
-			return fmt.Errorf("dataset %q: preload: %w", name, err)
-		}
-		if durable {
-			if _, err := s.Snapshot(name); err != nil {
-				return fmt.Errorf("dataset %q: preload snapshot: %w", name, err)
+		items := 0
+		for _, ds := range s.Stats().Datasets {
+			if ds.Name == name {
+				items = ds.Len
 			}
 		}
-	}
-	if !durable {
-		logger.Info("dataset registered", "dataset", name, "kind", kindOf(sp), "shards", shards, "preload", preload)
+		logger.Info("dataset recovered", "dataset", name, "kind", kindOf(weighted), "items", items,
+			"snapshot_seq", rec.SnapshotSeq, "snapshot_entries", rec.SnapshotEntries,
+			"wal_records", rec.RecordsReplayed, "torn_tail", rec.TornTail)
 		return nil
 	}
-	logger.Info("dataset recovered", "dataset", name, "kind", kindOf(sp), "items", size(),
-		"snapshot_seq", rec.SnapshotSeq, "snapshot_entries", rec.SnapshotEntries,
-		"wal_records", rec.RecordsReplayed, "torn_tail", rec.TornTail)
-	return nil
-}
-
-func preloadKeys(rng *irs.RNG, n int) []float64 {
-	keys := make([]float64, n)
-	for i := range keys {
-		keys[i] = rng.Float64Range(0, 1e6)
-	}
-	return keys
-}
-
-func preloadItems(rng *irs.RNG, n int) []irs.WeightedItem[float64] {
-	items := make([]irs.WeightedItem[float64], n)
-	for i := range items {
-		items[i] = irs.WeightedItem[float64]{Key: rng.Float64Range(0, 1e6), Weight: 1 + rng.Float64()}
-	}
-	return items
 }

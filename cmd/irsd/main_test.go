@@ -26,34 +26,30 @@ func TestValidateFlags(t *testing.T) {
 		return func(name string) bool { return m[name] }
 	}
 	cases := []struct {
-		name        string
-		explicit    func(string) bool
-		dataDir     string
-		fsync       string
-		recoverConc int
-		config      string
-		configPoll  time.Duration
-		wantErr     bool
+		name       string
+		explicit   func(string) bool
+		dataDir    string
+		fsync      string
+		config     string
+		configPoll time.Duration
+		wantErr    bool
 	}{
-		{"defaults, memory-only", set(), "", "always", 0, "", 0, false},
-		{"defaults, durable", set("data-dir"), "/tmp/x", "always", 0, "", 0, false},
-		{"fsync without data-dir", set("fsync"), "", "none", 0, "", 0, true},
-		{"fsync-interval without data-dir", set("fsync-interval"), "", "always", 0, "", 0, true},
-		{"snapshot-every without data-dir", set("snapshot-every"), "", "always", 0, "", 0, true},
-		{"recover-concurrency without data-dir", set("recover-concurrency"), "", "always", 4, "", 0, true},
-		{"recover-concurrency with data-dir", set("data-dir", "recover-concurrency"), "/tmp/x", "always", 4, "", 0, false},
-		{"negative recover-concurrency", set("data-dir", "recover-concurrency"), "/tmp/x", "always", -1, "", 0, true},
-		{"fsync-interval under -fsync always", set("data-dir", "fsync-interval"), "/tmp/x", "always", 0, "", 0, true},
-		{"fsync-interval under -fsync none", set("data-dir", "fsync", "fsync-interval"), "/tmp/x", "none", 0, "", 0, true},
-		{"fsync-interval under -fsync interval", set("data-dir", "fsync", "fsync-interval"), "/tmp/x", "interval", 0, "", 0, false},
-		{"fsync interval without explicit interval flag", set("data-dir", "fsync"), "/tmp/x", "interval", 0, "", 0, false},
-		{"snapshot-every with data-dir", set("data-dir", "snapshot-every"), "/tmp/x", "always", 0, "", 0, false},
-		{"config with poll", set("config", "config-poll"), "", "always", 0, "/tmp/irs.conf", time.Second, false},
-		{"config-poll without config", set("config-poll"), "", "always", 0, "", time.Second, true},
-		{"negative config-poll", set("config", "config-poll"), "", "always", 0, "/tmp/irs.conf", -time.Second, true},
+		{"defaults, memory-only", set(), "", "always", "", 0, false},
+		{"defaults, durable", set("data-dir"), "/tmp/x", "always", "", 0, false},
+		{"fsync without data-dir", set("fsync"), "", "none", "", 0, true},
+		{"fsync-interval without data-dir", set("fsync-interval"), "", "always", "", 0, true},
+		{"snapshot-every without data-dir", set("snapshot-every"), "", "always", "", 0, true},
+		{"fsync-interval under -fsync always", set("data-dir", "fsync-interval"), "/tmp/x", "always", "", 0, true},
+		{"fsync-interval under -fsync none", set("data-dir", "fsync", "fsync-interval"), "/tmp/x", "none", "", 0, true},
+		{"fsync-interval under -fsync interval", set("data-dir", "fsync", "fsync-interval"), "/tmp/x", "interval", "", 0, false},
+		{"fsync interval without explicit interval flag", set("data-dir", "fsync"), "/tmp/x", "interval", "", 0, false},
+		{"snapshot-every with data-dir", set("data-dir", "snapshot-every"), "/tmp/x", "always", "", 0, false},
+		{"config with poll", set("config", "config-poll"), "", "always", "/tmp/irs.conf", time.Second, false},
+		{"config-poll without config", set("config-poll"), "", "always", "", time.Second, true},
+		{"negative config-poll", set("config", "config-poll"), "", "always", "/tmp/irs.conf", -time.Second, true},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.explicit, tc.dataDir, tc.fsync, tc.recoverConc, tc.config, tc.configPoll)
+		err := validateFlags(tc.explicit, tc.dataDir, tc.fsync, tc.config, tc.configPoll)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", tc.name, err, tc.wantErr)
 		}
@@ -72,10 +68,6 @@ func TestReloadRejectsBadName(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	policy, _ := server.ParseSyncPolicy("always")
-	s.SetProvisioner(func(name string, weighted bool) error {
-		return addDataset(s, discardLogger(), spec.Dataset{Name: name, Weighted: weighted}, 2, 7, 0, dataDir, policy, 0)
-	})
 
 	conf := filepath.Join(t.TempDir(), "irsd.conf")
 	for _, text := range []string{"new\n../escaped\n", "a/b\n", "keep\n..\n"} {

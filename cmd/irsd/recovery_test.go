@@ -20,19 +20,17 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// addDurableSpecs registers the spec'd datasets durably under dir — the
-// test-side shorthand for the boot path.
-func addDurableSpecs(t *testing.T, s *server.Server, specs, dir string, recoverConc int) error {
+// addDurableSpecs creates the spec'd datasets durably under dir through
+// irsd's boot path — its provisioner, then addDatasets at most bound at a
+// time.
+func addDurableSpecs(t *testing.T, s *server.Server, specs, dir string, bound int) error {
 	t.Helper()
 	list, err := spec.ParseDatasets(specs)
 	if err != nil {
 		t.Fatalf("parse specs: %v", err)
 	}
-	policy, err := server.ParseSyncPolicy("always")
-	if err != nil {
-		t.Fatalf("parse policy: %v", err)
-	}
-	return addDatasetList(s, discardLogger(), list, 2, 7, 0, dir, policy, 100*time.Millisecond, recoverConc)
+	s.SetProvisioner(provisioner(s, discardLogger(), 2, 7, dir, server.SyncAlways, 100*time.Millisecond))
+	return addDatasets(s, list, bound)
 }
 
 // postJSON drives one mutation through the daemon's HTTP surface.
@@ -62,14 +60,14 @@ type dsFingerprint struct {
 	} `json:"persist"`
 }
 
-// bootFingerprints boots a server from dir at the given recovery
-// concurrency, reads /stats, closes the server, and returns the dataset
-// fingerprints sorted by name.
-func bootFingerprints(t *testing.T, dir, specs string, recoverConc int) []dsFingerprint {
+// bootFingerprints boots a server from dir with at most bound datasets
+// recovering at once, reads /stats, closes the server, and returns the
+// dataset fingerprints sorted by name.
+func bootFingerprints(t *testing.T, dir, specs string, bound int) []dsFingerprint {
 	t.Helper()
 	s := server.New(server.Config{})
-	if err := addDurableSpecs(t, s, specs, dir, recoverConc); err != nil {
-		t.Fatalf("boot (concurrency %d): %v", recoverConc, err)
+	if err := addDurableSpecs(t, s, specs, dir, bound); err != nil {
+		t.Fatalf("boot (bound %d): %v", bound, err)
 	}
 	defer func() {
 		if err := s.Close(); err != nil {
@@ -93,8 +91,8 @@ func bootFingerprints(t *testing.T, dir, specs string, recoverConc int) []dsFing
 }
 
 // TestParallelRecoveryMatchesSerial pins the parallel-boot equivalence:
-// recovering a multi-dataset data directory with -recover-concurrency 8
-// must reconstruct exactly what a serial (concurrency 1) boot does —
+// recovering a multi-dataset data directory eight datasets at a time must
+// reconstruct exactly what a serial (bound 1) boot does —
 // same datasets, same sizes, same recovery footprint — with every
 // dataset a different size and one mid-history snapshot, so a swapped or
 // partially-applied recovery cannot cancel out.

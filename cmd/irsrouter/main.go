@@ -1,8 +1,9 @@
 // Command irsrouter is the IRS cluster router: it fronts a set of irsd
 // nodes, each owning one contiguous key range, and serves the exact same
-// protocols a single node speaks — HTTP/JSON, HTTP binary frames, and
-// (with -tcp-addr) the irsnet TCP transport — so clients talk to a cluster
-// exactly as they talk to one daemon. DESIGN.md "Cluster (extension)"
+// protocols a single node speaks — HTTP/JSON, HTTP binary frames and the
+// irsnet TCP transport, all on -addr (-tcp-addr adds an irsnet-only
+// listener) — so clients talk to a cluster exactly as they talk to one
+// daemon. DESIGN.md "Cluster (extension)"
 // describes the exact cross-partition split and the failure contract;
 // "Daemon runtime" the process lifecycle (scraped stdout lines, signals,
 // drain order, exit codes) it shares with irsd through internal/daemon.
@@ -13,17 +14,16 @@
 //
 // Partitions are "addr@lo:hi" specs (internal/spec grammar): contiguous
 // ascending key ranges, bounds accepting -inf/+inf. Each node must serve
-// the configured datasets over -node-encoding: tcp by default — irsnet,
-// which a node's HTTP address speaks as well as its -tcp-addr — or binary
-// or json over HTTP. Upgrade nodes before routers: a node whose HTTP port
-// does not speak irsnet yet fails the default leg's calls, and
-// -node-encoding binary bridges the gap.
+// the configured datasets; the router speaks irsnet to the partition
+// address, which is the node's -addr (or its -tcp-addr). Upgrade nodes
+// before routers: spanning samples use frame kind 0x07, which older nodes
+// reject.
 //
 // With -config the topology (partition lines and dataset lines, same
 // grammar) comes from a config file instead of -partitions/-datasets, and
 // SIGHUP re-reads it and swaps the partition map atomically; see
-// reloadConfig. -refresh sets the cadence of the per-partition key/mass
-// gauges on /metrics.
+// reloadConfig. The per-partition key/mass gauges on /metrics refresh
+// every gaugeRefresh.
 package main
 
 import (
@@ -47,6 +47,9 @@ import (
 //	go build -ldflags "-X main.version=v1.2.3" ./cmd/irsrouter
 var version = "dev"
 
+// gaugeRefresh is the cadence of the per-partition key/mass gauges.
+const gaugeRefresh = 15 * time.Second
+
 func main() { os.Exit(daemon.Main(app())) }
 
 // app is irsrouter's half of the daemon: its flags, its topology boot, its
@@ -56,23 +59,20 @@ func app() daemon.App {
 	var (
 		partitions = fs.String("partitions", "", "comma-separated addr@lo:hi partition specs, contiguous and ascending (required unless -config)")
 		datasets   = fs.String("datasets", "demo", "comma-separated name[:weighted|:unweighted] specs the cluster serves")
-		encoding   = fs.String("node-encoding", client.EncodingTCP, "wire encoding toward the nodes: tcp (irsnet, on the node's HTTP address or its -tcp-addr), binary or json")
-		seed       = fs.Uint64("seed", 1, "seed for the cross-partition multinomial split")
 		timeout    = fs.Duration("node-timeout", 10*time.Second, "per-node request deadline (0 = none)")
-		refresh    = fs.Duration("refresh", 15*time.Second, "partition stats refresh period for /metrics gauges (0 disables)")
 	)
 	build := func(c *daemon.Common, logger *slog.Logger) (daemon.Instance, error) {
 		topo, err := bootTopology(c.Config, *partitions, *datasets)
 		if err != nil {
 			return daemon.Instance{}, err
 		}
-		m, conns, names, err := buildTopology(topo, *encoding)
+		m, conns, names, err := buildTopology(topo)
 		if err != nil {
 			return daemon.Instance{}, err
 		}
 		router, err := cluster.NewRouter(m, conns, cluster.Options{
 			Datasets: names,
-			Seed:     *seed,
+			Seed:     c.Seed,
 			Timeout:  *timeout,
 		})
 		if err != nil {
@@ -90,9 +90,9 @@ func app() daemon.App {
 		// router's boot — requests to it answer "unavailable" until it appears.
 		refreshGauges := func() { _ = router.Stats() }
 		refreshGauges()
-		inst := daemon.Instance{Server: s, Jobs: []daemon.Job{{Every: *refresh, Run: refreshGauges}}}
+		inst := daemon.Instance{Server: s, Jobs: []daemon.Job{{Every: gaugeRefresh, Run: refreshGauges}}}
 		if c.Config != "" {
-			inst.Reload = func() error { return reloadConfig(router, logger, c.Config, *encoding) }
+			inst.Reload = func() error { return reloadConfig(router, logger, c.Config) }
 		}
 		return inst, nil
 	}
@@ -133,12 +133,12 @@ func bootTopology(config, partitionSpecs, datasetSpecs string) (spec.File, error
 	return f, nil
 }
 
-// buildTopology dials one connection per partition and validates the map.
-// Dialing is lazy on every encoding, so a node that is still booting does
-// not fail the build; map validation (contiguous ascending ranges) is not
+// buildTopology dials one irsnet connection per partition and validates
+// the map. Dialing is lazy, so a node that is still booting does not fail
+// the build; map validation (contiguous ascending ranges) is not
 // lazy — a malformed topology never gets installed. On error, any
 // connections already dialed are closed.
-func buildTopology(f spec.File, encoding string) (*cluster.Map, []client.Conn, []string, error) {
+func buildTopology(f spec.File) (*cluster.Map, []client.Conn, []string, error) {
 	parts := make([]cluster.Partition, len(f.Partitions))
 	conns := make([]client.Conn, 0, len(f.Partitions))
 	closeAll := func() {
@@ -148,7 +148,7 @@ func buildTopology(f spec.File, encoding string) (*cluster.Map, []client.Conn, [
 	}
 	for i, ps := range f.Partitions {
 		parts[i] = cluster.Partition{Addr: ps.Addr, Lo: ps.Lo, Hi: ps.Hi}
-		c, err := client.Dial(ps.Addr, encoding)
+		c, err := client.Dial(ps.Addr, client.EncodingTCP)
 		if err != nil {
 			closeAll()
 			return nil, nil, nil, fmt.Errorf("partition %d (%s): %w", i, ps.Addr, err)
@@ -167,12 +167,12 @@ func buildTopology(f spec.File, encoding string) (*cluster.Map, []client.Conn, [
 // into the router. Everything validates before the swap — an unreadable
 // file, a malformed map, or a failed dial rejects the reload whole with an
 // error and the router keeps serving the old topology.
-func reloadConfig(router *cluster.Router, logger *slog.Logger, path, encoding string) error {
+func reloadConfig(router *cluster.Router, logger *slog.Logger, path string) error {
 	f, err := bootTopology(path, "", "")
 	if err != nil {
 		return err
 	}
-	m, conns, names, err := buildTopology(f, encoding)
+	m, conns, names, err := buildTopology(f)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,10 @@
 // net/http or to irsnet by its first four bytes, so a client of either
 // dials the one address. -tcp-addr adds a listener that speaks irsnet only.
 //
+// -seed anchors every random stream the daemon draws. Unset, it is drawn
+// at boot and logged on the starting line, so two daemons never share
+// one; set it to replay a logged run.
+//
 // Wrappers, CI and benchmark/daemons.go parse stdout: the tcp and serving
 // address lines, in that order, once every listener is bound, and the bye
 // line after the drain (the three Fprintf calls in Run). Everything else
@@ -31,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -102,6 +107,7 @@ type Common struct {
 	LogFormat                      string
 	Pprof                          bool
 	Config                         string
+	Seed                           uint64
 
 	explicit map[string]bool
 }
@@ -118,6 +124,7 @@ func (c *Common) register(fs *flag.FlagSet, addr string, configReplaces []string
 	fs.StringVar(&c.LogFormat, "log-format", "text", "structured log encoding: text or json")
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP address")
 	fs.StringVar(&c.Config, "config", "", "config file in the spec grammar (one element per line, '#' comments), reloaded on SIGHUP; replaces and excludes -"+strings.Join(configReplaces, ", -"))
+	fs.Uint64Var(&c.Seed, "seed", 0, "seed anchoring every sampling stream the daemon draws (default: drawn at boot and logged on the starting line; set it to replay)")
 }
 
 // validate rejects contradictory common flags before any state is touched.
@@ -173,6 +180,9 @@ func Run(ctx context.Context, reload <-chan os.Signal, args []string, stdout io.
 		return 2
 	}
 	fs.Visit(func(f *flag.Flag) { c.explicit[f.Name] = true })
+	if !c.explicit["seed"] {
+		c.Seed = rand.Uint64()
+	}
 	err := c.validate(app.ConfigReplaces)
 	if err == nil {
 		err = app.Validate(c)
@@ -183,7 +193,7 @@ func Run(ctx context.Context, reload <-chan os.Signal, args []string, stdout io.
 		return 2
 	}
 	logger := newLogger(c.LogFormat)
-	logger.Info(name+" starting", "version", app.Version, "go", runtime.Version(), "pid", os.Getpid())
+	logger.Info(name+" starting", "version", app.Version, "go", runtime.Version(), "pid", os.Getpid(), "seed", c.Seed)
 
 	inst, err := app.Build(c, logger)
 	s := inst.Server

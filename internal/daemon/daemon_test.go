@@ -76,6 +76,31 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 	}
 }
 
+// TestSeedDrawnUnlessSet: without -seed each boot draws its own seed, so
+// two daemons at their defaults never share one; an explicit -seed, zero
+// included, is used as given so a logged run replays.
+func TestSeedDrawnUnlessSet(t *testing.T) {
+	seedOf := func(args ...string) uint64 {
+		var seed uint64
+		app := testApp(func(c *Common, _ *slog.Logger) (Instance, error) {
+			seed = c.Seed
+			return Instance{}, errors.New("stop after boot")
+		})
+		if code := Run(context.Background(), nil, args, io.Discard, app); code != 1 {
+			t.Fatalf("%v: exit %d, want 1 (the failed build)", args, code)
+		}
+		return seed
+	}
+	if a, b := seedOf(), seedOf(); a == b {
+		t.Errorf("two default boots drew the same seed %d", a)
+	}
+	for _, want := range []uint64{0, 42} {
+		if got := seedOf("-seed", fmt.Sprint(want)); got != want {
+			t.Errorf("-seed %d: booted with %d", want, got)
+		}
+	}
+}
+
 const waitFor = 10 * time.Second
 
 // testApp is a daemon named "testd" whose backend build supplies.
@@ -210,7 +235,7 @@ func deleteKey(s *server.Server) error {
 func durableServer(t *testing.T, dir string) *server.Server {
 	t.Helper()
 	s := server.New(server.Config{})
-	if _, _, err := s.AddDurableUnweighted("du", server.DurableOptions{Dir: filepath.Join(dir, "du"), Sync: server.SyncNone}); err != nil {
+	if _, err := s.AddDurable("du", false, server.DurableOptions{Dir: filepath.Join(dir, "du"), Sync: server.SyncNone}); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -220,12 +245,11 @@ func durableServer(t *testing.T, dir string) *server.Server {
 func recoveredLen(t *testing.T, dir string) int {
 	t.Helper()
 	s := server.New(server.Config{})
-	c, _, err := s.AddDurableUnweighted("du", server.DurableOptions{Dir: filepath.Join(dir, "du")})
-	if err != nil {
+	if _, err := s.AddDurable("du", false, server.DurableOptions{Dir: filepath.Join(dir, "du")}); err != nil {
 		t.Fatalf("reopen %s: %v", dir, err)
 	}
 	defer s.Close()
-	return c.Len()
+	return s.Stats().Datasets[0].Len
 }
 
 // TestServeReloadDrain walks the whole lifecycle in-process: both address

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -33,7 +34,8 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := DecodeSampleRequest(data); err == nil {
+		if raw, err := DecodeSampleRequestRaw(data); err == nil {
+			req := SampleReq{Dataset: string(raw.Name), Lo: raw.Lo, Hi: raw.Hi, T: raw.T, Stats: raw.Stats}
 			re, err := EncodeSampleRequest(nil, req)
 			if err != nil {
 				t.Fatalf("decoded sample frame fails to re-encode: %v", err)
@@ -42,7 +44,17 @@ func FuzzBinaryFrame(f *testing.F) {
 				t.Fatalf("sample frame not canonical: %x -> %+v -> %x", data, req, re)
 			}
 		}
-		if req, err := DecodeInsertRequest(data, nil, nil); err == nil {
+		if name, items, err := DecodeInsertRequestItems(data, nil); err == nil {
+			// The merged decode leads with the frame's unit-weight keys; the
+			// frame's first count (after kind and name) says how many.
+			nk := int(binary.LittleEndian.Uint32(data[2+len(name):]))
+			req := InsertReq{Dataset: string(name), Items: items[nk:]}
+			for _, it := range items[:nk] {
+				if it.Weight != 1 {
+					t.Fatalf("key decoded with weight %v", it.Weight)
+				}
+				req.Keys = append(req.Keys, it.Key)
+			}
 			re, err := EncodeInsertRequest(nil, req)
 			if err != nil {
 				t.Fatalf("decoded insert frame fails to re-encode: %v", err)

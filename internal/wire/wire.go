@@ -42,9 +42,10 @@
 //
 // Encode and decode run over pooled byte buffers on every carrier, so the
 // binary paths add no per-request buffer allocations on top of the
-// zero-alloc serving core. The Raw decode variants return the dataset name
-// as a subslice of the frame instead of a string, so a server hot path can
-// intern it without allocating.
+// zero-alloc serving core. The request decoders return the dataset name
+// as a subslice of the frame instead of a string, so the server can intern
+// it without allocating; they are the only request decoders, so the fuzz
+// target runs exactly what the server runs.
 package wire
 
 import (
@@ -333,15 +334,6 @@ func DecodeSampleRequestRaw(b []byte) (RawSampleReq, error) {
 	return req, r.done()
 }
 
-// DecodeSampleRequest parses one sample request frame.
-func DecodeSampleRequest(b []byte) (SampleReq, error) {
-	raw, err := DecodeSampleRequestRaw(b)
-	if err != nil {
-		return SampleReq{}, err
-	}
-	return SampleReq{Dataset: string(raw.Name), Lo: raw.Lo, Hi: raw.Hi, T: raw.T, Stats: raw.Stats}, nil
-}
-
 // EncodeSampleResponse appends the sample response frame to b.
 func EncodeSampleResponse(b []byte, samples []float64) []byte {
 	b = AppendU32(b, uint32(len(samples)))
@@ -419,44 +411,22 @@ func EncodeInsertRequest(b []byte, req InsertReq) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeInsertRequest parses one insert request frame, appending decoded
-// keys/items into the caller's (pooled) dst slices.
-func DecodeInsertRequest(b []byte, keys []float64, items []Item) (InsertReq, error) {
-	name, keys, items, err := decodeInsert(b, keys, items, false)
-	if err != nil {
-		return InsertReq{}, err
-	}
-	return InsertReq{Dataset: string(name), Keys: keys, Items: items}, nil
-}
-
 // DecodeInsertRequestItems parses one insert request frame straight into a
 // single item slice — keys become unit-weight items ahead of the weighted
 // items, the apply order every transport shares — without allocating: the
 // returned name aliases b.
 func DecodeInsertRequestItems(b []byte, items []Item) (name []byte, _ []Item, err error) {
-	name, _, items, err = decodeInsert(b, nil, items, true)
-	return name, items, err
-}
-
-// decodeInsert is the shared insert-frame walk. With merge set, keys are
-// appended to items with unit weight (in frame order, ahead of the
-// weighted items) and the keys slice is untouched.
-func decodeInsert(b []byte, keys []float64, items []Item, merge bool) ([]byte, []float64, []Item, error) {
 	r := frameReader{b: b}
 	r.kind("insert", FrameInsert)
-	name := r.name()
+	name = r.name()
 	for n := r.count(8); n > 0; n-- {
-		if k := r.f64(); merge {
-			items = append(items, Item{Key: k, Weight: 1})
-		} else {
-			keys = append(keys, k)
-		}
+		items = append(items, Item{Key: r.f64(), Weight: 1})
 	}
 	for n := r.count(16); n > 0; n-- {
 		k, w := r.f64(), r.f64()
 		items = append(items, Item{Key: k, Weight: w})
 	}
-	return name, keys, items, r.done()
+	return name, items, r.done()
 }
 
 // EncodeCountResponse appends the response frame of insert, delete, and

@@ -56,26 +56,13 @@ func TestBinaryCodecZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// The sample request decode allocates only its dataset-name string (one
-	// small allocation, amortized by nothing — names are a few bytes).
+	// The request decode keeps the name as a subslice of the frame and must
+	// be fully allocation-free — it is every carrier's per-request path.
 	req := SampleReq{Dataset: "events", Lo: -3, Hi: 9, T: 17}
 	frame, err = EncodeSampleRequest(frame[:0], req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSampleRequest(frame)
-	if err != nil || got != req {
-		t.Fatalf("round trip: %+v, %v (want %+v)", got, err, req)
-	}
-	allocs = testing.AllocsPerRun(200, func() {
-		got, err = DecodeSampleRequest(frame)
-	})
-	if allocs > 1 {
-		t.Errorf("DecodeSampleRequest allocates %.1f/op, want <= 1 (the name string)", allocs)
-	}
-
-	// The raw decode keeps the name as a subslice of the frame and must be
-	// fully allocation-free — it is the TCP transport's per-request path.
 	var raw RawSampleReq
 	allocs = testing.AllocsPerRun(200, func() {
 		raw, err = DecodeSampleRequestRaw(frame)
@@ -143,21 +130,21 @@ func TestBinaryInsertCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeInsertRequest(frame, nil, nil)
+		name, got, err := DecodeInsertRequestItems(frame, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
-		if got.Dataset != req.Dataset || len(got.Keys) != len(req.Keys) || len(got.Items) != len(req.Items) {
-			t.Fatalf("round trip: %+v -> %+v", req, got)
+		if string(name) != req.Dataset || len(got) != len(req.Keys)+len(req.Items) {
+			t.Fatalf("round trip: %+v -> %q %+v", req, name, got)
 		}
-		for i := range req.Keys {
-			if got.Keys[i] != req.Keys[i] {
-				t.Fatalf("key %d: %v != %v", i, got.Keys[i], req.Keys[i])
+		for i, k := range req.Keys {
+			if got[i] != (Item{Key: k, Weight: 1}) {
+				t.Fatalf("key %d: %+v != %v", i, got[i], k)
 			}
 		}
-		for i := range req.Items {
-			if got.Items[i] != req.Items[i] {
-				t.Fatalf("item %d: %+v != %+v", i, got.Items[i], req.Items[i])
+		for i, it := range req.Items {
+			if got[len(req.Keys)+i] != it {
+				t.Fatalf("item %d: %+v != %+v", i, got[len(req.Keys)+i], it)
 			}
 		}
 	}
@@ -165,7 +152,7 @@ func TestBinaryInsertCodecRoundTrip(t *testing.T) {
 
 // TestDecodeInsertRequestItems pins the merged decode the handlers use: the
 // unweighted keys arrive ahead of the weighted items, in frame order, as
-// unit-weight items — matching the apply order of the two-slice decode.
+// unit-weight items.
 func TestDecodeInsertRequestItems(t *testing.T) {
 	frame, err := EncodeInsertRequest(nil, InsertReq{
 		Dataset: "w", Keys: []float64{1, 2}, Items: []Item{{Key: 3, Weight: 4}},
@@ -227,7 +214,7 @@ func TestSampleCountOutsideInt32Rejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("t = %d: %v", n, err)
 		}
-		if got, err := DecodeSampleRequest(frame); err != nil || got.T != n {
+		if got, err := DecodeSampleRequestRaw(frame); err != nil || got.T != n {
 			t.Errorf("t = %d: decoded %d, %v", n, got.T, err)
 		}
 	}

@@ -68,6 +68,22 @@ const streamStep = 0xbf58476d1ce4e5b9
 // goroutines.
 func StreamSeed(seed, i uint64) uint64 { return seed + i*streamStep }
 
+// NameSeed returns the seed of the structure called name under the base
+// seed: name's FNV-1a hash and seed, mixed through splitmix64. The daemons
+// seed every dataset this way, so datasets of one shape under one seed do
+// not draw in lockstep. Two StreamSeed sequences share a generator only if
+// their seeds differ by i·streamStep for some |i| below the streams drawn,
+// so n streams each from mixed seeds overlap with probability about
+// 2n/2⁶⁴.
+func NameSeed(seed uint64, name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	mixed := seed ^ splitmix64(&h)
+	return splitmix64(&mixed)
+}
+
 // Split returns a new RNG whose stream is independent of r's continuing
 // stream. It consumes one output from r.
 func (r *RNG) Split() *RNG {

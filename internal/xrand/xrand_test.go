@@ -30,6 +30,38 @@ func TestDistinctSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestNameSeedSeparatesStreams: NameSeed is a pure function of (seed,
+// name), and no two of a set of names, under one base seed or two, get
+// seeds whose StreamSeed sequences meet within the first million streams.
+func TestNameSeedSeparatesStreams(t *testing.T) {
+	if NameSeed(1, "events") != NameSeed(1, "events") {
+		t.Fatal("NameSeed is not deterministic")
+	}
+	// streamStep is odd, so it has an inverse mod 2^64 (Newton iteration);
+	// sequences from a and b meet iff (b-a)·inv is a small stream offset.
+	inv := uint64(streamStep)
+	for range 5 {
+		inv *= 2 - streamStep*inv
+	}
+	if inv*streamStep != 1 {
+		t.Fatalf("%#x is not the inverse of streamStep", inv)
+	}
+	const streams = 1 << 20
+	var seeds []uint64
+	for _, base := range []uint64{1, 2} {
+		for _, name := range []string{"", "a", "b", "demo", "demo2", "events", "logs", "ab", "ba"} {
+			seeds = append(seeds, NameSeed(base, name))
+		}
+	}
+	for i, a := range seeds {
+		for _, b := range seeds[i+1:] {
+			if off := (b - a) * inv; off < streams || -off < streams {
+				t.Fatalf("seeds %#x and %#x share a stream at offset %d", a, b, int64(off))
+			}
+		}
+	}
+}
+
 func TestReseedResets(t *testing.T) {
 	r := New(7)
 	first := make([]uint64, 16)

@@ -9,6 +9,7 @@ import (
 
 	irs "github.com/irsgo/irs"
 	"github.com/irsgo/irs/internal/spec"
+	"github.com/irsgo/irs/internal/xrand"
 )
 
 // Admin surface: the dataset registry over HTTP.
@@ -20,8 +21,8 @@ import (
 // Adds go through the server's Provisioner — the hook that decides what a
 // runtime-created dataset looks like (shard count, seed, durability).
 // New installs a memory-only default; cmd/irsd replaces it with one built
-// from the daemon's own flags, so a POSTed dataset is indistinguishable
-// from a -datasets one. Drops drain the dataset's in-flight requests,
+// from the daemon's own flags and creates its boot datasets through it
+// too, so a POSTed dataset is indistinguishable from a -datasets one. Drops drain the dataset's in-flight requests,
 // sync and close its store, and leave every other dataset serving; see
 // internal/server.Core.Remove for the ordering argument.
 //
@@ -67,9 +68,9 @@ type ListDatasetsResponse struct {
 	Datasets []DatasetInfo `json:"datasets"`
 }
 
-// Provisioner builds and registers one dataset at runtime under the
-// caller's naming. Implementations must register through the Add* family
-// (or the core) so the registered dataset carries the usual lifecycle.
+// Provisioner builds and registers one dataset under the caller's naming.
+// Implementations must register through AddUnweighted, AddWeighted or
+// AddDurable so the registered dataset carries the usual lifecycle.
 type Provisioner func(name string, weighted bool) error
 
 // admin is the Server's admin-surface state.
@@ -88,14 +89,15 @@ func (s *Server) SetProvisioner(p Provisioner) {
 }
 
 // defaultProvisioner registers a memory-only dataset with GOMAXPROCS
-// shards — the same shape `irsd -datasets name` would build with default
-// flags and no durability.
+// shards, seeded from base seed 1 and its name (xrand.NameSeed) so no two
+// datasets draw in lockstep — the shape `irsd -seed 1 -datasets name`
+// would build without durability.
 func (s *Server) defaultProvisioner(name string, weighted bool) error {
-	shards := runtime.GOMAXPROCS(0)
+	shards, seed := runtime.GOMAXPROCS(0), xrand.NameSeed(1, name)
 	if weighted {
-		return s.AddWeighted(name, irs.NewWeightedConcurrent[float64](shards, 1))
+		return s.AddWeighted(name, irs.NewWeightedConcurrent[float64](shards, seed))
 	}
-	return s.AddUnweighted(name, irs.NewConcurrentSeeded[float64](shards, 1))
+	return s.AddUnweighted(name, irs.NewConcurrentSeeded[float64](shards, seed))
 }
 
 // AddDataset creates and registers a dataset at runtime through the

@@ -130,7 +130,7 @@ func TestAdminRejectsBadNames(t *testing.T) {
 	s := server.New(server.Config{})
 	// The provisioner cmd/irsd installs under -data-dir.
 	s.SetProvisioner(func(name string, weighted bool) error {
-		_, _, err := s.AddDurableUnweighted(name, server.DurableOptions{Dir: filepath.Join(dataDir, name)})
+		_, err := s.AddDurable(name, weighted, server.DurableOptions{Dir: filepath.Join(dataDir, name)})
 		return err
 	})
 	ts := httptest.NewServer(s)
@@ -201,7 +201,7 @@ func TestAdminDurableDrop(t *testing.T) {
 	dir := t.TempDir()
 	s := server.New(server.Config{})
 	opts := server.DurableOptions{Dir: filepath.Join(dir, "d"), Shards: 2, Seed: 3}
-	if _, _, err := s.AddDurableUnweighted("d", opts); err != nil {
+	if _, err := s.AddDurable("d", false, opts); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
@@ -223,12 +223,12 @@ func TestAdminDurableDrop(t *testing.T) {
 
 	// The directory is released and intact: a fresh server recovers it.
 	s2 := server.New(server.Config{})
-	c2, rec, err := s2.AddDurableUnweighted("d", opts)
+	rec, err := s2.AddDurable("d", false, opts)
 	if err != nil {
 		t.Fatalf("re-open dropped directory: %v", err)
 	}
-	if c2.Len() != 4 {
-		t.Errorf("recovered %d items, want 4", c2.Len())
+	if st := s2.Stats(); len(st.Datasets) != 1 || st.Datasets[0].Len != 4 {
+		t.Errorf("recovered %+v, want one dataset of 4 items", st.Datasets)
 	}
 	// The final snapshot covered the whole history: nothing to replay.
 	if rec.RecordsReplayed != 0 {

@@ -6,7 +6,6 @@ import (
 	irs "github.com/irsgo/irs"
 	"github.com/irsgo/irs/internal/persist"
 	srv "github.com/irsgo/irs/internal/server"
-	"github.com/irsgo/irs/internal/weighted"
 )
 
 // SyncPolicy selects when WAL appends reach stable storage; see the
@@ -74,70 +73,63 @@ type DurableOptions struct {
 	OpenFile func(path string) (File, error)
 }
 
-// AddDurableUnweighted recovers the unweighted dataset persisted in
-// opts.Dir (starting empty on a fresh directory) and registers it under
-// name with persistence attached: every subsequent insert and delete is
-// written ahead to the dataset's WAL inside the same coalesced flush that
-// applies it, and /snapshot (or Server.Snapshot) rotates the WAL into a
-// compact point-in-time snapshot. Recovery loads the newest snapshot and
+// AddDurable recovers the dataset persisted in opts.Dir (starting empty on
+// a fresh directory) and registers it under name with persistence
+// attached: every subsequent insert, delete and (weighted) weight update
+// is written ahead to the dataset's WAL inside the same coalesced flush
+// that applies it, and /snapshot (or Server.Snapshot) rotates the WAL into
+// a compact point-in-time snapshot. Recovery loads the newest snapshot and
 // replays the WAL tail; a torn final record (crash mid-append) is
-// truncated and reported.
-//
-// The returned structure is the live dataset. Mutating it directly
-// bypasses the WAL — safe only before serving starts and only if followed
-// by Server.Snapshot (irsd's preload does exactly that).
+// truncated and reported. A weighted dataset recovers the exact
+// (key, weight) multiset. The structure itself stays inside the Server, so
+// every write to it goes through the WAL.
 //
 // Recovery streams: snapshot entries flow straight into the engine's
 // sorted bulk-load constructor (no intermediate entry slice), and WAL tail
 // records replay through persist's reused decode buffer — so boot-time
 // memory is the dataset itself, not a second copy of it.
-func (s *Server) AddDurableUnweighted(name string, opts DurableOptions) (*irs.Concurrent[float64], Recovery, error) {
+func (s *Server) AddDurable(name string, weighted bool, opts DurableOptions) (Recovery, error) {
+	shards := max(opts.Shards, 1)
+	if weighted {
+		return addDurable(s, name, opts, persist.KindWeighted,
+			func(e persist.Entry[float64]) persist.Entry[float64] { return e },
+			func(items []persist.Entry[float64]) (*irs.WeightedConcurrent[float64], error) {
+				return irs.NewWeightedConcurrentFromSortedItems(items, shards, opts.Seed)
+			},
+			srv.NewWeightedDataset)
+	}
 	return addDurable(s, name, opts, persist.KindUnweighted,
 		func(e persist.Entry[float64]) float64 { return e.Key },
 		func(keys []float64) (*irs.Concurrent[float64], error) {
-			return irs.NewConcurrentFromSortedSeeded(keys, max(opts.Shards, 1), opts.Seed)
+			return irs.NewConcurrentFromSortedSeeded(keys, shards, opts.Seed)
 		},
 		srv.NewUnweightedDataset)
 }
 
-// AddDurableWeighted is AddDurableUnweighted for a weighted dataset:
-// weight updates are logged too, and recovery restores the exact
-// (key, weight) multiset.
-func (s *Server) AddDurableWeighted(name string, opts DurableOptions) (*irs.WeightedConcurrent[float64], Recovery, error) {
-	return addDurable(s, name, opts, persist.KindWeighted,
-		func(e persist.Entry[float64]) weighted.Item[float64] { return e },
-		func(items []weighted.Item[float64]) (*irs.WeightedConcurrent[float64], error) {
-			return irs.NewWeightedConcurrentFromSortedItems(items, max(opts.Shards, 1), opts.Seed)
-		},
-		srv.NewWeightedDataset)
-}
-
-// addDurable is the recovery both durable constructors run, generic over
-// what differs between them: the element a snapshot entry becomes (elem),
-// the engine's sorted bulk-load constructor (build), and the serving
-// adapter over the built structure (adapt).
+// addDurable is the recovery both dataset kinds run, generic over what
+// differs between them: the element a snapshot entry becomes (elem), the
+// engine's sorted bulk-load constructor (build), and the serving adapter
+// over the built structure (adapt).
 func addDurable[E any, S any](s *Server, name string, opts DurableOptions, kind uint8,
 	elem func(persist.Entry[float64]) E,
 	build func(sorted []E) (S, error),
 	adapt func(S) srv.Dataset[float64],
-) (S, Recovery, error) {
+) (Recovery, error) {
 	var (
-		none   S
 		sorted []E
-		live   S
 		ds     srv.Dataset[float64]
 		ra     srv.ReplayApplier[float64]
 	)
 	if s.core == nil {
-		return none, Recovery{}, ErrProxy
+		return Recovery{}, ErrProxy
 	}
 	begin := time.Now()
 	// Snapshot entries stream in key order before the first WAL record, so
 	// the structure bulk-loads sorted exactly once — at the first record,
 	// or after recovery if the tail is empty.
 	load := func() error {
-		var err error
-		if live, err = build(sorted); err != nil {
+		live, err := build(sorted)
+		if err != nil {
 			return err
 		}
 		sorted = nil
@@ -168,18 +160,18 @@ func addDurable[E any, S any](s *Server, name string, opts DurableOptions, kind 
 		},
 	})
 	if err != nil {
-		return none, Recovery{}, err
+		return Recovery{}, err
 	}
 	if ds == nil {
 		if err := load(); err != nil {
 			store.Close()
-			return none, Recovery{}, err
+			return Recovery{}, err
 		}
 	}
 	if err := s.core.AddDurable(name, ds, store, stats); err != nil {
 		store.Close()
-		return none, Recovery{}, err
+		return Recovery{}, err
 	}
 	s.noteRecovery(name, time.Since(begin))
-	return live, stats, nil
+	return stats, nil
 }

@@ -16,15 +16,12 @@ import (
 func newDurableServer(t *testing.T, dir string) *server.Server {
 	t.Helper()
 	s := server.New(server.Config{})
-	if _, _, err := s.AddDurableUnweighted("du", server.DurableOptions{
-		Dir: filepath.Join(dir, "du"), Sync: server.SyncAlways, Shards: 2, Seed: 5,
-	}); err != nil {
-		t.Fatalf("AddDurableUnweighted: %v", err)
-	}
-	if _, _, err := s.AddDurableWeighted("dw", server.DurableOptions{
-		Dir: filepath.Join(dir, "dw"), Sync: server.SyncAlways, Shards: 2, Seed: 5,
-	}); err != nil {
-		t.Fatalf("AddDurableWeighted: %v", err)
+	for name, weighted := range map[string]bool{"du": false, "dw": true} {
+		if _, err := s.AddDurable(name, weighted, server.DurableOptions{
+			Dir: filepath.Join(dir, name), Sync: server.SyncAlways, Shards: 2, Seed: 5,
+		}); err != nil {
+			t.Fatalf("AddDurable %s: %v", name, err)
+		}
 	}
 	return s
 }

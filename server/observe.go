@@ -80,8 +80,8 @@ func (s *Server) Version() string {
 	return "unknown"
 }
 
-// SetReady flips /readyz to 200. Call it once boot recovery (and any
-// preload) has completed and the process is about to accept traffic.
+// SetReady flips /readyz to 200. Call it once boot recovery has completed
+// and the process is about to accept traffic.
 // It does not override draining: a SIGTERM that lands during boot wins.
 func (s *Server) SetReady() {
 	s.obs.state.CompareAndSwap(stateStarting, stateReady)

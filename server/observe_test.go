@@ -50,7 +50,7 @@ func TestReadyzProbeOrdering(t *testing.T) {
 	gate := make(chan struct{})
 	booted := make(chan error, 1)
 	go func() {
-		_, _, err := s.AddDurableUnweighted("du", server.DurableOptions{
+		_, err := s.AddDurable("du", false, server.DurableOptions{
 			Dir:  filepath.Join(dir, "du"),
 			Sync: server.SyncAlways,
 			OpenFile: func(path string) (server.File, error) {

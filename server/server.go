@@ -29,7 +29,7 @@
 // One request asks for at most 1,048,572 samples (wire.MaxSampleCount),
 // the most one response message carries.
 //
-// Durable datasets (AddDurable*) write every mutation ahead to a WAL and
+// Durable datasets (AddDurable) write every mutation ahead to a WAL and
 // serve /snapshot; see durable.go. Coalescing preserves the IRS contract —
 // per-sample uniformity and independence across coalesced requests —
 // verified through the full HTTP stack by this package's chi-square and
@@ -172,7 +172,7 @@ func New(cfg Config) *Server {
 
 // NewProxy returns a Server that serves every endpoint against backend
 // instead of a local core — the seam cmd/irsrouter fronts the cluster
-// router through. Dataset registration (Add*, AddDurable*) is rejected
+// router through. Dataset registration (Add*) is rejected
 // with ErrProxy; everything else, including the TCP transport wrapper
 // (server/irsnet.NewServer), works unchanged.
 func NewProxy(backend Backend) *Server {
