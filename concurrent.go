@@ -15,7 +15,9 @@ import (
 //
 // Every method is safe for any number of concurrent goroutines. The one
 // rule is the library-wide RNG contract: an *RNG may not be shared, so each
-// sampling goroutine passes its own (derive streams with RNG.Split).
+// sampling goroutine passes its own (derive streams with RNG.Split). One
+// call runs entirely on the caller's goroutine, however many samples or
+// shards it spans: parallelism comes from calling from several goroutines.
 //
 // Prefer the batch entry points on hot paths: InsertBatch and SampleMany
 // acquire each involved shard lock once per batch instead of once per key
@@ -49,8 +51,8 @@ func NewConcurrent[K cmp.Ordered](shards int) *Concurrent[K] {
 // documentation), so consumers that draw their sampling RNGs from the
 // structure — the irsd serving layer does — replay exactly when they
 // consume streams and issue queries in a deterministic order (for irsd,
-// serialized requests and a single flusher). The seed never influences
-// any sampling distribution.
+// serialized requests and a single flusher), on any number of cores. The
+// seed never influences any sampling distribution.
 func NewConcurrentSeeded[K cmp.Ordered](shards int, seed uint64) *Concurrent[K] {
 	return shard.NewSeeded[K](shards, seed)
 }

@@ -28,6 +28,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"math"
 
 	"github.com/irsgo/irs/internal/xrand"
 )
@@ -67,4 +68,15 @@ func sampleArgsErr(t int) error {
 		return ErrInvalidCount
 	}
 	return nil
+}
+
+// quantileRank returns the 0-based rank of quantile q among n sorted keys
+// (nearest-rank, q clamped to [0, 1]) — the one index computation behind
+// Static.Quantile and Dynamic.Quantile. ok is false when n is 0 or q is
+// NaN, which has no place in [0, 1].
+func quantileRank(q float64, n int) (int, bool) {
+	if n == 0 || math.IsNaN(q) {
+		return 0, false
+	}
+	return int(min(max(q, 0), 1) * float64(n-1)), true
 }

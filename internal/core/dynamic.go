@@ -74,20 +74,14 @@ func (d *Dynamic[K]) RankUpper(key K) int { return d.list.RankUpper(key) }
 // this gives order statistics and quantiles over the live multiset.
 func (d *Dynamic[K]) SelectRank(i int) K { return d.list.SelectRank(i) }
 
-// Quantile returns the key at quantile q in [0, 1] (nearest-rank), and
-// false if the structure is empty.
+// Quantile returns the key at quantile q in [0, 1] (nearest-rank; q is
+// clamped into [0, 1]), and false if the structure is empty or q is NaN.
 func (d *Dynamic[K]) Quantile(q float64) (K, bool) {
-	var zero K
-	if d.Len() == 0 {
+	i, ok := quantileRank(q, d.Len())
+	if !ok {
+		var zero K
 		return zero, false
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(q * float64(d.Len()-1))
 	return d.list.SelectRank(i), true
 }
 

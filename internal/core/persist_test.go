@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -126,8 +127,10 @@ func TestLoadErrors(t *testing.T) {
 
 func TestRankSelectQuantile(t *testing.T) {
 	d := NewDynamic[int]()
-	for i := 0; i < 1000; i++ {
-		d.Insert(i * 2) // evens 0..1998
+	evens := make([]int, 1000)
+	for i := range evens {
+		evens[i] = i * 2 // evens 0..1998
+		d.Insert(evens[i])
 	}
 	if got := d.RankLower(100); got != 50 {
 		t.Fatalf("RankLower(100) = %d", got)
@@ -143,21 +146,31 @@ func TestRankSelectQuantile(t *testing.T) {
 			t.Fatalf("SelectRank(%d) = %d, want %d", i, got, i*2)
 		}
 	}
-	if q, ok := d.Quantile(0.5); !ok || q != 998 {
-		t.Fatalf("Quantile(0.5) = %d, %v", q, ok)
+	type quantiler interface{ Quantile(float64) (int, bool) }
+	for name, s := range map[string]quantiler{"Dynamic": d, "Static": NewStatic(evens)} {
+		for _, tc := range []struct {
+			q    float64
+			want int
+			ok   bool
+		}{
+			{0.5, 998, true},
+			{0, 0, true},
+			{1, 1998, true},
+			{2, 1998, true}, // clamped
+			{math.Inf(1), 1998, true},
+			{-1, 0, true},
+			{math.Inf(-1), 0, true},
+			{math.NaN(), 0, false}, // no rank to clamp to
+		} {
+			if q, ok := s.Quantile(tc.q); q != tc.want || ok != tc.ok {
+				t.Errorf("%s.Quantile(%v) = %d, %v; want %d, %v", name, tc.q, q, ok, tc.want, tc.ok)
+			}
+		}
 	}
-	if q, ok := d.Quantile(0); !ok || q != 0 {
-		t.Fatalf("Quantile(0) = %d, %v", q, ok)
-	}
-	if q, ok := d.Quantile(1); !ok || q != 1998 {
-		t.Fatalf("Quantile(1) = %d, %v", q, ok)
-	}
-	if q, ok := d.Quantile(2); !ok || q != 1998 { // clamped
-		t.Fatalf("Quantile(2) = %d, %v", q, ok)
-	}
-	empty := NewDynamic[int]()
-	if _, ok := empty.Quantile(0.5); ok {
-		t.Fatal("Quantile on empty returned ok")
+	for name, empty := range map[string]quantiler{"Dynamic": NewDynamic[int](), "Static": NewStatic[int](nil)} {
+		if _, ok := empty.Quantile(0.5); ok {
+			t.Errorf("%s.Quantile on empty returned ok", name)
+		}
 	}
 
 	s := NewStatic([]int{10, 20, 20, 30})

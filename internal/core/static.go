@@ -87,20 +87,15 @@ func (s *Static[K]) RankUpper(key K) int {
 	return b
 }
 
-// Quantile returns the key at quantile q in [0, 1] (nearest-rank), and
-// false if the structure is empty.
+// Quantile returns the key at quantile q in [0, 1] (nearest-rank; q is
+// clamped into [0, 1]), and false if the structure is empty or q is NaN.
 func (s *Static[K]) Quantile(q float64) (K, bool) {
-	var zero K
-	if len(s.keys) == 0 {
+	i, ok := quantileRank(q, len(s.keys))
+	if !ok {
+		var zero K
 		return zero, false
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return s.keys[int(q*float64(len(s.keys)-1))], true
+	return s.keys[i], true
 }
 
 // Sample returns t independent uniform samples (with replacement) from the

@@ -2,18 +2,12 @@ package shard
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/xrand"
 )
-
-// parallelQueryMin is the total sample count across a SampleMany batch
-// above which queries are answered by a pool of worker goroutines.
-const parallelQueryMin = parallelSampleMin
 
 // maxRetainedBatch bounds (in elements) the pooled sortable input copies
 // InsertBatch and DeleteBatch keep between calls; one outsized batch does
@@ -148,13 +142,11 @@ type QueryStats struct {
 // before any sampling happens, leaving dst and starts unchanged. The
 // queries are only read.
 //
-// Small batches are answered in order on the calling goroutine from rng,
-// with zero heap allocations once dst, starts, and the pooled per-query
-// scratch have warmed up — the path the serving layer's flush workers run
-// on. Large ones (total samples >= a few thousand, and a second processor
-// to run on) fan out over min(GOMAXPROCS, len(queries)) workers, each
-// drawing from an independent stream derived from rng by Split; the choice
-// changes only wall-clock time and allocations, never the distribution.
+// Queries are answered in order on the calling goroutine from rng, with
+// zero heap allocations once dst, starts, and the pooled per-query scratch
+// have warmed up, whatever the batch's size; a fixed rng state draws the
+// same samples on any number of cores. Callers that want parallelism run
+// batches from several goroutines, each with its own rng.
 func (c *engine[K, I, B]) SampleManyAppend(dst []K, starts []int, queries []Query[K], rng *xrand.RNG) ([]K, []int, error) {
 	return c.SampleManyStatsAppend(dst, starts, queries, nil, rng)
 }
@@ -196,10 +188,6 @@ func (c *engine[K, I, B]) SampleManyStatsAppend(dst []K, starts []int, queries [
 	}
 	defer c.runlockUnion(sc)
 
-	if workers := min(runtime.GOMAXPROCS(0), len(queries)); totalT >= parallelQueryMin && workers >= 2 {
-		dst, starts = c.sampleManyParallel(dst, starts, queries, stats, totalT, workers, rng)
-		return dst, starts, nil
-	}
 	for i, q := range queries {
 		var st QueryStats
 		dst, st = c.sampleQuery(sc, dst, q, rng)
@@ -224,62 +212,6 @@ func (c *engine[K, I, B]) sampleQuery(sc *queryScratch[K], dst []K, q Query[K], 
 		out = dst
 	}
 	return out, QueryStats{N: n, Mass: mass}
-}
-
-// sampleManyParallel is SampleManyStatsAppend's fan-out, under the locks its
-// caller holds: contiguous blocks of queries per worker, RNG streams split
-// up front in worker order so the result is deterministic for a fixed rng
-// state. Query i samples straight into its own T-sized slot of dst's spare
-// capacity (the caller reserved totalT); the slots of queries that came
-// back empty are closed up afterwards.
-// It is a method of its own because a goroutine closure in
-// SampleManyStatsAppend would move that function's locals to the heap on the sequential path too.
-func (c *engine[K, I, B]) sampleManyParallel(dst []K, starts []int, queries []Query[K], stats []QueryStats, totalT, workers int, rng *xrand.RNG) ([]K, []int) {
-	base := len(dst)
-	dst = dst[:base+totalT]
-	starts = append(starts, make([]int, len(queries))...)
-	got := starts[len(starts)-len(queries):] // got[i]: samples query i produced, 0 or T
-
-	rngs := make([]*xrand.RNG, workers)
-	for w := range rngs {
-		rngs[w] = rng.Split()
-	}
-	var wg sync.WaitGroup
-	slot := base
-	for w := 0; w < workers; w++ {
-		first, end := len(queries)*w/workers, len(queries)*(w+1)/workers
-		wg.Add(1)
-		go func(slot int, r *xrand.RNG) {
-			defer wg.Done()
-			sc := c.getScratch()
-			defer c.putScratch(sc)
-			for i := first; i < end; i++ {
-				q := queries[i]
-				out, st := c.sampleQuery(sc, dst[slot:slot:slot+q.T], q, r)
-				got[i] = len(out)
-				if stats != nil {
-					stats[i] = st
-				}
-				slot += q.T
-			}
-		}(slot, rngs[w])
-		for _, q := range queries[first:end] {
-			slot += q.T
-		}
-	}
-	wg.Wait()
-
-	tail := base
-	slot = base
-	for i, q := range queries {
-		if tail != slot {
-			copy(dst[tail:], dst[slot:slot+got[i]])
-		}
-		tail += got[i]
-		slot += q.T
-		got[i] = tail // the boundary after query i
-	}
-	return dst[:tail], starts
 }
 
 // SampleMany is SampleManyAppend returning one slice per query: results[i]

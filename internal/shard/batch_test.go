@@ -19,14 +19,17 @@ type manySampler interface {
 	RangeStats(lo, hi float64) (int, float64)
 }
 
+// largeT is the large-t input of the batch and chi-square tests: enough
+// samples per query or batch that every overlapping shard draws many, on
+// the same sequential path as a small query. (Subtest names that mention
+// parallelQueryMin refer to this size.)
+const largeT = 4096
+
 // TestSampleManyIsAViewOfSampleManyAppend: for one seed the two return the
 // same samples segment for segment — nil where the segment is empty — on a
 // batch mixing wide, single-shard, empty, inverted, zero-weight and T = 0
-// queries, below parallelQueryMin (answered in order on the caller's
-// goroutine) and above it (the fan-out, whenever a second processor is
-// configured: the test raises GOMAXPROCS itself so that side always runs).
-// Appending after a prefix must leave the prefix alone and return
-// boundaries relative to the whole buffer.
+// queries, with a small and a large wide T. Appending after a prefix must
+// leave the prefix alone and return boundaries relative to the whole buffer.
 func TestSampleManyIsAViewOfSampleManyAppend(t *testing.T) {
 	const n = 20_000
 	keys := make([]float64, n)
@@ -62,18 +65,14 @@ func TestSampleManyIsAViewOfSampleManyAppend(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name     string
-		queries  []Query[float64]
-		parallel bool
+		name    string
+		queries []Query[float64]
 	}{
-		{"below parallelQueryMin", batch(200), false},
-		{"above parallelQueryMin", batch(parallelQueryMin), true},
+		{"below parallelQueryMin", batch(200)},
+		{"above parallelQueryMin", batch(largeT)},
 	} {
 		for name, s := range map[string]manySampler{"unweighted": u, "weighted": w} {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				if tc.parallel && runtime.GOMAXPROCS(0) < 2 {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-				}
 				results, err := s.SampleMany(tc.queries, xrand.New(77))
 				if err != nil {
 					t.Fatal(err)
@@ -138,8 +137,8 @@ func TestSampleManyIsAViewOfSampleManyAppend(t *testing.T) {
 // TestSampleManyStatsAppendReportsRangeStats: every query's reported
 // (N, Mass), read in the sampling pass under the batch's locks, equals what
 // RangeStats reports for the same range — on a batch mixing wide, empty,
-// inverted and zero-weight ranges, on both instantiations, below and above
-// parallelQueryMin, and on an all-inverted batch. Stale values in stats are
+// inverted and zero-weight ranges, on both instantiations, with a small and
+// a large wide T, and on an all-inverted batch. Stale values in stats are
 // overwritten, the queries are left as they were, and the samples are
 // SampleManyAppend's under the same seed.
 func TestSampleManyStatsAppendReportsRangeStats(t *testing.T) {
@@ -162,12 +161,9 @@ func TestSampleManyStatsAppendReportsRangeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wideT := range []int{100, parallelQueryMin} {
+	for _, wideT := range []int{100, largeT} {
 		for name, s := range map[string]manySampler{"unweighted": u, "weighted": w} {
 			t.Run(fmt.Sprintf("%s/wideT=%d", name, wideT), func(t *testing.T) {
-				if wideT >= parallelQueryMin && runtime.GOMAXPROCS(0) < 2 {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-				}
 				for _, queries := range [][]Query[float64]{{
 					{Lo: 0, Hi: n, T: wideT},           // every shard
 					{Lo: 9, Hi: 3, T: 7},               // inverted
@@ -212,4 +208,95 @@ func TestSampleManyStatsAppendReportsRangeStats(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSamplesDoNotDependOnGOMAXPROCS: the engine draws every query in order
+// on the caller's goroutine from the caller's RNG, so one seed yields
+// bit-identical samples (and batch stats) at GOMAXPROCS 1 and 4 — for a
+// single t = 8192 query over four shards and for a 16-query batch of 8192
+// samples in all, on both instantiations. With four Ps to run on, a warm
+// SampleManyStatsAppend on that batch allocates nothing.
+func TestSamplesDoNotDependOnGOMAXPROCS(t *testing.T) {
+	const n = 20_000
+	keys := make([]float64, n)
+	items := make([]weighted.Item[float64], n)
+	for i := range keys {
+		keys[i] = float64(i)
+		items[i] = weighted.Item[float64]{Key: float64(i), Weight: float64(i%7) + 0.5}
+	}
+	u, err := NewFromSorted(keys, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWeightedFromItems(items, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]Query[float64], 16)
+	for i := range queries {
+		lo := float64(i * 1000)
+		queries[i] = Query[float64]{Lo: lo, Hi: lo + 8000, T: 512} // two or three shards each
+	}
+
+	type sampler interface {
+		manySampler
+		SampleAppend([]float64, float64, float64, int, *xrand.RNG) ([]float64, error)
+	}
+	type draws struct {
+		one, flat []float64
+		starts    []int
+		stats     []QueryStats
+	}
+	for name, s := range map[string]sampler{"unweighted": u, "weighted": w} {
+		t.Run(name, func(t *testing.T) {
+			drawAt := func(procs int) (d draws) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				var err error
+				if d.one, err = s.SampleAppend(nil, 0, n, 8192, xrand.New(41)); err != nil {
+					t.Fatal(err)
+				}
+				d.stats = make([]QueryStats, len(queries))
+				if d.flat, d.starts, err = s.SampleManyStatsAppend(nil, nil, queries, d.stats, xrand.New(43)); err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			one, four := drawAt(1), drawAt(4)
+			if !slices.Equal(one.one, four.one) {
+				t.Error("SampleAppend: GOMAXPROCS 1 and 4 draw different samples under one seed")
+			}
+			if !slices.Equal(one.flat, four.flat) || !slices.Equal(one.starts, four.starts) || !slices.Equal(one.stats, four.stats) {
+				t.Error("SampleManyStatsAppend: GOMAXPROCS 1 and 4 draw different samples or stats under one seed")
+			}
+
+			if raceEnabled {
+				return // race instrumentation allocates and drops pool Puts
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			dst, starts, stats, rng := four.flat, four.starts, four.stats, xrand.New(47)
+			allocs := allocsPerRun(100, func() {
+				dst, starts, err = s.SampleManyStatsAppend(dst[:0], starts[:0], queries, stats, rng)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Fatalf("warm SampleManyStatsAppend of %d samples at GOMAXPROCS 4: %d allocs/op, want 0", len(dst), allocs)
+			}
+		})
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun without its switch to GOMAXPROCS 1:
+// the mallocs per call of f over runs calls after one warm-up call, at the
+// GOMAXPROCS the caller set.
+func allocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }

@@ -2,18 +2,11 @@ package shard
 
 import (
 	"cmp"
-	"runtime"
-	"sync"
 
 	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/split"
 	"github.com/irsgo/irs/internal/xrand"
 )
-
-// parallelSampleMin is the per-query sample count above which the per-shard
-// sampling stage fans out across goroutines. Below it, goroutine start-up
-// costs more than the O(1)-per-sample work it would parallelize.
-const parallelSampleMin = 4096
 
 // queryScratch is the per-query working set, pooled so steady-state queries
 // allocate only their output. Each in-flight query owns one exclusively.
@@ -79,17 +72,13 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 	// snapshot under the held locks.
 	sc.counts = sc.counts[:0]
 	sc.masses = sc.masses[:0]
-	total, positive := 0, 0 // keys in range; shards with sampling mass
-	totalMass := 0.0
+	total, totalMass := 0, 0.0
 	for i := sa; i <= sb; i++ {
 		n, m := c.shards[i].b.RangeStats(lo, hi)
 		sc.counts = append(sc.counts, n)
 		sc.masses = append(sc.masses, m)
 		total += n
 		totalMass += m
-		if m > 0 {
-			positive++
-		}
 	}
 	if total == 0 {
 		if t == 0 {
@@ -121,45 +110,16 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 		sc.block = make([]K, t)
 	}
 	block := sc.block[:t]
-	if t >= parallelSampleMin && positive > 1 && runtime.GOMAXPROCS(0) > 1 {
-		c.sampleShardsParallel(sc, block, lo, hi, sa, rng)
-	} else {
-		for i := range sc.masses {
-			from, to := sc.plan.Seg(i)
-			if from == to {
-				continue
-			}
-			if _, err := c.shards[sa+i].b.SampleRunAppend(sc.run, block[from:from:to], lo, hi, to-from, rng); err != nil {
-				return dst, total, totalMass, err // unreachable: mass was positive under lock
-			}
-		}
-	}
-	return split.Scatter(dst, &sc.plan, block), total, totalMass, nil
-}
-
-// sampleShardsParallel runs the per-shard sampling stage on one goroutine
-// per populated shard. RNG streams are derived with Split in shard order
-// before the fan-out, so results are deterministic for a fixed rng state
-// (though different from the sequential path's stream usage).
-func (c *engine[K, I, B]) sampleShardsParallel(sc *queryScratch[K], block []K, lo, hi K, sa int, rng *xrand.RNG) {
-	var wg sync.WaitGroup
 	for i := range sc.masses {
 		from, to := sc.plan.Seg(i)
 		if from == to {
 			continue
 		}
-		seg, want := block[from:from:to], to-from
-		sh := c.shards[sa+i]
-		sub := rng.Split()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run := c.getRun()
-			_, _ = sh.b.SampleRunAppend(run, seg, lo, hi, want, sub)
-			c.putRun(run)
-		}()
+		if _, err := c.shards[sa+i].b.SampleRunAppend(sc.run, block[from:from:to], lo, hi, to-from, rng); err != nil {
+			return dst, total, totalMass, err // unreachable: mass was positive under lock
+		}
 	}
-	wg.Wait()
+	return split.Scatter(dst, &sc.plan, block), total, totalMass, nil
 }
 
 // firstNonzero returns the index of the first nonzero count, or 0.

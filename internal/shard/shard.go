@@ -42,9 +42,11 @@
 // and a scatter back into draw order. Why that is exact and independent is
 // argued once, in internal/split's package comment.
 //
-// For large t the per-shard sampling stage fans out across goroutines,
-// each with an independent RNG stream derived by Split; the fan-out changes
-// only wall-clock time, not the distribution.
+// Every query draws in order on the caller's goroutine from the caller's
+// RNG, shard after shard, so a fixed RNG state yields the same samples on
+// any number of cores. The engine starts no goroutines: parallelism belongs
+// to its callers (the serving layer's flushers, or a library user's own
+// goroutines), each drawing from its own RNG under shared read locks.
 //
 // # Locking
 //
@@ -71,8 +73,8 @@ import (
 const (
 	// minShardKeys is the target minimum occupancy before the structure
 	// grows toward its target shard count: with fewer than minShardKeys
-	// keys per shard, extra shards cost more in fan-out than they buy in
-	// parallelism.
+	// keys per shard, extra shards cost queries more in per-shard split
+	// work than they buy writers in lock parallelism.
 	minShardKeys = 2048
 	// imbalanceFactor triggers a rebalance when one shard holds more than
 	// imbalanceFactor times its fair share of the keys.
@@ -103,24 +105,12 @@ type engine[K cmp.Ordered, I any, B Backend[K, I]] struct {
 	rebalancing atomic.Bool  // single-flight guard for automatic rebalances
 	rebalanceN  atomic.Int64 // total size at the last rebalance (rate limiter)
 	scratch     sync.Pool    // *queryScratch[K]
-	runPool     sync.Pool    // Run, for the per-shard parallel fan-out
 	itemBufs    sync.Pool    // *[]I, InsertBatch's sortable copy of the input
 	keyBufs     sync.Pool    // *[]K, DeleteBatch's sortable copy of the input
 
 	streamSeed uint64        // base seed of the NewStream sequence (stream.go)
 	streamCtr  atomic.Uint64 // streams handed out so far
 }
-
-// getRun and putRun pool backend sampling scratch for the parallel fan-out
-// goroutines, which cannot share the query's own scratch run.
-func (c *engine[K, I, B]) getRun() Run {
-	if r := c.runPool.Get(); r != nil {
-		return r
-	}
-	return c.ops.newRun()
-}
-
-func (c *engine[K, I, B]) putRun(r Run) { c.runPool.Put(r) }
 
 // shardState is one shard: a backend behind its own lock.
 type shardState[K cmp.Ordered, I any, B Backend[K, I]] struct {

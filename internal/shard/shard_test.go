@@ -254,8 +254,8 @@ func TestSampleMany(t *testing.T) {
 		t.Fatalf("nil batch: %v %v", empty, err)
 	}
 
-	// A batch big enough to take the parallel path returns the right
-	// shapes and in-range values too.
+	// A large batch (64 × 256 samples) returns the right shapes and
+	// in-range values too.
 	big := make([]Query[float64], 64)
 	for i := range big {
 		lo := keys[rng.Intn(len(keys))]

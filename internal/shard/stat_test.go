@@ -21,8 +21,7 @@ import (
 
 // statAlpha is deliberately small: any genuine partition-induced bias moves
 // the statistic by orders of magnitude, while a 1e-4 significance keeps the
-// test essentially flake-free even on machines whose GOMAXPROCS routes the
-// fixed seed through a different (parallel) drawing path.
+// fixed-seed streams far from the rejection boundary.
 const statAlpha = 1e-4
 
 // chiSquareAgainstStatic draws total samples from c over [lo, hi], buckets
@@ -146,8 +145,7 @@ func TestConcurrentUniformityPerKey(t *testing.T) {
 }
 
 // TestSampleManyUniformity pushes the same check through the batch path,
-// including the parallel-worker branch (total samples above the fan-out
-// threshold), whose RNG stream handling must not distort the distribution.
+// many queries drawing in turn from one RNG.
 func TestSampleManyUniformity(t *testing.T) {
 	rng := xrand.New(107)
 	keys := workload.Keys(workload.Uniform, 25_000, rng)
@@ -161,8 +159,7 @@ func TestSampleManyUniformity(t *testing.T) {
 	}
 	lo, hi := keys[len(keys)/10], keys[(9*len(keys))/10]
 	chiSquareAgainstStatic(t, func(n int, r *xrand.RNG) []float64 {
-		// Split the draw across a batch of identical queries large enough
-		// to engage the worker pool.
+		// Split the draw across a batch of identical queries.
 		const per = 1000
 		queries := make([]Query[float64], n/per)
 		for i := range queries {
@@ -180,8 +177,8 @@ func TestSampleManyUniformity(t *testing.T) {
 	}, ref, lo, hi, 64, 200_000, 108)
 }
 
-// TestParallelSampleUniformity engages the intra-query fan-out (t above
-// parallelSampleMin) and checks the distribution is unaffected.
+// TestParallelSampleUniformity draws in large-t queries, each spread over
+// all eight shards, and checks the distribution is unaffected.
 func TestParallelSampleUniformity(t *testing.T) {
 	rng := xrand.New(109)
 	keys := workload.Keys(workload.Uniform, 25_000, rng)
@@ -198,8 +195,8 @@ func TestParallelSampleUniformity(t *testing.T) {
 		var out []float64
 		for len(out) < n {
 			chunk := n - len(out)
-			if chunk > 2*parallelSampleMin {
-				chunk = 2 * parallelSampleMin // well above the fan-out threshold
+			if chunk > 2*largeT {
+				chunk = 2 * largeT
 			}
 			got, err := c.Sample(lo, hi, chunk, r)
 			if err != nil {

@@ -12,13 +12,14 @@ import "github.com/irsgo/irs/internal/xrand"
 // Reproducibility contract: two structures constructed with the same seed
 // hand out identical stream sequences, so a caller that consumes streams
 // and issues queries in a deterministic order replays sampling
-// bit-for-bit. Under concurrency the i-th stream goes to whichever caller
-// arrives i-th — the streams themselves are unchanged, but exact replay
-// then additionally requires pinning that assignment (the serving layer,
-// whose flush workers each draw one stream, is exactly reproducible only
-// with a single flusher). The seed (and therefore NewStream) never
-// influences any sampling distribution — every stream is uniform
-// regardless of seed.
+// bit-for-bit, on any number of cores: the engine draws every query on the
+// caller's goroutine from the caller's RNG. Under concurrency the i-th
+// stream goes to whichever caller arrives i-th — the streams themselves
+// are unchanged, but exact replay then additionally requires pinning that
+// assignment (the serving layer, whose flush workers each draw one stream,
+// is exactly reproducible only with a single flusher). The seed (and
+// therefore NewStream) never influences any sampling distribution — every
+// stream is uniform regardless of seed.
 func (c *engine[K, I, B]) NewStream() *xrand.RNG {
 	return xrand.New(xrand.StreamSeed(c.streamSeed, c.streamCtr.Add(1)))
 }

@@ -109,7 +109,7 @@ func TestWeightedConcurrentMatchesSegmentAlias(t *testing.T) {
 }
 
 // TestWeightedSampleManyMatchesSegmentAlias pushes the same check through
-// the batch path, including the parallel-worker branch.
+// the batch path.
 func TestWeightedSampleManyMatchesSegmentAlias(t *testing.T) {
 	items := makeWeightedItems(20_000, 1000, 307)
 	wc, err := NewWeightedFromItems(items, 5, 308)
@@ -139,8 +139,8 @@ func TestWeightedSampleManyMatchesSegmentAlias(t *testing.T) {
 	}, ref, lo, hi, 200_000, 309)
 }
 
-// TestWeightedParallelSampleMatchesSegmentAlias engages the intra-query
-// fan-out (t above parallelSampleMin) explicitly.
+// TestWeightedParallelSampleMatchesSegmentAlias draws in large-t queries,
+// each spread over all eight shards.
 func TestWeightedParallelSampleMatchesSegmentAlias(t *testing.T) {
 	items := makeWeightedItems(20_000, 1000, 311)
 	wc, err := NewWeightedFromItems(items, 8, 312)
@@ -156,8 +156,8 @@ func TestWeightedParallelSampleMatchesSegmentAlias(t *testing.T) {
 		var out []int
 		for len(out) < n {
 			chunk := n - len(out)
-			if chunk > 2*parallelSampleMin {
-				chunk = 2 * parallelSampleMin // well above the fan-out threshold
+			if chunk > 2*largeT {
+				chunk = 2 * largeT
 			}
 			got, err := wc.Sample(lo, hi, chunk, r)
 			if err != nil {

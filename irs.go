@@ -56,6 +56,11 @@
 //     when streams are consumed and queries issued in a deterministic
 //     order (for irsd: serialized requests, single flusher).
 //
+// Fixed-seed replay does not depend on the core count: no sampler starts
+// goroutines of its own, so every query draws in order on the calling
+// goroutine from the RNG it was given, and one RNG state yields the same
+// samples at any GOMAXPROCS.
+//
 // NewConcurrentSeeded and NewConcurrentFromSortedSeeded are the seeded
 // unweighted constructors, symmetric with NewWeightedConcurrent's seed
 // parameter; the unseeded constructors are the seed-0 special case.
