@@ -425,7 +425,9 @@ func BenchmarkE16SampleManyScaling(b *testing.B) {
 }
 
 // BenchmarkE16InsertBatch — lock amortization: batched inserts vs the same
-// keys inserted one call at a time.
+// keys inserted one call at a time; and load, the serving benchmark's
+// set-up shape: 2^20 shuffled keys in 32768-key batches into an empty
+// four-shard structure, one whole load per op.
 func BenchmarkE16InsertBatch(b *testing.B) {
 	rng := xrand.New(19)
 	keys := workload.Keys(workload.Uniform, 100_000, rng)
@@ -455,6 +457,18 @@ func BenchmarkE16InsertBatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("load", func(b *testing.B) {
+		load := workload.Keys(workload.Uniform, 1<<20, rng)
+		rng.Shuffle(len(load), func(i, j int) { load[i], load[j] = load[j], load[i] })
+		const loadBatch = 32768
+		b.ResetTimer()
+		for range b.N {
+			c := irs.NewConcurrent[float64](4)
+			for lo := 0; lo < len(load); lo += loadBatch {
+				c.InsertBatch(load[lo : lo+loadBatch])
+			}
+		}
+	})
 }
 
 // BenchmarkHarnessQuick runs the full harness in quick mode once per

@@ -22,7 +22,12 @@ import (
 // Prefer the batch entry points on hot paths: InsertBatch and SampleMany
 // acquire each involved shard lock once per batch instead of once per key
 // or query, and SampleMany additionally answers every query in the batch
-// against one consistent snapshot.
+// against one consistent snapshot. InsertBatch also sorts the batch and
+// lets each shard take its segment by finger search, the fast way to load.
+//
+// NaN has no place in the key order: Insert and InsertBatch panic with
+// ErrNaNKey on a NaN key, before any lock is taken and with nothing
+// inserted.
 type Concurrent[K cmp.Ordered] = shard.Concurrent[K]
 
 // ConcurrentQuery is one range-sampling request in a Concurrent.SampleMany

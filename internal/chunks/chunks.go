@@ -57,6 +57,16 @@
 // directory-level changes, which additionally rebuild the O(n/s²)-entry
 // Fenwick tree — a cost that amortizes to o(1) per update because a group
 // split or merge requires Ω(s²) updates to recur.
+//
+// Sorted batches (InsertSorted) skip most of the search: each key after
+// the first is found by a finger search forward from where the previous
+// key went — a gallop over the group last keys, then over the chunk last
+// keys, then a binary search in the chunk — which costs O(log d)
+// comparisons for a gap of d keys, so a batch of k keys costs
+// O(k log(n/k)) instead of O(k log n). The keys still go in one at a time
+// through the same repair path, so the list a batch builds is exactly the
+// one per-key Insert builds: its geometry, footprint and probe counts do
+// not depend on how the keys arrived. Insert is the one-key batch.
 package chunks
 
 import (
@@ -70,7 +80,8 @@ import (
 	"github.com/irsgo/irs/internal/xrand"
 )
 
-// ErrUnsorted is returned by NewFromSorted when the input is not sorted.
+// ErrUnsorted is returned by NewFromSorted when the input is not sorted
+// (see IsSorted).
 var ErrUnsorted = errors.New("chunks: input keys are not sorted")
 
 // minS is the smallest chunk parameter ever used; it keeps constant factors
@@ -118,14 +129,24 @@ func New[K cmp.Ordered]() *List[K] {
 // NewFromSorted builds a list from keys, which must be in non-decreasing
 // order. The input slice is not retained. Construction is O(n).
 func NewFromSorted[K cmp.Ordered](keys []K) (*List[K], error) {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return nil, ErrUnsorted
-		}
+	if !IsSorted(keys) {
+		return nil, ErrUnsorted
 	}
 	l := &List[K]{}
 	l.build(keys)
 	return l, nil
+}
+
+// IsSorted reports whether keys are in non-decreasing order. NaN is in no
+// order, so a slice holding one is not sorted.
+func IsSorted[K cmp.Ordered](keys []K) bool {
+	for i := range keys {
+		// keys[i] <= keys[i] fails only for NaN.
+		if !(keys[max(i-1, 0)] <= keys[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of stored keys.
@@ -151,10 +172,8 @@ func NewFromSortedWithS[K cmp.Ordered](keys []K, s int) (*List[K], error) {
 	if s < 4 {
 		return nil, errors.New("chunks: pinned s must be >= 4")
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return nil, ErrUnsorted
-		}
+	if !IsSorted(keys) {
+		return nil, ErrUnsorted
 	}
 	l := &List[K]{fixedS: true, s: s}
 	l.build(keys)
@@ -223,15 +242,15 @@ func (l *List[K]) rebuildFenwick() {
 }
 
 // maybeRebuild retunes s and re-packs everything once n has drifted a
-// factor of two from the last rebuild. Amortized O(1) per update.
-func (l *List[K]) maybeRebuild() {
-	if l.n <= 32 {
-		return
+// factor of two from the last rebuild, and reports whether it did.
+// Amortized O(1) per update.
+func (l *List[K]) maybeRebuild() bool {
+	if l.n <= 32 || (l.n <= 2*l.nAtRebuild && 2*l.n >= l.nAtRebuild) {
+		return false
 	}
-	if l.n > 2*l.nAtRebuild || 2*l.n < l.nAtRebuild {
-		keys := l.AppendKeys(make([]K, 0, l.n))
-		l.build(keys)
-	}
+	keys := l.AppendKeys(make([]K, 0, l.n))
+	l.build(keys)
+	return true
 }
 
 // pos addresses one key: groups[g].chunks[c].keys[e].
@@ -303,6 +322,59 @@ func (l *List[K]) search(bound K, strict bool) (pos, bool) {
 		}
 	}
 	return pos{g, c, lo}, true
+}
+
+// firstGTFrom is firstGT for a bound that no key before position f
+// exceeds. It gallops forward from f over the group last keys, then — from
+// f's chunk if the answer is in f's group — over the chunk last keys, and
+// binary searches the chunk it lands in. A gallop costs O(log d)
+// comparisons when the answer is d steps past its start.
+func (l *List[K]) firstGTFrom(f pos, bound K) (pos, bool) {
+	g := gallop(f.g, len(l.groups), func(i int) bool { return l.groups[i].lastKey() > bound })
+	if g == len(l.groups) {
+		return pos{}, false
+	}
+	chunks := l.groups[g].chunks
+	c := 0
+	if g == f.g {
+		c = f.c
+	}
+	c = gallop(c, len(chunks), func(i int) bool {
+		keys := chunks[i].keys
+		return keys[len(keys)-1] > bound
+	})
+	keys := chunks[c].keys
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if keys[mid] > bound {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return pos{g, c, lo}, true
+}
+
+// gallop returns the first i in [lo, n) for which after(i) holds, or n,
+// where after is false before lo and stays true once true. It probes lo,
+// lo+1, lo+3, lo+7, ... and binary searches the last step.
+func gallop(lo, n int, after func(int) bool) int {
+	// Every index before lo fails; hi holds or is n or more.
+	hi, step := lo, 1
+	for hi < n && !after(hi) {
+		lo, hi, step = hi+1, hi+step, 2*step
+	}
+	hi = min(hi, n)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if after(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // indexOf returns the number of keys strictly before p. O(s + log n).
@@ -381,45 +453,77 @@ func (l *List[K]) Contains(key K) bool {
 }
 
 // Insert adds key to the multiset in O(log n) amortized time.
-func (l *List[K]) Insert(key K) {
-	if l.n == 0 {
-		keys := append(make([]K, 0, 2*l.s+1), key)
-		chunks := append(make([]chunk[K], 0, 2*l.s+1), chunk[K]{keys: keys})
-		l.groups = append(l.groups[:0], group[K]{chunks: chunks, count: 1})
-		l.n = 1
-		l.rebuildFenwick()
-		return
-	}
-	// Insert after any equal keys.
-	p, ok := l.firstGT(key)
-	if !ok {
-		// Larger than everything: append to the last chunk.
-		g := len(l.groups) - 1
-		c := len(l.groups[g].chunks) - 1
-		p = pos{g, c, len(l.groups[g].chunks[c].keys)}
-	}
-	grp := &l.groups[p.g]
-	ch := &grp.chunks[p.c]
-	ch.keys = append(ch.keys, key) // value placeholder; order fixed below
-	copy(ch.keys[p.e+1:], ch.keys[p.e:])
-	ch.keys[p.e] = key
-	grp.count++
-	l.n++
+func (l *List[K]) Insert(key K) { l.InsertSorted([]K{key}) }
 
-	structural := false
-	if len(ch.keys) > 2*l.s {
-		l.splitChunk(p.g, p.c)
-		if len(grp.chunks) > 2*l.s {
-			l.splitGroup(p.g) // appends to l.groups: grp is stale from here
-			structural = true
+// InsertSorted adds every key of keys to the multiset, one at a time and in
+// order. Only the first key pays a search from the root: every later key is
+// found by a finger search forward from the previous key's position (see
+// firstGTFrom), which is O(log d) for a gap of d keys. A sorted batch of k
+// keys therefore costs O(k log(n/k)) comparisons instead of O(k log n), and
+// cache misses mostly where the batch skips ahead. Each key lands where
+// Insert would put it — after any equal keys — and goes through the same
+// repair path, so the list is exactly the one per-key Insert of the same
+// keys builds.
+//
+// keys should be in non-decreasing order; a key smaller than its
+// predecessor is still inserted correctly, through a search from the root.
+func (l *List[K]) InsertSorted(keys []K) {
+	var finger pos // where the previous key went
+	haveFinger := false
+	for i, key := range keys {
+		if l.n == 0 {
+			first := append(make([]K, 0, 2*l.s+1), key)
+			chunks := append(make([]chunk[K], 0, 2*l.s+1), chunk[K]{keys: first})
+			l.groups = append(l.groups[:0], group[K]{chunks: chunks, count: 1})
+			l.n = 1
+			l.rebuildFenwick()
+			finger, haveFinger = pos{}, true
+			continue
 		}
+		// Insert after any equal keys. Every key before the previous key's
+		// position is <= that key <= this one, so the search may start at
+		// the finger.
+		var p pos
+		var ok bool
+		if haveFinger && keys[i-1] <= key {
+			p, ok = l.firstGTFrom(finger, key)
+		} else {
+			p, ok = l.firstGT(key)
+		}
+		if !ok {
+			// Larger than everything: append to the last chunk.
+			g := len(l.groups) - 1
+			c := len(l.groups[g].chunks) - 1
+			p = pos{g, c, len(l.groups[g].chunks[c].keys)}
+		}
+		grp := &l.groups[p.g]
+		ch := &grp.chunks[p.c]
+		ch.keys = append(ch.keys, key) // value placeholder; order fixed below
+		copy(ch.keys[p.e+1:], ch.keys[p.e:])
+		ch.keys[p.e] = key
+		grp.count++
+		l.n++
+
+		structural := false
+		if len(ch.keys) > 2*l.s {
+			l.splitChunk(p.g, p.c)
+			if len(grp.chunks) > 2*l.s {
+				l.splitGroup(p.g) // appends to l.groups: grp is stale from here
+				structural = true
+			}
+		}
+		if structural {
+			l.rebuildFenwick()
+		} else {
+			l.counts.Add(p.g, 1)
+		}
+		// A chunk split leaves the key in chunk p.c or p.c+1, and a group
+		// split leaves group p.g's first chunks in place, so p stays a valid
+		// start (firstGTFrom only uses p.c inside group p.g); a rebuild
+		// moves every key.
+		finger = p
+		haveFinger = !l.maybeRebuild()
 	}
-	if structural {
-		l.rebuildFenwick()
-	} else {
-		l.counts.Add(p.g, 1)
-	}
-	l.maybeRebuild()
 }
 
 // splitChunk splits chunk c of group g into two halves.
@@ -688,7 +792,10 @@ func (l *List[K]) Validate() error {
 				return fmt.Errorf("chunks: group %d chunk %d has %d keys, want [%d,%d]", gi, ci, len(c.keys), l.s/2, 2*l.s)
 			}
 			for _, k := range c.keys {
-				if havePrev && prev > k {
+				if !havePrev {
+					prev = k
+				}
+				if !(prev <= k) { // NaN fails every comparison, with itself too
 					return fmt.Errorf("chunks: order violation at group %d chunk %d", gi, ci)
 				}
 				prev, havePrev = k, true

@@ -1,6 +1,7 @@
 package chunks
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // FuzzOps feeds arbitrary byte strings as op sequences (insert / delete /
-// count / sample) and checks the structure against a sorted-slice model
-// plus full invariant validation. Run with `go test -fuzz=FuzzOps` for
+// count / sample / sorted-batch insert) and checks the structure against a
+// sorted-slice model plus full invariant validation. Run with `go test -fuzz=FuzzOps` for
 // continuous fuzzing; the seed corpus runs in normal test mode.
 func FuzzOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
@@ -20,15 +21,28 @@ func FuzzOps(f *testing.F) {
 		l := New[int]()
 		rng := xrand.New(uint64(len(data)))
 		var model []int
+		insert := func(k int) {
+			j := sort.SearchInts(model, k)
+			model = append(model, 0)
+			copy(model[j+1:], model[j:])
+			model[j] = k
+		}
 		for i, b := range data {
 			k := int(b) % 64
-			switch i % 4 {
+			switch i % 5 {
 			case 0, 1: // insert twice as often as anything else
 				l.Insert(k)
-				j := sort.SearchInts(model, k)
-				model = append(model, 0)
-				copy(model[j+1:], model[j:])
-				model[j] = k
+				insert(k)
+			case 4: // a sorted batch of the next b%16 bytes' keys
+				batch := make([]int, 0, 16)
+				for _, x := range data[i:min(i+int(b%16), len(data))] {
+					batch = append(batch, int(x)%64)
+				}
+				slices.Sort(batch)
+				l.InsertSorted(batch)
+				for _, x := range batch {
+					insert(x)
+				}
 			case 2:
 				got := l.Delete(k)
 				j := sort.SearchInts(model, k)

@@ -40,8 +40,12 @@ var (
 	ErrEmptyRange = errors.New("irs: query range contains no keys")
 	// ErrInvalidCount is returned when a negative sample count is requested.
 	ErrInvalidCount = errors.New("irs: negative sample count")
-	// ErrUnsorted is returned by FromSorted constructors on unsorted input.
+	// ErrUnsorted is returned by FromSorted constructors on unsorted input,
+	// which includes input holding a NaN key.
 	ErrUnsorted = errors.New("irs: input keys are not sorted")
+	// ErrNaNKey rejects a NaN key. NaN has no place in the key order, so a
+	// stored NaN would break every search that passes it.
+	ErrNaNKey = errors.New("irs: NaN key")
 )
 
 // Sampler is the common interface of every dynamic IRS implementation in

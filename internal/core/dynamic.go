@@ -51,6 +51,11 @@ func NewDynamicFromUnsorted[K cmp.Ordered](keys []K) *Dynamic[K] {
 // Insert adds key (duplicates allowed). O(log n) amortized.
 func (d *Dynamic[K]) Insert(key K) { d.list.Insert(key) }
 
+// InsertSorted adds every key of keys, which should be in non-decreasing
+// order, by finger search: O(k log(n/k)) comparisons for k keys. The
+// structure it builds is the one per-key Insert builds.
+func (d *Dynamic[K]) InsertSorted(keys []K) { d.list.InsertSorted(keys) }
+
 // Delete removes one occurrence of key. O(log n) amortized.
 func (d *Dynamic[K]) Delete(key K) bool { return d.list.Delete(key) }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+
+	"github.com/irsgo/irs/internal/chunks"
 )
 
 // Persistence: samplers serialize to a small versioned envelope around a
@@ -71,10 +73,8 @@ func LoadStatic[K cmp.Ordered](r io.Reader) (*Static[K], error) {
 		return nil, err
 	}
 	// Snapshots are written sorted; verify rather than trust the stream.
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return nil, fmt.Errorf("%w: keys not sorted", ErrBadSnapshot)
-		}
+	if !chunks.IsSorted(keys) {
+		return nil, fmt.Errorf("%w: keys not sorted", ErrBadSnapshot)
 	}
 	return &Static[K]{keys: keys}, nil
 }

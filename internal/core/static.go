@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"github.com/irsgo/irs/internal/chunks"
 	"github.com/irsgo/irs/internal/xrand"
 )
 
@@ -28,12 +29,10 @@ func NewStatic[K cmp.Ordered](keys []K) *Static[K] {
 
 // NewStaticFromSorted builds a Static from already-sorted keys in O(n).
 // The input slice is copied, not retained. Returns ErrUnsorted if keys are
-// not in non-decreasing order.
+// not in non-decreasing order or hold a NaN.
 func NewStaticFromSorted[K cmp.Ordered](keys []K) (*Static[K], error) {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return nil, ErrUnsorted
-		}
+	if !chunks.IsSorted(keys) {
+		return nil, ErrUnsorted
 	}
 	return &Static[K]{keys: append([]K(nil), keys...)}, nil
 }

@@ -34,6 +34,9 @@ type Backend[K cmp.Ordered, I any] interface {
 	// Insert stores one item (duplicate keys allowed). Items reaching a
 	// backend were validated by the engine's exported wrappers.
 	Insert(item I)
+	// InsertSorted stores every item of a batch sorted by key, as per-item
+	// Insert calls in order would.
+	InsertSorted(items []I)
 	// Delete removes one occurrence of key, reporting whether one existed.
 	Delete(key K) bool
 	// Len returns the number of stored items.

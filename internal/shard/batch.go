@@ -16,12 +16,19 @@ const maxRetainedBatch = 1 << 16
 
 // InsertBatch adds every item in items (duplicate keys allowed). The batch
 // is sorted once, segmented by shard, and each involved shard is
-// write-locked exactly once — the lock-amortization hot path for heavy
-// insert traffic. The input slice is not retained or modified (sorting
-// happens in a pooled copy, so steady-state batches allocate nothing).
+// write-locked exactly once and takes its segment by finger search — the
+// hot path for heavy insert traffic and bulk loads. The input slice is not
+// retained or modified (sorting happens in a pooled copy, so steady-state
+// batches allocate nothing). If any key is NaN it panics with
+// core.ErrNaNKey before taking any lock, and inserts nothing.
 func (c *engine[K, I, B]) InsertBatch(items []I) {
 	if len(items) == 0 {
 		return
+	}
+	for _, it := range items {
+		if k := c.ops.keyOf(it); k != k {
+			panic(core.ErrNaNKey)
+		}
 	}
 	buf, _ := c.itemBufs.Get().(*[]I)
 	if buf == nil {
@@ -34,9 +41,7 @@ func (c *engine[K, I, B]) InsertBatch(items []I) {
 	grow := false
 	segments(c, own, c.ops.keyOf, func(sh *shardState[K, I, B], seg []I) {
 		sh.mu.Lock()
-		for _, it := range seg {
-			sh.b.Insert(it)
-		}
+		sh.b.InsertSorted(seg)
 		sh.n.Add(int64(len(seg)))
 		c.total.Add(int64(len(seg)))
 		sh.mu.Unlock()
@@ -64,10 +69,16 @@ func (c *engine[K, I, B]) DeleteBatch(keys []K) int {
 	}
 	own := append((*buf)[:0], keys...)
 	slices.Sort(own)
+	// No NaN is stored, and slices.Sort puts NaNs first, where they would
+	// stop the first shards' segments short: drop them.
+	live := own
+	for len(live) > 0 && live[0] != live[0] {
+		live = live[1:]
+	}
 
 	removed := 0
 	c.topoMu.RLock()
-	segments(c, own, func(k K) K { return k }, func(sh *shardState[K, I, B], seg []K) {
+	segments(c, live, func(k K) K { return k }, func(sh *shardState[K, I, B], seg []K) {
 		sh.mu.Lock()
 		got := 0
 		for _, k := range seg {

@@ -300,3 +300,47 @@ func allocsPerRun(runs int, f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
+
+// TestInsertBatchZeroAllocs pins that a warm 32768-key float64 InsertBatch
+// — pooled copy, radix sort with pooled scratch, finger-searched segments —
+// allocates nothing. The new keys fall one per gap of a 2^18-key load, so
+// no chunk splits (growth is the one legitimate allocation), and each round
+// deletes them again.
+func TestInsertBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates and drops pool Puts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	keys := make([]float64, 1<<18)
+	for i := range keys {
+		keys[i] = float64(i)
+	}
+	c, err := NewFromSorted(keys, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]float64, 32768)
+	for i := range batch {
+		batch[i] = float64(8*i) + 0.5
+	}
+	xrand.New(9).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	var mallocs uint64
+	for round := range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.InsertBatch(batch)
+		runtime.ReadMemStats(&after)
+		if round > 0 { // the first round warms the pools
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if got := c.DeleteBatch(batch); got != len(batch) {
+			t.Fatalf("round %d: DeleteBatch removed %d of %d", round, got, len(batch))
+		}
+	}
+	if mallocs != 0 {
+		t.Fatalf("warm 32768-key InsertBatch: %d allocations over 3 rounds, want 0", mallocs)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

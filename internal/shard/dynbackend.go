@@ -2,7 +2,6 @@ package shard
 
 import (
 	"cmp"
-	"slices"
 
 	"github.com/irsgo/irs/internal/chunks"
 	"github.com/irsgo/irs/internal/core"
@@ -19,14 +18,15 @@ type dynBackend[K cmp.Ordered] struct {
 
 var _ Backend[int, int] = (*dynBackend[int])(nil)
 
-func (b *dynBackend[K]) Insert(key K)        { b.dyn.Insert(key) }
-func (b *dynBackend[K]) Delete(key K) bool   { return b.dyn.Delete(key) }
-func (b *dynBackend[K]) Len() int            { return b.dyn.Len() }
-func (b *dynBackend[K]) Contains(key K) bool { return b.dyn.Contains(key) }
-func (b *dynBackend[K]) Count(lo, hi K) int  { return b.dyn.Count(lo, hi) }
-func (b *dynBackend[K]) Validate() error     { return b.dyn.Validate() }
-func (b *dynBackend[K]) MinKey() K           { return b.dyn.SelectRank(0) }
-func (b *dynBackend[K]) MaxKey() K           { return b.dyn.SelectRank(b.dyn.Len() - 1) }
+func (b *dynBackend[K]) Insert(key K)          { b.dyn.Insert(key) }
+func (b *dynBackend[K]) InsertSorted(keys []K) { b.dyn.InsertSorted(keys) }
+func (b *dynBackend[K]) Delete(key K) bool     { return b.dyn.Delete(key) }
+func (b *dynBackend[K]) Len() int              { return b.dyn.Len() }
+func (b *dynBackend[K]) Contains(key K) bool   { return b.dyn.Contains(key) }
+func (b *dynBackend[K]) Count(lo, hi K) int    { return b.dyn.Count(lo, hi) }
+func (b *dynBackend[K]) Validate() error       { return b.dyn.Validate() }
+func (b *dynBackend[K]) MinKey() K             { return b.dyn.SelectRank(0) }
+func (b *dynBackend[K]) MaxKey() K             { return b.dyn.SelectRank(b.dyn.Len() - 1) }
 
 func (b *dynBackend[K]) RangeStats(lo, hi K) (int, float64) {
 	n := b.dyn.Count(lo, hi)
@@ -57,7 +57,7 @@ func dynOps[K cmp.Ordered]() backendOps[K, K, *dynBackend[K]] {
 			return &dynBackend[K]{dyn: d}
 		},
 		keyOf:     func(k K) K { return k },
-		sortItems: func(s []K) { slices.Sort(s) },
+		sortItems: sortKeys[K],
 		newRun:    func() Run { return new(chunks.Run[K]) },
 		// Unit mass: a nonempty range always has positive mass, so this is
 		// unreachable; ErrEmptyRange keeps the failure mode sane anyway.
@@ -103,8 +103,9 @@ func NewSeeded[K cmp.Ordered](target int, seed uint64) *Concurrent[K] {
 
 // NewFromSorted bulk-loads a Concurrent from sorted keys, learning
 // equi-depth split points so each of the (up to) shards shards starts with
-// an equal share of the data. Returns core.ErrUnsorted on unsorted input.
-// Equivalent to NewFromSortedSeeded with seed 0.
+// an equal share of the data. Returns core.ErrUnsorted on unsorted input,
+// which includes input holding a NaN. Equivalent to NewFromSortedSeeded
+// with seed 0.
 func NewFromSorted[K cmp.Ordered](keys []K, shards int) (*Concurrent[K], error) {
 	return NewFromSortedSeeded(keys, shards, 0)
 }
@@ -112,10 +113,8 @@ func NewFromSorted[K cmp.Ordered](keys []K, shards int) (*Concurrent[K], error) 
 // NewFromSortedSeeded is NewFromSorted with an explicit seed anchoring the
 // structure's NewStream sequence.
 func NewFromSortedSeeded[K cmp.Ordered](keys []K, shards int, seed uint64) (*Concurrent[K], error) {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return nil, core.ErrUnsorted
-		}
+	if !chunks.IsSorted(keys) {
+		return nil, core.ErrUnsorted
 	}
 	c := NewSeeded[K](shards, seed)
 	c.rebuildFromSorted(keys, shards)
@@ -128,12 +127,10 @@ func NewFromSortedSeeded[K cmp.Ordered](keys []K, shards int, seed uint64) (*Con
 // produce permanently empty middle shards, and an intentionally skewed
 // layout stays put. An explicit Rebalance call is the one exception — it
 // abandons the fixed layout for learned equi-depth splits. Returns
-// core.ErrUnsorted if splits are not in non-decreasing order.
+// core.ErrUnsorted if splits are not in non-decreasing order or hold a NaN.
 func NewFromSplits[K cmp.Ordered](splits []K) (*Concurrent[K], error) {
-	for i := 1; i < len(splits); i++ {
-		if splits[i-1] > splits[i] {
-			return nil, core.ErrUnsorted
-		}
+	if !chunks.IsSorted(splits) {
+		return nil, core.ErrUnsorted
 	}
 	c := New[K](len(splits) + 1)
 	c.applySplits(splits)

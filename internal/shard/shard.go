@@ -66,6 +66,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/irsgo/irs/internal/core"
 )
 
 // Tuning constants for the automatic rebalance policy. They only affect
@@ -163,9 +165,13 @@ func (c *engine[K, I, B]) shardRange(lo, hi K) (int, int) {
 }
 
 // Insert adds item (duplicate keys allowed). Only the owning shard is
-// locked.
+// locked. It panics with core.ErrNaNKey, before taking any lock, if the
+// item's key is NaN.
 func (c *engine[K, I, B]) Insert(item I) {
 	key := c.ops.keyOf(item)
+	if key != key {
+		panic(core.ErrNaNKey)
+	}
 	c.topoMu.RLock()
 	sh := c.shards[c.route(key)]
 	sh.mu.Lock()

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"github.com/irsgo/irs/internal/chunks"
+	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/weighted"
 	"github.com/irsgo/irs/internal/xrand"
 )
@@ -27,6 +29,14 @@ func (b *treapBackend[K]) Insert(it weighted.Item[K]) {
 	// engine routed the item here.
 	if err := b.tr.Insert(it.Key, it.Weight); err != nil {
 		panic("shard: unvalidated weight reached a backend: " + err.Error())
+	}
+}
+
+// InsertSorted loops Insert: a treap insert descends from the root either
+// way.
+func (b *treapBackend[K]) InsertSorted(items []weighted.Item[K]) {
+	for _, it := range items {
+		b.Insert(it)
 	}
 }
 
@@ -123,10 +133,11 @@ func NewWeighted[K cmp.Ordered](target int, seed uint64) *WeightedConcurrent[K] 
 // NewWeightedFromItems bulk-loads a WeightedConcurrent from items in any
 // order, learning equi-depth split points so each of the (up to) shards
 // shards starts with an equal share of the keys. Returns
-// weighted.ErrInvalidWeight if any weight is negative, NaN, or infinite.
-// The input is not retained or modified.
+// weighted.ErrInvalidWeight if any weight is negative, NaN, or infinite,
+// and core.ErrNaNKey if any key is NaN. The input is not retained or
+// modified.
 func NewWeightedFromItems[K cmp.Ordered](items []weighted.Item[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
-	if err := validateItemWeights(items); err != nil {
+	if err := validateItems(items); err != nil {
 		return nil, err
 	}
 	w := NewWeighted[K](shards, seed)
@@ -140,15 +151,16 @@ func NewWeightedFromItems[K cmp.Ordered](items []weighted.Item[K], shards int, s
 // already in non-decreasing key order, validating order and weights in one
 // pass and skipping NewWeightedFromItems' copy+sort — the recovery path
 // for snapshot exports, which are written in key order. Returns
-// weighted.ErrUnsortedItems if the order does not hold and
-// weighted.ErrInvalidWeight if any weight is negative, NaN, or infinite.
-// The input is not retained or modified.
+// weighted.ErrUnsortedItems if the order does not hold (a NaN key is in no
+// order) and weighted.ErrInvalidWeight if any weight is negative, NaN, or
+// infinite. The input is not retained or modified.
 func NewWeightedFromSortedItems[K cmp.Ordered](items []weighted.Item[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
 	for i, it := range items {
 		if !weighted.ValidWeight(it.Weight) {
 			return nil, weighted.ErrInvalidWeight
 		}
-		if i > 0 && items[i-1].Key > it.Key {
+		// it.Key <= it.Key fails only for NaN.
+		if !(items[max(i-1, 0)].Key <= it.Key) {
 			return nil, weighted.ErrUnsortedItems
 		}
 	}
@@ -161,34 +173,46 @@ func NewWeightedFromSortedItems[K cmp.Ordered](items []weighted.Item[K], shards 
 // routing at the given sorted split points (len(splits)+1 shards); the
 // layout is never changed automatically, exactly like
 // Concurrent/NewFromSplits. Returns weighted.ErrUnsortedItems if splits are
-// not in non-decreasing order.
+// not in non-decreasing order or hold a NaN.
 func NewWeightedFromSplits[K cmp.Ordered](splits []K, seed uint64) (*WeightedConcurrent[K], error) {
-	for i := 1; i < len(splits); i++ {
-		if splits[i-1] > splits[i] {
-			return nil, weighted.ErrUnsortedItems
-		}
+	if !chunks.IsSorted(splits) {
+		return nil, weighted.ErrUnsortedItems
 	}
 	w := NewWeighted[K](len(splits)+1, seed)
 	w.applySplits(splits)
 	return w, nil
 }
 
-func validateItemWeights[K cmp.Ordered](items []weighted.Item[K]) error {
+// validateItems returns the error validateItem reports for the first item
+// that fails it, or nil.
+func validateItems[K cmp.Ordered](items []weighted.Item[K]) error {
 	for _, it := range items {
-		if !weighted.ValidWeight(it.Weight) {
-			return weighted.ErrInvalidWeight
+		if err := validateItem(it.Key, it.Weight); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Insert adds one weighted item (duplicate keys allowed). It shadows the
-// engine's item insert to validate the weight first: only the owning shard
-// is locked, and invalid weights are rejected with
-// weighted.ErrInvalidWeight before any lock is taken.
-func (w *WeightedConcurrent[K]) Insert(key K, weight float64) error {
+// validateItem rejects an invalid weight with weighted.ErrInvalidWeight and
+// a NaN key with core.ErrNaNKey.
+func validateItem[K cmp.Ordered](key K, weight float64) error {
 	if !weighted.ValidWeight(weight) {
 		return weighted.ErrInvalidWeight
+	}
+	if key != key {
+		return core.ErrNaNKey
+	}
+	return nil
+}
+
+// Insert adds one weighted item (duplicate keys allowed). It shadows the
+// engine's item insert to validate the item first: only the owning shard
+// is locked, and invalid weights and NaN keys are rejected with
+// weighted.ErrInvalidWeight and core.ErrNaNKey before any lock is taken.
+func (w *WeightedConcurrent[K]) Insert(key K, weight float64) error {
+	if err := validateItem(key, weight); err != nil {
+		return err
 	}
 	w.engine.Insert(weighted.Item[K]{Key: key, Weight: weight})
 	return nil
@@ -202,10 +226,11 @@ func (w *WeightedConcurrent[K]) InsertItem(item weighted.Item[K]) error {
 
 // InsertBatch adds every item in items (duplicate keys allowed), sorting
 // the batch once and write-locking each involved shard exactly once. All
-// weights are validated up front: on weighted.ErrInvalidWeight nothing is
-// inserted. The input slice is not retained or modified.
+// items are validated up front: on weighted.ErrInvalidWeight or
+// core.ErrNaNKey nothing is inserted. The input slice is not retained or
+// modified.
 func (w *WeightedConcurrent[K]) InsertBatch(items []weighted.Item[K]) error {
-	if err := validateItemWeights(items); err != nil {
+	if err := validateItems(items); err != nil {
 		return err
 	}
 	w.engine.InsertBatch(items)

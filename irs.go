@@ -113,8 +113,13 @@ var (
 	ErrEmptyRange = core.ErrEmptyRange
 	// ErrInvalidCount: a negative sample count was requested.
 	ErrInvalidCount = core.ErrInvalidCount
-	// ErrUnsorted: a FromSorted constructor received unsorted keys.
+	// ErrUnsorted: a FromSorted constructor received unsorted keys, or a
+	// NaN key.
 	ErrUnsorted = core.ErrUnsorted
+	// ErrNaNKey: an insert carried a NaN key. The weighted concurrent
+	// inserts return it; Concurrent.Insert and InsertBatch, which have no
+	// error result, panic with it.
+	ErrNaNKey = core.ErrNaNKey
 )
 
 // Sampler is the interface shared by all dynamic unweighted samplers.

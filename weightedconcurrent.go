@@ -26,7 +26,8 @@ import (
 // or query, and SampleMany additionally answers every query in the batch
 // against one consistent snapshot. Sampling a nonempty range whose total
 // weight is zero returns ErrZeroWeightRange (SampleMany yields a nil slice
-// for such queries, like empty ranges).
+// for such queries, like empty ranges). Inserts reject a NaN key with
+// ErrNaNKey, before any lock is taken.
 type WeightedConcurrent[K cmp.Ordered] = shard.WeightedConcurrent[K]
 
 // NewWeightedConcurrent returns an empty WeightedConcurrent that grows
@@ -43,7 +44,7 @@ func NewWeightedConcurrent[K cmp.Ordered](shards int, seed uint64) *WeightedConc
 // NewWeightedConcurrentFromItems bulk-loads a WeightedConcurrent from items
 // in any order, learning equi-depth split points so each shard starts with
 // an equal share of the keys. Returns ErrInvalidWeight if any weight is
-// negative, NaN, or infinite.
+// negative, NaN, or infinite, and ErrNaNKey if any key is NaN.
 func NewWeightedConcurrentFromItems[K cmp.Ordered](items []WeightedItem[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
 	return shard.NewWeightedFromItems(items, shards, seed)
 }
@@ -52,7 +53,8 @@ func NewWeightedConcurrentFromItems[K cmp.Ordered](items []WeightedItem[K], shar
 // from items already in non-decreasing key order, validating order and
 // weights in one pass without copying or re-sorting — the fast path for
 // key-ordered inputs like recovered snapshots. Returns
-// ErrUnsortedWeightedItems if the order does not hold and
+// ErrUnsortedWeightedItems if the order does not hold (a NaN key is in no
+// order) and
 // ErrInvalidWeight if any weight is negative, NaN, or infinite. The input
 // is not retained or modified.
 func NewWeightedConcurrentFromSortedItems[K cmp.Ordered](items []WeightedItem[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
