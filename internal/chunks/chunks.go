@@ -722,6 +722,21 @@ func (l *List[K]) AppendKeys(dst []K) []K {
 	return dst
 }
 
+// VisitKeys hands every key to visit in sorted order, one chunk's key
+// slice per call, and stops at the first error visit returns. The slices
+// alias the list's storage: visit must not modify or retain them, and the
+// list must not change until VisitKeys returns.
+func (l *List[K]) VisitKeys(visit func(block []K) error) error {
+	for gi := range l.groups {
+		for _, c := range l.groups[gi].chunks {
+			if err := visit(c.keys); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Stats describes the current geometry, for tests and the space experiment.
 type Stats struct {
 	N      int

@@ -23,8 +23,14 @@ func NewTreapSampler[K cmp.Ordered](seed uint64) *TreapSampler[K] {
 	return &TreapSampler[K]{tree: treap.New[K](seed)}
 }
 
-// Insert adds key. O(log n) expected.
-func (t *TreapSampler[K]) Insert(key K) { t.tree.Insert(key) }
+// Insert adds key. O(log n) expected. It panics with ErrNaNKey, storing
+// nothing, if key is NaN.
+func (t *TreapSampler[K]) Insert(key K) {
+	if key != key {
+		panic(ErrNaNKey)
+	}
+	t.tree.Insert(key)
+}
 
 // Delete removes one occurrence of key. O(log n) expected.
 func (t *TreapSampler[K]) Delete(key K) bool { return t.tree.Delete(key) }

@@ -84,3 +84,13 @@ func quantileRank(q float64, n int) (int, bool) {
 	}
 	return int(min(max(q, 0), 1) * float64(n-1)), true
 }
+
+// screenNaN panics with ErrNaNKey if any key is NaN — the guard of the
+// entry points that have no error result.
+func screenNaN[K cmp.Ordered](keys []K) {
+	for _, k := range keys {
+		if k != k {
+			panic(ErrNaNKey)
+		}
+	}
+}

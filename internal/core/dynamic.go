@@ -37,8 +37,10 @@ func NewDynamicFromSorted[K cmp.Ordered](keys []K) (*Dynamic[K], error) {
 }
 
 // NewDynamicFromUnsorted bulk-loads a Dynamic from keys in any order,
-// sorting a copy first. O(n log n).
+// sorting a copy first. O(n log n). It panics with ErrNaNKey if any key is
+// NaN.
 func NewDynamicFromUnsorted[K cmp.Ordered](keys []K) *Dynamic[K] {
+	screenNaN(keys)
 	own := append([]K(nil), keys...)
 	slices.Sort(own)
 	d, err := NewDynamicFromSorted(own)
@@ -48,13 +50,29 @@ func NewDynamicFromUnsorted[K cmp.Ordered](keys []K) *Dynamic[K] {
 	return d
 }
 
-// Insert adds key (duplicates allowed). O(log n) amortized.
-func (d *Dynamic[K]) Insert(key K) { d.list.Insert(key) }
+// Insert adds key (duplicates allowed). O(log n) amortized. It panics with
+// ErrNaNKey, storing nothing, if key is NaN.
+func (d *Dynamic[K]) Insert(key K) {
+	if key != key {
+		panic(ErrNaNKey)
+	}
+	d.list.Insert(key)
+}
 
 // InsertSorted adds every key of keys, which should be in non-decreasing
 // order, by finger search: O(k log(n/k)) comparisons for k keys. The
-// structure it builds is the one per-key Insert builds.
-func (d *Dynamic[K]) InsertSorted(keys []K) { d.list.InsertSorted(keys) }
+// structure it builds is the one per-key Insert builds. It panics with
+// ErrNaNKey, inserting nothing, if any key is NaN.
+func (d *Dynamic[K]) InsertSorted(keys []K) {
+	screenNaN(keys)
+	d.list.InsertSorted(keys)
+}
+
+// List returns d's chunked list, for the shard engine's backend: the engine
+// screens every key for NaN before it takes a lock, so it inserts through
+// the list without Insert's and InsertSorted's second check, and exports
+// the list's chunks as they are.
+func List[K cmp.Ordered](d *Dynamic[K]) *chunks.List[K] { return d.list }
 
 // Delete removes one occurrence of key. O(log n) amortized.
 func (d *Dynamic[K]) Delete(key K) bool { return d.list.Delete(key) }

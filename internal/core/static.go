@@ -22,6 +22,7 @@ type Static[K cmp.Ordered] struct {
 // NewStatic builds a Static from keys in any order. The input is copied and
 // sorted; construction is O(n log n).
 func NewStatic[K cmp.Ordered](keys []K) *Static[K] {
+	screenNaN(keys)
 	own := append([]K(nil), keys...)
 	slices.Sort(own)
 	return &Static[K]{keys: own}

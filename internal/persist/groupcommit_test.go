@@ -233,7 +233,7 @@ func TestOpenStreamMatchesOpen(t *testing.T) {
 	}
 	if _, commit, err := st.BeginSnapshot(); err != nil {
 		t.Fatal(err)
-	} else if err := commit(mkEntries([]float64{1, 2, 3}, []float64{1, 2, 3})); err != nil {
+	} else if err := commit(exportEntries(mkEntries([]float64{1, 2, 3}, []float64{1, 2, 3}))); err != nil {
 		t.Fatal(err)
 	}
 	if err := write(st, st.StageDelete, mkEntries([]float64{2}, nil)); err != nil {

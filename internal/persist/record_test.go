@@ -20,6 +20,12 @@ func mkEntries(keys []float64, weights []float64) []Entry[float64] {
 	return out
 }
 
+// exportEntries spells a materialized snapshot as commit's arguments: the
+// entry count and an Export that emits them as one block.
+func exportEntries(es []Entry[float64]) (int, Export[float64]) {
+	return len(es), func(emit func([]Entry[float64]) error) error { return emit(es) }
+}
+
 // frameRoundtrip encodes rec and decodes the payload back.
 func frameRoundtrip(t *testing.T, rec Record[float64]) Record[float64] {
 	t.Helper()

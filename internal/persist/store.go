@@ -355,7 +355,7 @@ func checkKindMarker(dir string, want uint8) error {
 	}
 	got := strings.TrimSpace(string(raw))
 	if got != kindName(want) {
-		return fmt.Errorf("persist: %s holds a %s dataset, store opened as %s", dir, got, kindName(want))
+		return &kindMismatchError{where: dir, got: got, want: kindName(want)}
 	}
 	return nil
 }
@@ -592,14 +592,19 @@ func (s *Store[K]) Sync() error {
 // BeginSnapshot starts the snapshot protocol: it syncs and closes the
 // active segment (sequence S), opens segment S+1 for subsequent appends,
 // and returns a commit function. The caller must export the dataset state
-// before any further append (the serving layer does both under its log
-// mutex) and then invoke commit with that export — commit writes snap-S
-// atomically and purges the segments and snapshots it obsoletes. commit
-// runs outside any lock; until it succeeds, recovery simply uses the
-// previous snapshot plus the still-present segments. Snapshot protocols
-// must not overlap: the caller serializes BeginSnapshot..commit pairs
-// (the serving layer's per-dataset snapshot mutex).
-func (s *Store[K]) BeginSnapshot() (seq uint64, commit func(entries []Entry[K]) error, err error) {
+// before any further append and then invoke commit with the entry count
+// and an Export that streams that state: commit runs export first,
+// encoding each block into the file's write buffer as it arrives, so no
+// copy of the dataset is ever held. The caller keeps appends paused until
+// export returns (the serving layer holds its log mutex across
+// BeginSnapshot and the export, releasing it when the export returns);
+// commit then fsyncs and renames snap-S into place and purges the segments
+// and snapshots it obsoletes, outside any lock. Until commit succeeds,
+// recovery simply uses the previous snapshot plus the still-present
+// segments. Snapshot protocols must not overlap: the caller serializes
+// BeginSnapshot..commit pairs (the serving layer's per-dataset snapshot
+// mutex).
+func (s *Store[K]) BeginSnapshot() (seq uint64, commit func(count int, export Export[K]) error, err error) {
 	if s.failed.Load() {
 		return 0, nil, s.Err()
 	}
@@ -638,9 +643,9 @@ func (s *Store[K]) BeginSnapshot() (seq uint64, commit func(entries []Entry[K]) 
 	s.syncs.Add(1)
 	s.publish(staged)
 
-	commit = func(entries []Entry[K]) error {
+	commit = func(count int, export Export[K]) error {
 		path := filepath.Join(s.dir, snapshotName(covered))
-		if err := writeSnapshotFile(path, s.codec, s.opts.Kind, covered, entries); err != nil {
+		if err := writeSnapshotFile(path, s.codec, s.opts.Kind, covered, count, export); err != nil {
 			return err
 		}
 		prev := s.lastSnap.Swap(covered)

@@ -123,7 +123,7 @@ func TestStoreSnapshotAndCompaction(t *testing.T) {
 		t.Fatalf("first snapshot covers segment %d, want 1", seq)
 	}
 	// State as of the rotation: keys 1 and 2.
-	if err := commit(mkEntries([]float64{1, 2}, []float64{1, 1})); err != nil {
+	if err := commit(exportEntries(mkEntries([]float64{1, 2}, []float64{1, 1}))); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot tail.
@@ -156,7 +156,7 @@ func TestStoreSnapshotAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := commit2(mkEntries([]float64{1, 2, 3}, []float64{1, 1, 1})); err != nil {
+	if err := commit2(exportEntries(mkEntries([]float64{1, 2, 3}, []float64{1, 1, 1}))); err != nil {
 		t.Fatal(err)
 	}
 	if seq2 != 2 {
@@ -257,7 +257,7 @@ func TestStoreKindMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = seq
-	if err := commit(mkEntries([]float64{1}, []float64{2})); err != nil {
+	if err := commit(exportEntries(mkEntries([]float64{1}, []float64{2}))); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

@@ -67,11 +67,11 @@ func (d *stubDataset) KeyBounds() (int, int, bool) { return 0, 0, false }
 
 func (d *stubDataset) UpdateWeights(items []Item[int]) int { return len(items) }
 
-func (d *stubDataset) ExportItems(dst []Item[int]) []Item[int] { return dst }
-func (d *stubDataset) Len() int                                { d.mu.Lock(); defer d.mu.Unlock(); return d.stored }
-func (d *stubDataset) Stats() shard.Stats                      { return shard.Stats{Len: d.Len(), Shards: 1} }
-func (d *stubDataset) Weighted() bool                          { return false }
-func (d *stubDataset) NewStream() *xrand.RNG                   { return xrand.New(1) }
+func (d *stubDataset) ExportItems(func([]Item[int]) error) error { return nil }
+func (d *stubDataset) Len() int                                  { d.mu.Lock(); defer d.mu.Unlock(); return d.stored }
+func (d *stubDataset) Stats() shard.Stats                        { return shard.Stats{Len: d.Len(), Shards: 1} }
+func (d *stubDataset) Weighted() bool                            { return false }
+func (d *stubDataset) NewStream() *xrand.RNG                     { return xrand.New(1) }
 
 func (d *stubDataset) calls() (samples, inserts []int) {
 	d.mu.Lock()

@@ -2,9 +2,11 @@ package server
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
+	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/shard"
 )
 
@@ -181,5 +183,29 @@ func TestCoreStatsConsistency(t *testing.T) {
 	}
 	if u.MaxCoalesced < 1 {
 		t.Fatalf("max coalesced: %+v", u)
+	}
+}
+
+// TestNaNKeyErrorSentinels: a NaN key in an insert, delete or weight update
+// is rejected with one error that is both ErrInvalidRange (the wire code
+// every transport reports) and core.ErrNaNKey (irs.ErrNaNKey, the sentinel
+// the library layers reject NaN with), and leaves the dataset unchanged.
+func TestNaNKeyErrorSentinels(t *testing.T) {
+	c := newTestCore(t, Config{})
+	defer c.Close()
+	nan := math.NaN()
+	ops := map[string]func() error{
+		"insert": func() error { _, err := c.Insert("u", []Item[float64]{{Key: 1}, {Key: nan}}); return err },
+		"delete": func() error { _, err := c.Delete("u", []float64{1, nan}); return err },
+		"update": func() error { _, err := c.Update("w", []Item[float64]{{Key: nan, Weight: 1}}); return err },
+	}
+	for name, op := range ops {
+		err := op()
+		if !errors.Is(err, ErrInvalidRange) || !errors.Is(err, core.ErrNaNKey) {
+			t.Errorf("%s with a NaN key: err = %v, want ErrInvalidRange and core.ErrNaNKey", name, err)
+		}
+	}
+	if n, _, _ := c.RangeStats("u", math.Inf(-1), math.Inf(1)); n != 1000 {
+		t.Errorf("rejected NaN mutations changed the dataset: %d keys, want 1000", n)
 	}
 }

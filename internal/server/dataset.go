@@ -2,7 +2,6 @@ package server
 
 import (
 	"cmp"
-	"slices"
 	"sync"
 
 	"github.com/irsgo/irs/internal/shard"
@@ -46,10 +45,13 @@ type Dataset[K cmp.Ordered] interface {
 	// Weighted() and validates the weights first, so unweighted
 	// implementations may simply return 0.
 	UpdateWeights(items []Item[K]) int
-	// ExportItems appends every stored item in key order — a consistent
-	// point-in-time export (unweighted datasets report unit weights). This
-	// is the state a snapshot serializes; it pauses writers briefly.
-	ExportItems(dst []Item[K]) []Item[K]
+	// ExportItems hands every stored item to visit in key order, in blocks
+	// of bounded size that visit must not retain (unweighted datasets
+	// report unit weights), stopping at the first error visit returns. It
+	// is a consistent point-in-time view: writers wait until it returns,
+	// readers are unaffected. This is the stream a snapshot encodes; its
+	// transient memory does not grow with the dataset.
+	ExportItems(visit func(block []Item[K]) error) error
 	// RangeStats returns the number of keys and the total sampling mass in
 	// [lo, hi] (the key count for unweighted datasets, the range's total
 	// weight for weighted ones) against one consistent snapshot.
@@ -105,13 +107,30 @@ func (d *unweightedDataset[K]) InsertItems(items []Item[K]) error {
 
 func (d *unweightedDataset[K]) UpdateWeights(items []Item[K]) int { return 0 }
 
-func (d *unweightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
-	keys := d.AppendKeys(make([]K, 0, d.Len()))
-	dst = slices.Grow(dst, len(keys))
-	for _, k := range keys {
-		dst = append(dst, Item[K]{Key: k, Weight: 1})
+// exportBlock is the number of items an unweighted export hands over per
+// visit call.
+const exportBlock = 256
+
+// ExportItems gathers the engine's chunk-sized key blocks into one
+// exportBlock buffer of unit-weight items.
+func (d *unweightedDataset[K]) ExportItems(visit func(block []Item[K]) error) error {
+	block := make([]Item[K], 0, exportBlock)
+	err := d.VisitItems(func(keys []K) error {
+		for _, k := range keys {
+			block = append(block, Item[K]{Key: k, Weight: 1})
+			if len(block) == exportBlock {
+				if err := visit(block); err != nil {
+					return err
+				}
+				block = block[:0]
+			}
+		}
+		return nil
+	})
+	if err == nil && len(block) > 0 {
+		err = visit(block)
 	}
-	return dst
+	return err
 }
 
 func (d *unweightedDataset[K]) DeleteKeys(keys []K) int { return d.DeleteBatch(keys) }
@@ -143,9 +162,9 @@ func (d *weightedDataset[K]) UpdateWeights(items []Item[K]) int {
 	return n
 }
 
-// ExportItems presizes dst so AppendItems fills it without regrowing.
-func (d *weightedDataset[K]) ExportItems(dst []Item[K]) []Item[K] {
-	return d.AppendItems(slices.Grow(dst, d.Len()))
+// ExportItems streams the treaps' item blocks as they are.
+func (d *weightedDataset[K]) ExportItems(visit func(block []Item[K]) error) error {
+	return d.VisitItems(visit)
 }
 
 func (d *weightedDataset[K]) DeleteKeys(keys []K) int { return d.DeleteBatch(keys) }

@@ -20,13 +20,14 @@ import (
 // once its covering fsync lands, so acknowledged-means-durable holds
 // while throughput scales with offered load instead of fsync latency.
 //
-// Snapshots (Core.Snapshot) rotate the WAL and export the dataset under
-// the same log mutex — a brief write pause, sampling unaffected — then
-// serialize and compact outside the lock. Recovery (persist.OpenStream
-// feeding a ReplayApplier) loads the newest snapshot and replays the WAL
-// tail in order. Items and WAL entries are one type (weighted.Item), so
-// every path stages its batch as-is and a snapshot exports the dataset
-// once.
+// Snapshots (Core.Snapshot) rotate the WAL and stream the dataset from the
+// shards into the snapshot file under the same log mutex — a write pause
+// for the encode, sampling unaffected — then fsync, rename and compact
+// outside the lock. Recovery (persist.OpenStream feeding a ReplayApplier)
+// loads the newest snapshot and replays the WAL tail in order. Items and
+// WAL entries are one type (weighted.Item), so every path stages its batch
+// as-is and a snapshot encodes the engine's blocks without a copy of the
+// dataset.
 
 // Typed errors of the durability paths.
 var (
@@ -95,9 +96,11 @@ type SnapshotInfo struct {
 
 // Snapshot takes a point-in-time snapshot of the named durable dataset
 // and compacts the WAL segments it covers. The WAL rotation and the state
-// export happen under the dataset's log mutex — a brief write pause during
-// the O(n) export; sampling proceeds throughout — while serialization and
-// compaction run outside it. Concurrent Snapshot calls for one dataset
+// export happen under the dataset's log mutex: writers pause while the
+// export streams every item into the snapshot file's write buffer (an O(n)
+// encode and page-cache write, with no copy of the dataset in the heap);
+// sampling proceeds throughout. The fsync, the rename and the compaction
+// run after the pause. Concurrent Snapshot calls for one dataset
 // serialize.
 func (c *Core[K]) Snapshot(name string) (SnapshotInfo, error) {
 	st, err := c.lookup(name)
@@ -120,20 +123,32 @@ func (st *dsState[K]) snapshotNow() (SnapshotInfo, error) {
 	defer st.snapMu.Unlock()
 	start := time.Now()
 
+	// The write pause: from the WAL rotation until the export has streamed
+	// the whole dataset into the snapshot file. resume ends it exactly
+	// once, whichever way commit returns.
 	st.logMu.Lock()
+	paused := true
+	resume := func() {
+		if paused {
+			paused = false
+			st.logMu.Unlock()
+		}
+	}
+	defer resume()
 	seq, commit, err := st.store.BeginSnapshot()
 	if err != nil {
-		st.logMu.Unlock()
 		return SnapshotInfo{}, logErr(err)
 	}
-	items := st.ds.ExportItems(nil)
-	st.logMu.Unlock()
-
-	if err := commit(items); err != nil {
+	n := st.ds.Len()
+	err = commit(n, func(emit func(block []Item[K]) error) error {
+		defer resume()
+		return st.ds.ExportItems(emit)
+	})
+	if err != nil {
 		return SnapshotInfo{}, err
 	}
 	st.counters.snapshotSeconds.Observe(time.Since(start))
-	return SnapshotInfo{Seq: seq, Items: len(items)}, nil
+	return SnapshotInfo{Seq: seq, Items: n}, nil
 }
 
 // ReplayApplier applies recovered WAL records to a Dataset one at a time,

@@ -71,10 +71,22 @@ func replay(t *testing.T, ds Dataset[float64], records []persist.Record[float64]
 	}
 }
 
+// exportAll collects a dataset's export into one slice.
+func exportAll(ds Dataset[float64]) []Item[float64] {
+	var items []Item[float64]
+	if err := ds.ExportItems(func(block []Item[float64]) error {
+		items = append(items, block...)
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return items
+}
+
 // exportMultiset renders a dataset's exact logical state as sorted
 // "key/weight" strings, the comparison form of the recovery tests.
 func exportMultiset(ds Dataset[float64]) []string {
-	items := ds.ExportItems(nil)
+	items := exportAll(ds)
 	out := make([]string, len(items))
 	for i, it := range items {
 		out[i] = fmt.Sprintf("%x/%x", math.Float64bits(it.Key), math.Float64bits(it.Weight))
@@ -263,7 +275,7 @@ func TestDurableChurnCrashRecoveryAcceptance(t *testing.T) {
 	sameMultiset(t, exportMultiset(ds2), wantMultiset, "post-crash recovery")
 
 	// Never-crashed twin: the same logical state, built directly.
-	twinItems := ds.ExportItems(nil)
+	twinItems := exportAll(ds)
 	twin, err := shard.NewWeightedFromItems(twinItems, 4, 99)
 	if err != nil {
 		t.Fatal(err)

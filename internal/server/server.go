@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/persist"
 	"github.com/irsgo/irs/internal/shard"
 	"github.com/irsgo/irs/internal/weighted"
@@ -552,8 +553,10 @@ func (c *Core[K]) InsertAsync(name string, items []Item[K], done Reply[int]) err
 
 // errNaNKey rejects a NaN key. NaN has no place in the key order: stored,
 // it would break the sorted invariants range counts, deletes, and draws
-// rely on. Only float key types can trip it.
-var errNaNKey = fmt.Errorf("%w: NaN key", ErrInvalidRange)
+// rely on. Only float key types can trip it. It is both ErrInvalidRange
+// (its wire code) and core.ErrNaNKey (irs.ErrNaNKey, the sentinel the
+// library's own entry points reject NaN with).
+var errNaNKey = fmt.Errorf("%w: %w", ErrInvalidRange, core.ErrNaNKey)
 
 // validItems checks every key and, when weights matter, every weight.
 func validItems[K cmp.Ordered](items []Item[K], weights bool) error {

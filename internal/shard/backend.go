@@ -53,9 +53,11 @@ type Backend[K cmp.Ordered, I any] interface {
 	SampleRunAppend(run Run, dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error)
 	// AppendRange appends the keys in [lo, hi] in sorted order.
 	AppendRange(dst []K, lo, hi K) []K
-	// AppendItems appends every stored item in key order — the key export
-	// the engine rebuilds equi-depth splits from during Rebalance.
-	AppendItems(dst []I) []I
+	// VisitItems hands every stored item to visit in key order, in blocks
+	// visit must not modify or retain, stopping at the first error — the
+	// one export path: snapshots encode the blocks as they come, and
+	// Rebalance and AppendAllItems append them.
+	VisitItems(visit func(block []I) error) error
 	// MinKey and MaxKey return the smallest and largest stored keys. Only
 	// called when Len() > 0 (shard-interval validation).
 	MinKey() K

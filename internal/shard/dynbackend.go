@@ -18,8 +18,10 @@ type dynBackend[K cmp.Ordered] struct {
 
 var _ Backend[int, int] = (*dynBackend[int])(nil)
 
-func (b *dynBackend[K]) Insert(key K)          { b.dyn.Insert(key) }
-func (b *dynBackend[K]) InsertSorted(keys []K) { b.dyn.InsertSorted(keys) }
+// The engine screens NaN keys before routing them here, so inserts skip
+// core.Dynamic's own check.
+func (b *dynBackend[K]) Insert(key K)          { core.List(b.dyn).Insert(key) }
+func (b *dynBackend[K]) InsertSorted(keys []K) { core.List(b.dyn).InsertSorted(keys) }
 func (b *dynBackend[K]) Delete(key K) bool     { return b.dyn.Delete(key) }
 func (b *dynBackend[K]) Len() int              { return b.dyn.Len() }
 func (b *dynBackend[K]) Contains(key K) bool   { return b.dyn.Contains(key) }
@@ -41,8 +43,9 @@ func (b *dynBackend[K]) AppendRange(dst []K, lo, hi K) []K {
 	return b.dyn.AppendRange(dst, lo, hi)
 }
 
-func (b *dynBackend[K]) AppendItems(dst []K) []K {
-	return b.dyn.AppendKeys(dst)
+// VisitItems hands over each chunk's key slice as one block.
+func (b *dynBackend[K]) VisitItems(visit func(block []K) error) error {
+	return core.List(b.dyn).VisitKeys(visit)
 }
 
 // dynOps wires the unweighted instantiation's construction hooks.
@@ -78,8 +81,8 @@ var _ core.Sampler[int] = (*Concurrent[int])(nil)
 
 // AppendKeys appends every stored key in sorted order — a consistent
 // point-in-time export taken under all shard read locks. O(n). It is the
-// unweighted spelling of the engine's AppendAllItems (items are keys), the
-// export path snapshots serialize.
+// unweighted spelling of the engine's AppendAllItems (items are keys);
+// VisitItems is the streaming export that copies nothing.
 func (c *Concurrent[K]) AppendKeys(dst []K) []K {
 	return c.AppendAllItems(dst)
 }

@@ -389,7 +389,11 @@ func (c *engine[K, I, B]) Rebalance() {
 	for _, sh := range c.shards {
 		// Shards are contiguous key intervals in order, so concatenating
 		// their key-ordered contents is globally sorted.
-		items = sh.b.AppendItems(items)
+		// The visitor never fails, so neither does the walk.
+		_ = sh.b.VisitItems(func(block []I) error {
+			items = append(items, block...)
+			return nil
+		})
 	}
 	p := c.desiredShards(int64(n))
 	if p < len(c.shards) {
@@ -438,21 +442,39 @@ func (c *engine[K, I, B]) rebuildFromSorted(items []I, p int) {
 	c.rebalanceN.Store(int64(n))
 }
 
-// AppendAllItems appends every stored item in key order — a consistent
-// point-in-time export taken under every shard's read lock, so concurrent
-// writers pause briefly while readers are unaffected. Shards are
-// contiguous key intervals in order, so concatenating their key-ordered
-// contents is globally sorted. O(n); this is the export snapshots and
-// persistence are built on.
+// AppendAllItems appends every stored item in key order — the consistent
+// point-in-time view of VisitItems, copied out. O(n).
 func (c *engine[K, I, B]) AppendAllItems(dst []I) []I {
+	// The visitor never fails, so neither does the walk.
+	_ = c.VisitItems(func(block []I) error {
+		dst = append(dst, block...)
+		return nil
+	})
+	return dst
+}
+
+// VisitItems hands every stored item to visit in key order, in blocks,
+// stopping at the first error visit returns. Shards are contiguous key
+// intervals in order, so their key-ordered contents in turn are globally
+// sorted. The blocks are shard storage (unweighted: one chunk's keys) or a
+// small reused buffer (weighted), so visit must not modify or retain them.
+// It is a consistent point-in-time view: it holds every shard's read lock
+// until it returns, so writers wait for the whole walk, and so do readers
+// of a shard a writer is queued on; visit must not write to the
+// structure. Snapshots encode from it: the serving layer holds its
+// writers back before they reach the shard locks, so its readers never
+// wait on the walk.
+func (c *engine[K, I, B]) VisitItems(visit func(block []I) error) error {
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
 	c.rlockShards(0, len(c.shards)-1)
 	defer c.runlockShards(0, len(c.shards)-1)
 	for _, sh := range c.shards {
-		dst = sh.b.AppendItems(dst)
+		if err := sh.b.VisitItems(visit); err != nil {
+			return err
+		}
 	}
-	return dst
+	return nil
 }
 
 // Stats describes the current topology, for monitoring and tests.

@@ -68,8 +68,8 @@ func (b *treapBackend[K]) AppendRange(dst []K, lo, hi K) []K {
 	return b.tr.AppendRange(dst, lo, hi)
 }
 
-func (b *treapBackend[K]) AppendItems(dst []weighted.Item[K]) []weighted.Item[K] {
-	return b.tr.AppendItems(dst)
+func (b *treapBackend[K]) VisitItems(visit func(block []weighted.Item[K]) error) error {
+	return b.tr.VisitItems(visit)
 }
 
 // weightedOps wires the weighted instantiation's construction hooks. Each

@@ -4,9 +4,10 @@ import (
 	"math"
 	"sort"
 
-	"github.com/irsgo/irs/internal/xrand"
-
 	"cmp"
+
+	"github.com/irsgo/irs/internal/core"
+	"github.com/irsgo/irs/internal/xrand"
 )
 
 // TreapRun is per-query sampling scratch for a Treap: the canonical
@@ -207,6 +208,37 @@ func (t *Treap[K]) AppendItems(dst []Item[K]) []Item[K] {
 	return dst
 }
 
+// visitBlock is the number of items VisitItems hands over per call.
+const visitBlock = 256
+
+// VisitItems hands every stored (key, weight) pair to visit in key order,
+// in blocks of up to visitBlock items copied into one reused buffer (visit
+// must not retain a block), stopping at the first error visit returns.
+// O(n) time; the buffer is the only allocation.
+func (t *Treap[K]) VisitItems(visit func(block []Item[K]) error) error {
+	block := make([]Item[K], 0, visitBlock)
+	var err error
+	var rec func(n *wnode[K])
+	rec = func(n *wnode[K]) {
+		for ; n != nil && err == nil; n = n.right {
+			rec(n.left)
+			if err != nil {
+				return
+			}
+			block = append(block, Item[K]{Key: n.key, Weight: n.weight})
+			if len(block) == visitBlock {
+				err = visit(block)
+				block = block[:0]
+			}
+		}
+	}
+	rec(t.root)
+	if err == nil && len(block) > 0 {
+		err = visit(block)
+	}
+	return err
+}
+
 // MinKey returns the smallest stored key, and false when empty.
 func (t *Treap[K]) MinKey() (K, bool) {
 	var zero K
@@ -237,8 +269,8 @@ func (t *Treap[K]) MaxKey() (K, bool) {
 // key in O(n), using the rightmost-spine construction: each new node is
 // attached after popping the spine nodes whose priorities it beats, so the
 // heap and order invariants hold by construction. Returns ErrInvalidWeight
-// for bad weights and ErrUnsortedItems for out-of-order keys. The input is
-// not retained.
+// for bad weights, core.ErrNaNKey for a NaN key and ErrUnsortedItems for
+// out-of-order keys. The input is not retained.
 func NewTreapFromSortedItems[K cmp.Ordered](seed uint64, items []Item[K]) (*Treap[K], error) {
 	t := NewTreap[K](seed)
 	var spine []*wnode[K] // the rightmost root-to-leaf path, root first
@@ -246,6 +278,9 @@ func NewTreapFromSortedItems[K cmp.Ordered](seed uint64, items []Item[K]) (*Trea
 	for i, it := range items {
 		if it.Weight < 0 || math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
 			return nil, ErrInvalidWeight
+		}
+		if it.Key != it.Key {
+			return nil, core.ErrNaNKey
 		}
 		if i > 0 && it.Key < prev {
 			return nil, ErrUnsortedItems

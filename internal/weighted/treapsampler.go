@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 
+	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/xrand"
 )
 
@@ -113,10 +114,14 @@ func wmerge[K cmp.Ordered](l, r *wnode[K]) *wnode[K] {
 }
 
 // Insert adds an item (duplicate keys allowed). Returns ErrInvalidWeight
-// for negative, NaN, or infinite weights.
+// for negative, NaN, or infinite weights and core.ErrNaNKey for a NaN key,
+// storing nothing.
 func (t *Treap[K]) Insert(key K, weight float64) error {
 	if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return ErrInvalidWeight
+	}
+	if key != key {
+		return core.ErrNaNKey
 	}
 	n := &wnode[K]{key: key, weight: weight, priority: t.rng.Uint64()}
 	n.update()

@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/xrand"
 )
 
@@ -84,12 +85,16 @@ type prepared[K cmp.Ordered] struct {
 	prefix  []float64 // prefix[i] = sum of weights[0:i]
 }
 
-// prepare validates, copies, and sorts items by key. O(n log n).
+// prepare validates, copies, and sorts items by key. O(n log n). A NaN key
+// is core.ErrNaNKey.
 func prepare[K cmp.Ordered](items []Item[K]) (prepared[K], error) {
 	own := append([]Item[K](nil), items...)
 	for _, it := range own {
 		if it.Weight < 0 || math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
 			return prepared[K]{}, ErrInvalidWeight
+		}
+		if it.Key != it.Key {
+			return prepared[K]{}, core.ErrNaNKey
 		}
 	}
 	slices.SortStableFunc(own, func(a, b Item[K]) int { return cmp.Compare(a.Key, b.Key) })
