@@ -388,23 +388,35 @@ func (l *List[K]) indexOf(p pos) int {
 
 // Count returns |{k in list : lo <= k <= hi}| in O(log n).
 func (l *List[K]) Count(lo, hi K) int {
-	if hi < lo || l.n == 0 {
+	a, end, endOK, ok := l.bounds(lo, hi)
+	if !ok {
 		return 0
 	}
-	a, okA := l.firstGE(lo)
-	if !okA {
-		return 0
+	return l.between(a, end, endOK)
+}
+
+// bounds finds the first position a of a key in [lo, hi] and the first
+// position end past the range, if endOK (else the range runs to the list's
+// end). ok is false when no key is in range. Two searches, O(log n).
+func (l *List[K]) bounds(lo, hi K) (a, end pos, endOK, ok bool) {
+	if l.n == 0 || hi < lo {
+		return
 	}
-	b, okB := l.firstGT(hi)
-	end := l.n
-	if okB {
-		end = l.indexOf(b)
+	if a, ok = l.firstGE(lo); !ok || l.groups[a.g].chunks[a.c].keys[a.e] > hi {
+		return a, end, false, false
 	}
-	start := l.indexOf(a)
-	if end < start {
-		return 0
+	end, endOK = l.firstGT(hi)
+	return a, end, endOK, true
+}
+
+// between returns the number of keys from a up to end, or up to the list's
+// end if !endOK. O(s + log n).
+func (l *List[K]) between(a, end pos, endOK bool) int {
+	n := l.n
+	if endOK {
+		n = l.indexOf(end)
 	}
-	return end - start
+	return n - l.indexOf(a)
 }
 
 // RankLower returns the number of keys strictly less than key. O(log n).
@@ -845,6 +857,9 @@ type Run[K cmp.Ordered] struct {
 	cLo, nLeft, nChunks int
 	// collect mode: the in-range keys, materialized.
 	scratch []K
+	// Count's input: bounds' first in-range and first past-range positions.
+	first, end pos
+	endOK      bool
 }
 
 type runMode uint8
@@ -871,19 +886,18 @@ func (l *List[K]) InitRun(r *Run[K], lo, hi K) {
 	r.lo, r.hi = lo, hi
 	r.mode = modeEmpty
 	r.scratch = r.scratch[:0]
-	if l.n == 0 || hi < lo {
+	a, end, endOK, ok := l.bounds(lo, hi)
+	if !ok {
 		return
 	}
-	a, okA := l.firstGE(lo)
-	if !okA {
-		return
-	}
-	if k := l.groups[a.g].chunks[a.c].keys[a.e]; k > hi {
-		return
-	}
-	b, okB := l.lastLE(hi)
-	if !okB {
-		return
+	r.first, r.end, r.endOK = a, end, endOK
+	// b is the last in-range position: the one before end, or the list's
+	// last when the range runs to the end.
+	var b pos
+	if endOK {
+		b, _ = l.prevPos(end) // end follows a, so it has a predecessor
+	} else {
+		b = l.lastPos()
 	}
 	// Every in-range key lives in groups a.g..b.g.
 	if b.g-a.g >= 2 {
@@ -918,16 +932,11 @@ func (l *List[K]) InitRun(r *Run[K], lo, hi K) {
 	}
 }
 
-// lastLE returns the position of the last key <= bound.
-func (l *List[K]) lastLE(bound K) (pos, bool) {
-	p, ok := l.firstGT(bound)
-	if !ok {
-		// Everything is <= bound: last element.
-		g := len(l.groups) - 1
-		c := len(l.groups[g].chunks) - 1
-		return pos{g, c, len(l.groups[g].chunks[c].keys) - 1}, true
-	}
-	return l.prevPos(p)
+// lastPos returns the position of the last key. The list must be nonempty.
+func (l *List[K]) lastPos() pos {
+	g := len(l.groups) - 1
+	c := len(l.groups[g].chunks) - 1
+	return pos{g, c, len(l.groups[g].chunks[c].keys) - 1}
 }
 
 // prevPos returns the position immediately before p, or ok=false if p is
@@ -957,6 +966,19 @@ func (r *Run[K]) chunkAt(j int) *chunk[K] {
 
 // Empty reports whether the range holds no keys.
 func (r *Run[K]) Empty() bool { return r.mode == modeEmpty }
+
+// Count returns the number of in-range keys. It ranks the boundary
+// positions InitRun found, searching nothing: O(s + log n), or O(1) when
+// the run is empty or materialized.
+func (r *Run[K]) Count() int {
+	switch r.mode {
+	case modeEmpty:
+		return 0
+	case modeCollect:
+		return len(r.scratch)
+	}
+	return r.list.between(r.first, r.end, r.endOK)
+}
 
 // blockSize is the kernel's block: the most probes one stage resolves at
 // once. It is enough independent misses to fill a core's miss buffers, and

@@ -116,30 +116,17 @@ func (d *Dynamic[K]) Sample(lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
 
 // SampleAppend is Sample appending into dst.
 func (d *Dynamic[K]) SampleAppend(dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
-	return d.SampleRunAppend(&d.run, dst, lo, hi, t, rng)
-}
-
-// SampleRunAppend is SampleAppend drawing through caller-owned run scratch
-// instead of the receiver's internal scratch. Because the underlying chunked
-// list is never mutated by a query, any number of goroutines may call
-// SampleRunAppend on the same Dynamic concurrently — each with its own run
-// and RNG — provided no update runs at the same time. This is the read-only
-// sampling entry point the shard.Backend contract requires: the sharded
-// concurrent layer (internal/shard) relies on it to serve readers under a
-// shared (non-exclusive) lock, with weighted.Treap.SampleRunAppend as its
-// weighted counterpart.
-func (d *Dynamic[K]) SampleRunAppend(run *chunks.Run[K], dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
 	if err := sampleArgsErr(t); err != nil {
 		return dst, err
 	}
 	if t == 0 {
 		return dst, nil
 	}
-	d.list.InitRun(run, lo, hi)
-	if run.Empty() {
+	d.list.InitRun(&d.run, lo, hi)
+	if d.run.Empty() {
 		return dst, ErrEmptyRange
 	}
-	return run.SampleAppend(dst, t, rng), nil
+	return d.run.SampleAppend(dst, t, rng), nil
 }
 
 // SampleProbesAppend is SampleAppend that also accumulates the number of

@@ -6,11 +6,12 @@ import (
 	"github.com/irsgo/irs/internal/xrand"
 )
 
-// Run is backend-specific per-query sampling scratch, opaque to the engine.
-// A Run is owned by exactly one in-flight query at a time; the engine pools
-// runs inside its query scratch so steady-state queries do not allocate.
-// Concrete types are *chunks.Run[K] for the unweighted backend and
-// *weighted.TreapRun[K] for the weighted one.
+// Run is backend-specific per-query sampling scratch, opaque to the engine:
+// Prepare fills it with one shard's share of a range and Draw samples from
+// it. A Run is owned by exactly one in-flight query at a time; the engine
+// pools one per overlapping shard inside its query scratch, so steady-state
+// queries do not allocate. Concrete types are *chunks.Run[K] for the
+// unweighted backend and *weighted.TreapRun[K] for the weighted one.
 type Run any
 
 // Backend is the single-shard dynamic structure the sharding engine is
@@ -19,17 +20,21 @@ type Run any
 // all locking, so a backend only needs plain single-threaded updates plus
 // read-only queries.
 //
-// The contract that makes cross-shard sampling exact:
+// The contract that makes cross-shard sampling exact, with each range
+// searched once per shard:
 //
-//   - RangeStats reports the in-range item count and the in-range sampling
-//     mass (the key count for unweighted backends, the total weight for
-//     weighted ones). The engine splits a query's t samples over shards
-//     with a multinomial proportional to mass.
-//   - SampleRunAppend must draw each sample with probability proportional
-//     to its mass among the backend's own [lo, hi] contents, and must be
-//     read-only (no tree rotations, no internal scratch), so that many
-//     goroutines holding a shared lock can sample one shard concurrently
-//     through their own runs.
+//   - Prepare finds the backend's share of [lo, hi] — one search per range
+//     boundary — fills a run with it, and reports the in-range item count
+//     and sampling mass (the key count for unweighted backends, the total
+//     weight for weighted ones). The engine splits a query's t samples over
+//     shards with a multinomial proportional to mass.
+//   - Draw samples from a prepared run only, each sample with probability
+//     proportional to its mass among the backend's own [lo, hi] contents.
+//     The engine calls it only on a run with positive mass and a nonzero
+//     allocation, under the same lock as Prepare.
+//   - Both are read-only (no tree rotations, no internal scratch), so many
+//     goroutines holding a shared lock can prepare and draw from one shard
+//     concurrently through their own runs.
 type Backend[K cmp.Ordered, I any] interface {
 	// Insert stores one item (duplicate keys allowed). Items reaching a
 	// backend were validated by the engine's exported wrappers.
@@ -43,14 +48,12 @@ type Backend[K cmp.Ordered, I any] interface {
 	Len() int
 	// Contains reports whether key is stored at least once.
 	Contains(key K) bool
-	// Count returns the number of items with keys in [lo, hi].
-	Count(lo, hi K) int
-	// RangeStats returns the in-range item count and sampling mass.
-	RangeStats(lo, hi K) (count int, mass float64)
-	// SampleRunAppend appends t mass-proportional samples from [lo, hi] to
-	// dst through caller-owned run scratch. Read-only; safe for concurrent
-	// callers each owning their run and rng.
-	SampleRunAppend(run Run, dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error)
+	// Prepare fills run with [lo, hi] and returns the in-range item count
+	// and sampling mass.
+	Prepare(run Run, lo, hi K) (count int, mass float64)
+	// Draw appends t mass-proportional samples from a run Prepare filled
+	// with positive mass.
+	Draw(run Run, dst []K, t int, rng *xrand.RNG) []K
 	// AppendRange appends the keys in [lo, hi] in sorted order.
 	AppendRange(dst []K, lo, hi K) []K
 	// VisitItems hands every stored item to visit in key order, in blocks
@@ -80,7 +83,7 @@ type backendOps[K cmp.Ordered, I any, B Backend[K, I]] struct {
 	// sortItems sorts a batch by key (stably, so equal-key items keep
 	// their caller-supplied order).
 	sortItems func([]I)
-	// newRun returns fresh sampling scratch for SampleRunAppend.
+	// newRun returns fresh scratch for Prepare and Draw.
 	newRun func() Run
 	// zeroMass is returned when a sampled range holds items but no mass
 	// (weighted: all weights zero). Unreachable for unit-mass backends.

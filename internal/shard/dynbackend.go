@@ -10,7 +10,7 @@ import (
 
 // dynBackend adapts core.Dynamic — the paper's chunked-list structure — to
 // the Backend interface: items are bare keys and every key has unit
-// sampling mass, so RangeStats reports the count twice and cross-shard
+// sampling mass, so Prepare reports the count twice and cross-shard
 // queries reduce to the exact count-proportional multinomial.
 type dynBackend[K cmp.Ordered] struct {
 	dyn *core.Dynamic[K]
@@ -25,18 +25,19 @@ func (b *dynBackend[K]) InsertSorted(keys []K) { core.List(b.dyn).InsertSorted(k
 func (b *dynBackend[K]) Delete(key K) bool     { return b.dyn.Delete(key) }
 func (b *dynBackend[K]) Len() int              { return b.dyn.Len() }
 func (b *dynBackend[K]) Contains(key K) bool   { return b.dyn.Contains(key) }
-func (b *dynBackend[K]) Count(lo, hi K) int    { return b.dyn.Count(lo, hi) }
 func (b *dynBackend[K]) Validate() error       { return b.dyn.Validate() }
 func (b *dynBackend[K]) MinKey() K             { return b.dyn.SelectRank(0) }
 func (b *dynBackend[K]) MaxKey() K             { return b.dyn.SelectRank(b.dyn.Len() - 1) }
 
-func (b *dynBackend[K]) RangeStats(lo, hi K) (int, float64) {
-	n := b.dyn.Count(lo, hi)
+func (b *dynBackend[K]) Prepare(run Run, lo, hi K) (int, float64) {
+	r := run.(*chunks.Run[K])
+	core.List(b.dyn).InitRun(r, lo, hi)
+	n := r.Count()
 	return n, float64(n)
 }
 
-func (b *dynBackend[K]) SampleRunAppend(run Run, dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
-	return b.dyn.SampleRunAppend(run.(*chunks.Run[K]), dst, lo, hi, t, rng)
+func (b *dynBackend[K]) Draw(run Run, dst []K, t int, rng *xrand.RNG) []K {
+	return run.(*chunks.Run[K]).SampleAppend(dst, t, rng)
 }
 
 func (b *dynBackend[K]) AppendRange(dst []K, lo, hi K) []K {

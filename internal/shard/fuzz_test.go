@@ -80,12 +80,20 @@ func FuzzShardRouting(f *testing.F) {
 		}
 
 		// Cross-shard range counts match brute force, including ranges with
-		// endpoints exactly on split values.
+		// endpoints exactly on split values — through Count and through the
+		// per-query stats of one SampleManyStatsAppend batch over every
+		// probe pair, whose samples must be stored keys in range.
 		probes := append([]int(nil), splits...)
 		probes = append(probes, keys...)
 		if len(probes) > 32 {
 			probes = probes[:32]
 		}
+		stored := map[int]bool{}
+		for _, k := range keys {
+			stored[k] = true
+		}
+		var queries []Query[int]
+		var wants []int
 		for _, lo := range probes {
 			for _, hi := range probes {
 				want := 0
@@ -96,6 +104,27 @@ func FuzzShardRouting(f *testing.F) {
 				}
 				if got := c.Count(lo, hi); got != want {
 					t.Fatalf("Count(%d, %d) = %d, want %d", lo, hi, got, want)
+				}
+				queries = append(queries, Query[int]{Lo: lo, Hi: hi, T: 3})
+				wants = append(wants, want)
+			}
+		}
+		stats := make([]QueryStats, len(queries))
+		out, starts, err := c.SampleManyStatsAppend(nil, nil, queries, stats, xrand.New(uint64(len(queries))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			if want := (QueryStats{N: wants[i], Mass: float64(wants[i])}); stats[i] != want {
+				t.Fatalf("SampleManyStatsAppend [%d, %d]: stats %+v, want %+v", q.Lo, q.Hi, stats[i], want)
+			}
+			seg := out[starts[i]:starts[i+1]]
+			if len(seg) != min(wants[i], 1)*q.T {
+				t.Fatalf("SampleManyStatsAppend [%d, %d]: %d samples from %d keys", q.Lo, q.Hi, len(seg), wants[i])
+			}
+			for _, k := range seg {
+				if k < q.Lo || k > q.Hi || !stored[k] {
+					t.Fatalf("SampleManyStatsAppend [%d, %d]: sample %d invalid", q.Lo, q.Hi, k)
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func probesPerSample(t *testing.T, c *Concurrent[float64], keys []float64) []int
 		start := rng.Intn(len(keys) - width + 1)
 		lo, hi := keys[start], keys[start+width-1]
 		for _, sh := range c.shards {
-			n := sh.b.Count(lo, hi)
+			n := sh.b.dyn.Count(lo, hi)
 			if n == 0 {
 				continue
 			}

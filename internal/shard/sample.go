@@ -11,9 +11,8 @@ import (
 // queryScratch is the per-query working set, pooled so steady-state queries
 // allocate only their output. Each in-flight query owns one exclusively.
 type queryScratch[K cmp.Ordered] struct {
-	run    Run        // backend sampling scratch for one shard at a time
+	runs   []Run      // prepared backend run per overlapping shard
 	plan   split.Plan // allocation of sample positions to overlapping shards
-	counts []int      // in-range count per overlapping shard
 	masses []float64  // in-range sampling mass per overlapping shard
 	block  []K        // per-shard sample blocks, concatenated
 	needed []bool     // shard-union lock set for SampleManyAppend batches
@@ -23,7 +22,7 @@ func (c *engine[K, I, B]) getScratch() *queryScratch[K] {
 	if sc, ok := c.scratch.Get().(*queryScratch[K]); ok {
 		return sc
 	}
-	return &queryScratch[K]{run: c.ops.newRun()}
+	return new(queryScratch[K])
 }
 
 func (c *engine[K, I, B]) putScratch(sc *queryScratch[K]) { c.scratch.Put(sc) }
@@ -62,32 +61,35 @@ func (c *engine[K, I, B]) SampleAppend(dst []K, lo, hi K, t int, rng *xrand.RNG)
 // sampleLocked draws t samples from [lo, hi] into dst and reports the
 // range's in-range count n and sampling mass, summed in stage 1 from the
 // same locked snapshot the samples come from (n and mass are valid
-// whatever the error). The caller must hold topoMu shared and the read
-// locks of every shard overlapping [lo, hi] (with lo <= hi), and must own
-// sc and rng; t must be non-negative.
+// whatever the error); with t = 0 it only reports them. The caller must
+// hold topoMu shared and the read locks of every shard overlapping
+// [lo, hi] (with lo <= hi), and must own sc and rng; t must be
+// non-negative.
 func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, int, float64, error) {
 	sa, sb := c.shardRange(lo, hi)
 
-	// Stage 1: per-shard in-range counts and masses, one consistent
-	// snapshot under the held locks.
-	sc.counts = sc.counts[:0]
+	// Stage 1: prepare one run per overlapping shard — the query's only
+	// range search — and sum the per-shard in-range counts and masses, one
+	// consistent snapshot under the held locks.
 	sc.masses = sc.masses[:0]
-	total, totalMass := 0, 0.0
+	for len(sc.runs) <= sb-sa {
+		sc.runs = append(sc.runs, c.ops.newRun())
+	}
+	total, totalMass, populated, last := 0, 0.0, 0, 0
 	for i := sa; i <= sb; i++ {
-		n, m := c.shards[i].b.RangeStats(lo, hi)
-		sc.counts = append(sc.counts, n)
+		n, m := c.shards[i].b.Prepare(sc.runs[i-sa], lo, hi)
 		sc.masses = append(sc.masses, m)
 		total += n
 		totalMass += m
-	}
-	if total == 0 {
-		if t == 0 {
-			return dst, 0, 0, nil
+		if n > 0 {
+			populated, last = populated+1, i-sa
 		}
-		return dst, 0, 0, core.ErrEmptyRange
 	}
 	if t == 0 {
 		return dst, total, totalMass, nil
+	}
+	if total == 0 {
+		return dst, 0, 0, core.ErrEmptyRange
 	}
 	if totalMass <= 0 {
 		// Keys exist but carry no sampling mass (weighted backends only).
@@ -95,41 +97,27 @@ func (c *engine[K, I, B]) sampleLocked(sc *queryScratch[K], dst []K, lo, hi K, t
 	}
 
 	// Single populated shard: no split to draw.
-	if nz := firstNonzero(sc.counts); sc.counts[nz] == total {
-		out, err := c.shards[sa+nz].b.SampleRunAppend(sc.run, dst, lo, hi, t, rng)
-		return out, total, totalMass, err
+	if populated == 1 {
+		return c.shards[sa+last].b.Draw(sc.runs[last], dst, t, rng), total, totalMass, nil
 	}
 
 	// Stages 2-4 are internal/split's construction: allocate the t sample
 	// positions over the overlapping shards, have each shard fill its
-	// segment of one block, scatter the block back into draw order.
+	// segment of one block from its prepared run, scatter the block back
+	// into draw order. A zero-mass shard gets an empty segment.
 	if err := sc.plan.Draw(sc.masses, t, rng); err != nil {
-		return dst, total, totalMass, err // unreachable: masses are finite with a positive sum
+		return dst, total, totalMass, err // a mass, or their sum, overflowed float64
 	}
 	if cap(sc.block) < t {
 		sc.block = make([]K, t)
 	}
 	block := sc.block[:t]
 	for i := range sc.masses {
-		from, to := sc.plan.Seg(i)
-		if from == to {
-			continue
-		}
-		if _, err := c.shards[sa+i].b.SampleRunAppend(sc.run, block[from:from:to], lo, hi, to-from, rng); err != nil {
-			return dst, total, totalMass, err // unreachable: mass was positive under lock
+		if from, to := sc.plan.Seg(i); from < to {
+			c.shards[sa+i].b.Draw(sc.runs[i], block[from:from:to], to-from, rng)
 		}
 	}
 	return split.Scatter(dst, &sc.plan, block), total, totalMass, nil
-}
-
-// firstNonzero returns the index of the first nonzero count, or 0.
-func firstNonzero(counts []int) int {
-	for i, n := range counts {
-		if n > 0 {
-			return i
-		}
-	}
-	return 0
 }
 
 func resizeBools(s []bool, n int) []bool {

@@ -23,8 +23,12 @@
 // disjoint shards proceed in parallel and readers of one shard never block
 // readers of another. Split points are learned from the data (equi-depth
 // over a sorted load) and re-learned by Rebalance, which is also triggered
-// automatically when a shard grows far beyond its fair share or when the
-// structure has grown enough to deserve more shards.
+// automatically when the structure has grown enough to deserve more
+// shards. Its other automatic trigger, a shard holding more than
+// imbalanceFactor times its fair share plus imbalanceSlack keys, cannot
+// fire at four shards or fewer (no shard can hold more than four times its
+// fair share there), so at those shard counts a skewed or monotone load
+// stays where it lands until an explicit Rebalance.
 //
 // # Sampling across shards
 //
@@ -32,21 +36,24 @@
 // mass-proportional over the union of the overlapping shards' range
 // contents — the distribution must not be distorted by the partition. The
 // query holds the read locks of every overlapping shard for its whole
-// duration, so the stats and the draws see one consistent snapshot: each
-// overlapping shard reports its in-range count and sampling mass in
-// O(log n) time (for the unweighted backend the mass is the key count; for
-// the weighted backend it is the range's total weight), and the shards are
-// then the parts of internal/split's construction — a multinomial
-// allocation of the t sample positions over the masses, per-shard draws
-// (read-only backend sampling through per-query scratch) into one block,
-// and a scatter back into draw order. Why that is exact and independent is
-// argued once, in internal/split's package comment.
+// duration, so the stats and the draws see one consistent snapshot. Each
+// overlapping shard is prepared once: Backend.Prepare searches the range in
+// O(log n) time, fills one pooled run per shard, and reports the shard's
+// in-range count and sampling mass (for the unweighted backend the mass is
+// the key count; for the weighted backend it is the range's total weight).
+// The shards are then the parts of internal/split's construction — a
+// multinomial allocation of the t sample positions over the masses,
+// per-shard draws from the prepared runs (read-only, searching nothing)
+// into one block, and a scatter back into draw order. RangeStats and Count
+// are the prepare stage alone. Why that is exact and independent is argued
+// once, in internal/split's package comment.
 //
 // Every query draws in order on the caller's goroutine from the caller's
 // RNG, shard after shard, so a fixed RNG state yields the same samples on
 // any number of cores. The engine starts no goroutines: parallelism belongs
 // to its callers (the serving layer's flushers, or a library user's own
-// goroutines), each drawing from its own RNG under shared read locks.
+// goroutines), each drawing from its own RNG under shared read locks. So
+// shards buy write-lock granularity and bounded rebuilds, not parallel draws.
 //
 // # Locking
 //
@@ -224,30 +231,19 @@ func (c *engine[K, I, B]) Contains(key K) bool {
 	return sh.b.Contains(key)
 }
 
-// Count returns the number of keys in [lo, hi]. All overlapping shards are
-// read-locked together, so the result is a consistent snapshot.
+// Count returns the number of keys in [lo, hi]: the count half of
+// RangeStats, with the same consistent snapshot.
 func (c *engine[K, I, B]) Count(lo, hi K) int {
-	if hi < lo {
-		return 0
-	}
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	sa, sb := c.shardRange(lo, hi)
-	c.rlockShards(sa, sb)
-	defer c.runlockShards(sa, sb)
-	total := 0
-	for i := sa; i <= sb; i++ {
-		total += c.shards[i].b.Count(lo, hi)
-	}
-	return total
+	n, _ := c.RangeStats(lo, hi)
+	return n
 }
 
 // RangeStats returns the number of keys and the total sampling mass in
 // [lo, hi] (key count for the unweighted backend, total weight for the
-// weighted one) — the same per-shard quantities stage 1 of a sampling
-// query sums, exposed for callers that partition the key space above the
-// engine (the cluster router). All overlapping shards are read-locked
-// together, so the pair is a consistent snapshot.
+// weighted one) — stage 1 of a sampling query without the draw, exposed
+// for callers that partition the key space above the engine (the cluster
+// router). All overlapping shards are read-locked together, so the pair is
+// a consistent snapshot.
 func (c *engine[K, I, B]) RangeStats(lo, hi K) (count int, mass float64) {
 	if hi < lo {
 		return 0, 0
@@ -257,11 +253,9 @@ func (c *engine[K, I, B]) RangeStats(lo, hi K) (count int, mass float64) {
 	sa, sb := c.shardRange(lo, hi)
 	c.rlockShards(sa, sb)
 	defer c.runlockShards(sa, sb)
-	for i := sa; i <= sb; i++ {
-		n, m := c.shards[i].b.RangeStats(lo, hi)
-		count += n
-		mass += m
-	}
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	_, count, mass, _ = c.sampleLocked(sc, nil, lo, hi, 0, nil)
 	return count, mass
 }
 

@@ -110,7 +110,10 @@ func FuzzWeightedShardRouting(f *testing.F) {
 		}
 
 		// Cross-shard range counts and weight totals match brute force,
-		// including ranges with endpoints exactly on split values.
+		// including ranges with endpoints exactly on split values — through
+		// Count and TotalWeight, and through the per-query stats of one
+		// SampleManyStatsAppend batch over every probe pair, whose samples
+		// must be stored keys in range with positive weight.
 		probes := append([]int(nil), splits...)
 		for _, it := range items {
 			probes = append(probes, it.Key)
@@ -118,6 +121,15 @@ func FuzzWeightedShardRouting(f *testing.F) {
 		if len(probes) > 24 {
 			probes = probes[:24]
 		}
+		keyW := map[int]float64{}
+		for _, it := range items {
+			keyW[it.Key] += it.Weight
+		}
+		massClose := func(got, want float64) bool {
+			return math.Abs(got-want) <= 1e-9*(math.Abs(want)+1)
+		}
+		var queries []Query[int]
+		var wants []QueryStats
 		for _, lo := range probes {
 			for _, hi := range probes {
 				wantC := 0
@@ -131,10 +143,33 @@ func FuzzWeightedShardRouting(f *testing.F) {
 				if got := wc.Count(lo, hi); got != wantC {
 					t.Fatalf("Count(%d, %d) = %d, want %d", lo, hi, got, wantC)
 				}
-				got := wc.TotalWeight(lo, hi)
-				tol := 1e-9 * (math.Abs(wantW) + 1)
-				if math.Abs(got-wantW) > tol {
+				if got := wc.TotalWeight(lo, hi); !massClose(got, wantW) {
 					t.Fatalf("TotalWeight(%d, %d) = %g, want %g", lo, hi, got, wantW)
+				}
+				queries = append(queries, Query[int]{Lo: lo, Hi: hi, T: 3})
+				wants = append(wants, QueryStats{N: wantC, Mass: wantW})
+			}
+		}
+		stats := make([]QueryStats, len(queries))
+		out, starts, err := wc.SampleManyStatsAppend(nil, nil, queries, stats, xrand.New(uint64(len(queries))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			if stats[i].N != wants[i].N || !massClose(stats[i].Mass, wants[i].Mass) {
+				t.Fatalf("SampleManyStatsAppend [%d, %d]: stats %+v, want %+v", q.Lo, q.Hi, stats[i], wants[i])
+			}
+			seg := out[starts[i]:starts[i+1]]
+			wantLen := q.T
+			if stats[i].Mass <= 0 {
+				wantLen = 0
+			}
+			if len(seg) != wantLen {
+				t.Fatalf("SampleManyStatsAppend [%d, %d]: %d samples from mass %g", q.Lo, q.Hi, len(seg), stats[i].Mass)
+			}
+			for _, k := range seg {
+				if k < q.Lo || k > q.Hi || keyW[k] <= 0 {
+					t.Fatalf("SampleManyStatsAppend [%d, %d]: sample %d invalid (keyW %g)", q.Lo, q.Hi, k, keyW[k])
 				}
 			}
 		}
@@ -147,18 +182,16 @@ func FuzzWeightedShardRouting(f *testing.F) {
 		// positive aggregate weight; zero-mass ranges fail with exactly
 		// ErrZeroWeightRange.
 		lo, hi := items[0].Key, items[0].Key
-		keyW := map[int]float64{}
 		for _, it := range items {
 			lo = min(lo, it.Key)
 			hi = max(hi, it.Key)
-			keyW[it.Key] += it.Weight
 		}
 		totalW := 0.0
 		for _, w := range keyW {
 			totalW += w
 		}
 		rng := xrand.New(uint64(len(items))*31 + uint64(nSplits))
-		out, err := wc.Sample(lo, hi, 16, rng)
+		out, err = wc.Sample(lo, hi, 16, rng)
 		if totalW <= 0 {
 			if err != weighted.ErrZeroWeightRange {
 				t.Fatalf("zero-mass span: err = %v", err)

@@ -15,9 +15,9 @@ import (
 // to the Backend interface: items are (key, weight) pairs, the sampling
 // mass of a range is its total weight, and cross-shard queries split their
 // samples with a multinomial proportional to per-shard range weight. All
-// query paths used here (RangeStats, SampleRunAppend through caller-owned
-// TreapRun scratch, AppendRange) are read-only on the treap, which is what
-// lets the engine serve weighted readers under shared locks.
+// query paths used here (Prepare and Draw through caller-owned TreapRun
+// scratch, AppendRange) are read-only on the treap, which is what lets the
+// engine serve weighted readers under shared locks.
 type treapBackend[K cmp.Ordered] struct {
 	tr *weighted.Treap[K]
 }
@@ -43,7 +43,6 @@ func (b *treapBackend[K]) InsertSorted(items []weighted.Item[K]) {
 func (b *treapBackend[K]) Delete(key K) bool   { return b.tr.Delete(key) }
 func (b *treapBackend[K]) Len() int            { return b.tr.Len() }
 func (b *treapBackend[K]) Contains(key K) bool { return b.tr.Count(key, key) > 0 }
-func (b *treapBackend[K]) Count(lo, hi K) int  { return b.tr.Count(lo, hi) }
 func (b *treapBackend[K]) Validate() error     { return b.tr.Validate() }
 
 func (b *treapBackend[K]) MinKey() K {
@@ -56,12 +55,16 @@ func (b *treapBackend[K]) MaxKey() K {
 	return k
 }
 
-func (b *treapBackend[K]) RangeStats(lo, hi K) (int, float64) {
-	return b.tr.RangeStats(lo, hi)
+// Prepare's one descent is InitRun's span collection, which counts keys
+// and sums weights as it goes.
+func (b *treapBackend[K]) Prepare(run Run, lo, hi K) (int, float64) {
+	r := run.(*weighted.TreapRun[K])
+	b.tr.InitRun(r, lo, hi)
+	return r.Count(), r.Weight()
 }
 
-func (b *treapBackend[K]) SampleRunAppend(run Run, dst []K, lo, hi K, t int, rng *xrand.RNG) ([]K, error) {
-	return b.tr.SampleRunAppend(run.(*weighted.TreapRun[K]), dst, lo, hi, t, rng)
+func (b *treapBackend[K]) Draw(run Run, dst []K, t int, rng *xrand.RNG) []K {
+	return run.(*weighted.TreapRun[K]).SampleAppend(dst, t, rng)
 }
 
 func (b *treapBackend[K]) AppendRange(dst []K, lo, hi K) []K {

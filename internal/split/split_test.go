@@ -110,8 +110,8 @@ func TestDrawRejectsBadMasses(t *testing.T) {
 }
 
 // partSampler stands in for a part's own sampler: it consumes the caller's
-// RNG the way SampleRunAppend does, and tags each sample with its part so
-// a mix-up between parts cannot cancel out.
+// RNG the way a shard backend's Draw does, and tags each sample with its
+// part so a mix-up between parts cannot cancel out.
 func partSampler(dst []uint64, part, n int, rng *xrand.RNG) []uint64 {
 	for j := 0; j < n; j++ {
 		dst = append(dst, uint64(part)<<56|rng.Uint64()>>8)

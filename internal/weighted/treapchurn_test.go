@@ -216,12 +216,15 @@ func TestTreapConcurrentReaders(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				lo := r.Intn(10_000)
 				hi := lo + r.Intn(10_000)
-				buf = buf[:0]
-				out, err := tr.SampleRunAppend(&run, buf, lo, hi, 64, r)
-				if err != nil {
+				tr.InitRun(&run, lo, hi)
+				if run.Empty() || run.Weight() <= 0 {
 					continue // empty or zero-weight slice
 				}
-				for _, k := range out {
+				buf = buf[:0]
+				for range 64 {
+					buf = append(buf, run.Sample(r))
+				}
+				for _, k := range buf {
 					if k < lo || k > hi {
 						t.Errorf("sample %d outside [%d, %d]", k, lo, hi)
 						return

@@ -17,7 +17,8 @@ import (
 // any number of goroutines may sample one Treap through their own runs
 // concurrently, provided no mutation (Insert, Delete, UpdateWeight) runs at
 // the same time. The sharded concurrent layer (internal/shard) relies on
-// this to serve weighted readers under a shared lock.
+// this to serve weighted readers under a shared lock: it prepares one run
+// per overlapping shard and draws from it.
 //
 // A run is a snapshot: it holds pointers into the tree and is invalidated
 // by any subsequent mutation.
@@ -109,28 +110,13 @@ func (r *TreapRun[K]) Sample(rng *xrand.RNG) K {
 	return sampleNode(sp.node, rng.Float64()*sp.node.wsum)
 }
 
-// SampleRunAppend appends k weighted samples from [lo, hi] to dst through
-// caller-owned run scratch. Because it never restructures the tree, any
-// number of goroutines may call it on the same Treap concurrently — each
-// with its own run and RNG — provided no mutation runs at the same time.
-func (t *Treap[K]) SampleRunAppend(run *TreapRun[K], dst []K, lo, hi K, k int, rng *xrand.RNG) ([]K, error) {
-	if err := sampleArgsErr(k); err != nil {
-		return dst, err
+// SampleAppend appends k samples drawn as by Sample to dst. The run must
+// be non-empty with positive weight unless k is 0.
+func (r *TreapRun[K]) SampleAppend(dst []K, k int, rng *xrand.RNG) []K {
+	for range k {
+		dst = append(dst, r.Sample(rng))
 	}
-	if k == 0 {
-		return dst, nil
-	}
-	t.InitRun(run, lo, hi)
-	if run.count == 0 {
-		return dst, ErrEmptyRange
-	}
-	if run.total <= 0 {
-		return dst, ErrZeroWeightRange
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, run.Sample(rng))
-	}
-	return dst, nil
+	return dst
 }
 
 // RangeStats returns the number of keys and the weight mass in [lo, hi] in

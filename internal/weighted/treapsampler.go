@@ -19,9 +19,10 @@ import (
 //	SampleAppend (t samples)         O(log n + t log log n) expected
 //
 // Queries are read-only: Count, TotalWeight, RangeStats, AppendRange, and
-// SampleRunAppend (with caller-owned scratch) never restructure the tree,
-// so any number of goroutines may run them concurrently as long as no
-// mutation (Insert, Delete, UpdateWeight) runs at the same time.
+// InitRun plus sampling from the run (with caller-owned TreapRun scratch)
+// never restructure the tree, so any number of goroutines may run them
+// concurrently as long as no mutation (Insert, Delete, UpdateWeight) runs
+// at the same time.
 // SampleAppend draws through receiver-internal scratch and is therefore
 // additionally exclusive against other SampleAppend calls on the same
 // receiver — the same contract as core.Dynamic.
@@ -202,10 +203,23 @@ func (t *Treap[K]) TotalWeight(lo, hi K) float64 {
 
 // SampleAppend appends k samples from [lo, hi], each with probability
 // proportional to its weight, drawing through the receiver's internal run
-// scratch (see TreapRun and SampleRunAppend for the concurrent-reader
-// variant). O(log n + k log log n) expected.
+// scratch (see TreapRun for the concurrent-reader variant).
+// O(log n + k log log n) expected.
 func (t *Treap[K]) SampleAppend(dst []K, lo, hi K, k int, rng *xrand.RNG) ([]K, error) {
-	return t.SampleRunAppend(&t.run, dst, lo, hi, k, rng)
+	if err := sampleArgsErr(k); err != nil {
+		return dst, err
+	}
+	if k == 0 {
+		return dst, nil
+	}
+	t.InitRun(&t.run, lo, hi)
+	if t.run.count == 0 {
+		return dst, ErrEmptyRange
+	}
+	if t.run.total <= 0 {
+		return dst, ErrZeroWeightRange
+	}
+	return t.run.SampleAppend(dst, k, rng), nil
 }
 
 // sampleNode descends by cumulative weight: x is uniform in [0, n.wsum).

@@ -72,10 +72,11 @@
 //     each using its own RNG.
 //   - Dynamic, TreapSampler, ReportSampler, and WeightedTreap are
 //     single-writer: no access of any kind may run concurrently with an
-//     Insert, Delete, or UpdateWeight. Between mutations, their query
-//     paths that draw through caller-owned scratch (Dynamic.SampleRunAppend
-//     and the WeightedTreap run API in internal/weighted) admit any number
-//     of concurrent readers — the property the sharded layer builds on.
+//     Insert, Delete, or UpdateWeight. Between mutations, the internal
+//     query paths that draw through caller-owned scratch (the chunked
+//     list's and the treap's prepared runs, chunks.Run and
+//     weighted.TreapRun) admit any number of concurrent readers — the
+//     property the sharded layer builds on.
 //   - Concurrent and WeightedConcurrent are fully thread-safe: inserts,
 //     deletes, weight updates, counts, and sampling queries may all run
 //     simultaneously from any number of goroutines, and their statistical
