@@ -1,6 +1,7 @@
 package chunks
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -250,86 +251,6 @@ func TestRunModes(t *testing.T) {
 	}
 }
 
-// checkUniform verifies draws over the integer range [lo, hi] (all present
-// exactly once in the list) are uniform via a chi-square test on value
-// buckets.
-func checkUniform(t *testing.T, samples []int, lo, hi int, buckets int) {
-	t.Helper()
-	span := hi - lo + 1
-	counts := make([]int, buckets)
-	for _, s := range samples {
-		if s < lo || s > hi {
-			t.Fatalf("sample %d outside [%d,%d]", s, lo, hi)
-		}
-		b := (s - lo) * buckets / span
-		counts[b]++
-	}
-	// Buckets may cover unequal numbers of values when span % buckets != 0;
-	// compute the exact expected count per bucket.
-	valuesIn := make([]int, buckets)
-	for v := 0; v < span; v++ {
-		valuesIn[v*buckets/span]++
-	}
-	chi2 := 0.0
-	for b, c := range counts {
-		expected := float64(len(samples)) * float64(valuesIn[b]) / float64(span)
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	// Critical value at alpha=0.001 for df in {15,31,63}: 37.7, 61.1, 103.4.
-	crit := map[int]float64{16: 39.25, 32: 61.1, 64: 103.4}[buckets]
-	if crit == 0 {
-		t.Fatalf("no critical value for %d buckets", buckets)
-	}
-	if chi2 > crit {
-		t.Fatalf("chi-square %.1f > %.1f for %d buckets", chi2, crit, buckets)
-	}
-}
-
-func TestSampleUniformityAllModes(t *testing.T) {
-	n := 100000
-	keys := make([]int, n)
-	for i := range keys {
-		keys[i] = i
-	}
-	l, err := NewFromSorted(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(3)
-	const draws = 80000
-
-	// Groups mode: a wide range.
-	samples, ok := l.SampleAppend(nil, 10000, 90000, draws, rng)
-	if !ok || len(samples) != draws {
-		t.Fatal("groups-mode sampling failed")
-	}
-	checkUniform(t, samples, 10000, 90000, 32)
-
-	// Chunks mode: a range of ~8 chunks.
-	s := l.S()
-	hi := 5000 + 8*s - 1
-	samples, ok = l.SampleAppend(nil, 5000, hi, draws, rng)
-	if !ok {
-		t.Fatal("chunks-mode sampling failed")
-	}
-	checkUniform(t, samples, 5000, hi, 16)
-
-	// Collect mode: a range within one chunk.
-	hi = 7000 + s/2
-	samples, ok = l.SampleAppend(nil, 7000, hi, draws, rng)
-	if !ok {
-		t.Fatal("collect-mode sampling failed")
-	}
-	counts := map[int]int{}
-	for _, v := range samples {
-		counts[v]++
-	}
-	if len(counts) != s/2+1 {
-		t.Fatalf("collect mode covered %d values, want %d", len(counts), s/2+1)
-	}
-}
-
 func TestSampleMembershipNonUniformData(t *testing.T) {
 	// Clustered keys with duplicates and gaps: every sample must be an
 	// element of the dataset and inside the query range.
@@ -365,32 +286,20 @@ func TestSampleMembershipNonUniformData(t *testing.T) {
 	}
 }
 
+// TestSampleDuplicateWeighting: key 5 stored three times and key 6 once
+// are drawn 3:1 exactly — every occurrence has one accepting probe
+// identifier (checkPartition).
 func TestSampleDuplicateWeighting(t *testing.T) {
-	// Key 5 appears 3 times, key 6 once: 5 should appear ~3x as often.
-	var keys []int
-	for i := 0; i < 5000; i++ {
+	var keys []float64
+	for range 500 {
 		keys = append(keys, 5, 5, 5, 6)
 	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	l, err := NewFromSorted(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := xrand.New(5)
-	samples, ok := l.SampleAppend(nil, 5, 6, 40000, rng)
-	if !ok {
-		t.Fatal("sampling failed")
-	}
-	fives := 0
-	for _, s := range samples {
-		if s == 5 {
-			fives++
-		}
-	}
-	frac := float64(fives) / float64(len(samples))
-	if frac < 0.72 || frac > 0.78 {
-		t.Fatalf("duplicate key frequency %.3f, want ~0.75", frac)
-	}
+	checkPartition(t, l, keys, 5, 6)
 }
 
 func TestProbesBounded(t *testing.T) {

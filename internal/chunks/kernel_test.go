@@ -13,45 +13,55 @@ import (
 
 // scalarOne is the reference the blocked kernel must match bit for bit: one
 // probe at a time, each drawing its whole (group, chunk slot, element slot)
-// triple — (chunk, element slot) in chunks mode — before any load. It
-// returns the accepted key, the probes it took and the position identifier.
+// triple — (chunk, element slot) in chunks mode — as one identifier below
+// span before any load. It returns the accepted key, the probes it took and
+// the position identifier.
 func (r *Run[K]) scalarOne(rng *xrand.RNG) (K, int, uint64) {
-	l := r.list
-	cap2s := uint64(2 * l.s)
-	switch r.mode {
-	case modeCollect:
-		j := rng.Uint64n(uint64(len(r.scratch)))
-		return r.scratch[j], 1, j
-	case modeChunks:
-		for probes := 1; ; probes++ {
-			v := rng.Uint64n(uint64(r.nChunks) * cap2s)
-			j, e := v/cap2s, v%cap2s
-			ch := r.chunkAt(int(j))
-			if e >= uint64(len(ch.keys)) {
-				continue
-			}
-			if k := ch.keys[e]; k >= r.lo && k <= r.hi {
-				return k, probes, j*cap2s + e
-			}
-		}
-	case modeGroups:
-		for probes := 1; ; probes++ {
-			v := rng.Uint64n(uint64(r.gHi-r.gLo+1) * cap2s * cap2s)
-			g, c, e := v/cap2s/cap2s, v/cap2s%cap2s, v%cap2s
-			grp := &l.groups[r.gLo+int(g)]
-			if c >= uint64(len(grp.chunks)) {
-				continue
-			}
-			ch := &grp.chunks[c]
-			if e >= uint64(len(ch.keys)) {
-				continue
-			}
-			if k := ch.keys[e]; k >= r.lo && k <= r.hi {
-				return k, probes, (g*cap2s+c)*cap2s + e
-			}
+	for probes := 1; ; probes++ {
+		v := rng.Uint64n(r.span())
+		if slot := r.decode(v); slot != nil && *slot >= r.lo && *slot <= r.hi {
+			return *slot, probes, v
 		}
 	}
+}
+
+// span returns the number of position identifiers one probe draws from.
+func (r *Run[K]) span() uint64 {
+	cap2s := uint64(2 * r.list.s)
+	switch r.mode {
+	case modeCollect:
+		return uint64(len(r.scratch))
+	case modeChunks:
+		return uint64(r.nChunks) * cap2s
+	case modeGroups:
+		return uint64(r.gHi-r.gLo+1) * cap2s * cap2s
+	}
 	panic("chunks: scalar reference on empty run")
+}
+
+// decode returns the slot position identifier v names — a chunk slot and
+// element slot below 2s each, of the v/(2s)²-th group in groups mode, of
+// the v/(2s)-th chunk in chunks mode, or the v-th collected key — or nil
+// when a slot is empty. A probe drawing v accepts the slot's key iff it is
+// in range.
+func (r *Run[K]) decode(v uint64) *K {
+	cap2s := uint64(2 * r.list.s)
+	switch r.mode {
+	case modeCollect:
+		return &r.scratch[v]
+	case modeChunks:
+		ch := r.chunkAt(int(v / cap2s))
+		if e := v % cap2s; e < uint64(len(ch.keys)) {
+			return &ch.keys[e]
+		}
+	case modeGroups:
+		g, c, e := v/cap2s/cap2s, v/cap2s%cap2s, v%cap2s
+		grp := &r.list.groups[r.gLo+int(g)]
+		if c < uint64(len(grp.chunks)) && e < uint64(len(grp.chunks[c].keys)) {
+			return &grp.chunks[c].keys[e]
+		}
+	}
+	return nil
 }
 
 // scalarOldOne is the scalar loop this package shipped before the blocked

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -20,7 +22,10 @@ import (
 	"github.com/irsgo/irs/internal/cluster"
 	"github.com/irsgo/irs/internal/daemon"
 	srv "github.com/irsgo/irs/internal/server"
+	"github.com/irsgo/irs/internal/split"
 	"github.com/irsgo/irs/internal/stats"
+	"github.com/irsgo/irs/internal/xrand"
+	"github.com/irsgo/irs/internal/xrand/xrandtest"
 	"github.com/irsgo/irs/server"
 	"github.com/irsgo/irs/server/irsnet"
 )
@@ -74,6 +79,9 @@ func (p *port) Close() {
 		<-p.served
 	})
 }
+
+// routerSeed is the seed of every test cluster's router.
+const routerSeed = 7
 
 // startCluster boots one node per adjacent pair in bounds, each loaded
 // with the integer keys its partition owns (keys bounds[0] <= k <
@@ -129,7 +137,7 @@ func startCluster(t *testing.T, bounds []float64, weighted bool, encoding string
 	}
 	tc.router, err = cluster.NewRouter(m, conns, cluster.Options{
 		Datasets: []string{"d"},
-		Seed:     7,
+		Seed:     routerSeed,
 		Timeout:  5 * time.Second,
 	})
 	if err != nil {
@@ -227,37 +235,7 @@ func TestRouterUniformityChiSquare(t *testing.T) {
 	}
 	eachEncoding(t, func(t *testing.T, encoding string) {
 		tc := startCluster(t, []float64{0, 100, 200, 300}, false, encoding, server.Config{})
-		ctx := context.Background()
-
-		const clients, reqs, tPer = 10, 150, 20
-		countsCh := make(chan []int, clients)
-		var wg sync.WaitGroup
-		for g := 0; g < clients; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				local := make([]int, 300)
-				for i := 0; i < reqs; i++ {
-					out, err := tc.cl.Sample(ctx, "d", 0, 299, tPer)
-					if err != nil {
-						t.Errorf("sample: %v", err)
-						return
-					}
-					for _, k := range out {
-						local[int(k)]++
-					}
-				}
-				countsCh <- local
-			}()
-		}
-		wg.Wait()
-		close(countsCh)
-		counts := make([]int, 300)
-		for local := range countsCh {
-			for i, c := range local {
-				counts[i] += c
-			}
-		}
+		counts := sampleCounts(t, tc, 300, 10, 150, 20, 0, 299)
 		stat, df, err := stats.ChiSquareUniform(counts)
 		if err != nil {
 			t.Fatal(err)
@@ -268,65 +246,132 @@ func TestRouterUniformityChiSquare(t *testing.T) {
 	})
 }
 
-// TestRouterWeightedProportionalChiSquare: the cross-partition multinomial
-// must weight each partition by its in-range sampling mass, not its key
-// count — with weight k+1 the third node holds ~2.8x the mass of the
-// first despite equal key counts, so a count-proportional split fails this
-// immediately.
-func TestRouterWeightedProportionalChiSquare(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical suite skipped with -short")
-	}
-	eachEncoding(t, func(t *testing.T, encoding string) {
-		tc := startCluster(t, []float64{0, 100, 200, 300}, true, encoding, server.Config{})
-		ctx := context.Background()
-
-		const clients, reqs, tPer = 10, 150, 20
-		countsCh := make(chan []int, clients)
-		var wg sync.WaitGroup
-		for g := 0; g < clients; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				local := make([]int, 300)
-				for i := 0; i < reqs; i++ {
-					out, err := tc.cl.Sample(ctx, "d", 0, 299, tPer)
-					if err != nil {
-						t.Errorf("sample: %v", err)
-						return
+// TestRouterSplitExact checks the router's cross-partition split exactly,
+// on a three-partition cluster of in-process nodes, unweighted and
+// weighted (weight k+1, so partitions of equal key count carry unequal
+// mass). For every query spanning two or three partitions, at t = 1 and at
+// a t past the prefetch (so legs are topped up):
+//
+//   - each overlapping node reports its clip's count and mass exactly, as
+//     the keys it holds give them;
+//   - the router's answer is exactly a split.Plan over those masses, drawn
+//     from the request's stream (xrand.StreamSeed of the router seed and
+//     the spanning-request count), with partition k's segment filled by a
+//     prefix of what node k returned over its first-round and top-up calls
+//     — an i.i.d. prefix, chosen without looking at the values;
+//   - that Plan, driven through every alias column and threshold, draws
+//     each partition with its mass share within four units of 2⁻⁵³
+//     (internal/split's bound), and a massless one never.
+//
+// The nodes' own draws are exact by internal/shard's TestEngineSplitExact,
+// so P(partition)·P(key | partition) is the key's share of the range.
+func TestRouterSplitExact(t *testing.T) {
+	bounds := []float64{0, 100, 200, 300}
+	probes := []float64{-5, 0, 50.5, 99, 100, 150, 199.5, 250, 299, 310}
+	for _, weighted := range []bool{false, true} {
+		tc := startCluster(t, bounds, weighted, client.EncodingTCP, server.Config{})
+		stream := uint64(0) // spanning requests this router has split
+		weight := func(k float64) float64 {
+			if weighted {
+				return k + 1
+			}
+			return 1
+		}
+		for i, lo := range probes {
+			for _, hi := range probes[i:] {
+				first, last := tc.router.Map().Overlap(lo, hi)
+				if first >= last {
+					continue
+				}
+				for _, n := range []int{1, 700} {
+					for _, c := range tc.counted {
+						c.record()
 					}
-					for _, k := range out {
-						local[int(k)]++
+					out, err := tc.router.SampleAppend("d", nil, lo, hi, n)
+					if err != nil || len(out) != n {
+						t.Fatalf("weighted=%v [%v, %v] t=%d: %d samples, %v", weighted, lo, hi, n, len(out), err)
+					}
+					masses := make([]float64, last-first+1)
+					legs := make([][]float64, len(masses))
+					want := make([]*big.Rat, len(masses))
+					total := new(big.Rat)
+					for k := range masses {
+						c := tc.counted[first+k]
+						drawn, gotN, gotMass := c.stop()
+						wantN, wantMass := 0, 0.0
+						for key := math.Ceil(max(bounds[first+k], lo)); key < bounds[first+k+1] && key <= hi; key++ {
+							wantN++
+							wantMass += weight(key)
+						}
+						if gotN != wantN || gotMass != wantMass {
+							t.Fatalf("weighted=%v [%v, %v]: partition %d reports (%d, %v), holds (%d, %v)", weighted, lo, hi, first+k, gotN, gotMass, wantN, wantMass)
+						}
+						masses[k] = gotMass
+						want[k] = xrandtest.Exact(gotMass)
+						total.Add(total, want[k])
+						legs[k] = drawn
+					}
+					// Replay the request: its Plan and block from the
+					// recorded masses and node samples.
+					stream++
+					var plan split.Plan
+					if err := plan.Draw(masses, n, xrand.New(xrand.StreamSeed(routerSeed, stream))); err != nil {
+						t.Fatal(err)
+					}
+					block := make([]float64, n)
+					for k, drawn := range legs {
+						from, to := plan.Seg(k)
+						if len(drawn) < to-from {
+							t.Fatalf("[%v, %v] t=%d: partition %d drew %d samples, its segment needs %d", lo, hi, n, first+k, len(drawn), to-from)
+						}
+						copy(block[from:to], drawn)
+					}
+					if replay := split.Scatter(nil, &plan, block); !slices.Equal(out, replay) {
+						t.Fatalf("weighted=%v [%v, %v] t=%d: the router answered %v, its Plan over the node masses gives %v", weighted, lo, hi, n, out, replay)
+					}
+					law := planLaw(masses)
+					for k, m := range masses {
+						p, ok := law[k]
+						if !ok {
+							p = new(big.Rat)
+						}
+						if m == 0 {
+							if p.Sign() != 0 {
+								t.Fatalf("[%v, %v]: massless partition %d drawn with probability %v", lo, hi, first+k, p)
+							}
+							continue
+						}
+						share := new(big.Rat).Quo(want[k], total)
+						if d := xrandtest.Ulps(p, share); d > 4 {
+							t.Fatalf("weighted=%v [%v, %v]: partition %d drawn with probability %s, its share is %s", weighted, lo, hi, first+k, p.FloatString(24), share.FloatString(24))
+						}
 					}
 				}
-				countsCh <- local
-			}()
-		}
-		wg.Wait()
-		close(countsCh)
-		counts := make([]int, 300)
-		for local := range countsCh {
-			for i, c := range local {
-				counts[i] += c
 			}
 		}
-		probs := make([]float64, 300)
-		totalW := 0.0
-		for i := range probs {
-			probs[i] = float64(i + 1)
-			totalW += probs[i]
+	}
+}
+
+// planLaw returns the exact law of the part one output position of a
+// split.Plan over masses draws.
+func planLaw(masses []float64) map[int]*big.Rat {
+	columns := 0
+	for _, m := range masses {
+		if m > 0 {
+			columns++
 		}
-		for i := range probs {
-			probs[i] /= totalW
+	}
+	var p split.Plan
+	return xrandtest.AliasLaw(columns, func(r *xrand.RNG) int {
+		if err := p.Draw(masses, 1, r); err != nil {
+			panic(err)
 		}
-		gof, err := stats.ChiSquareTest(counts, probs, statAlpha)
-		if err != nil {
-			t.Fatal(err)
+		for i := range masses {
+			if from, to := p.Seg(i); to > from {
+				return i
+			}
 		}
-		if gof.Reject {
-			t.Fatalf("chi-square rejects weight-proportionality through the router: stat=%.2f df=%d critical=%.2f",
-				gof.Stat, gof.DF, gof.Critical)
-		}
+		panic("no part received the position")
 	})
 }
 
@@ -852,20 +897,63 @@ func TestRouterSampleStatsMatchesRangeStats(t *testing.T) {
 	})
 }
 
-// countingConn counts the calls a node connection receives, by kind.
+// countingConn counts the calls a node connection receives, by kind, and
+// between record and stop also keeps what its sample calls returned.
 type countingConn struct {
 	client.Conn
 	samples, statsSamples, probes atomic.Int64
+
+	mu        sync.Mutex
+	recording bool
+	drawn     []float64 // every sample returned while recording, in order
+	n         int       // the last sample-with-stats call's count and mass
+	mass      float64
 }
 
 func (c *countingConn) SampleAppend(ctx context.Context, name string, dst []float64, lo, hi float64, t int) ([]float64, error) {
 	c.samples.Add(1)
-	return c.Conn.SampleAppend(ctx, name, dst, lo, hi, t)
+	out, err := c.Conn.SampleAppend(ctx, name, dst, lo, hi, t)
+	if err == nil {
+		c.keep(out[len(dst):], -1, 0)
+	}
+	return out, err
 }
 
 func (c *countingConn) SampleStatsAppend(ctx context.Context, name string, dst []float64, lo, hi float64, t int) ([]float64, int, float64, error) {
 	c.statsSamples.Add(1)
-	return c.Conn.SampleStatsAppend(ctx, name, dst, lo, hi, t)
+	out, n, mass, err := c.Conn.SampleStatsAppend(ctx, name, dst, lo, hi, t)
+	if err == nil {
+		c.keep(out[len(dst):], n, mass)
+	}
+	return out, n, mass, err
+}
+
+// keep records one call's samples (and stats, unless n < 0).
+func (c *countingConn) keep(got []float64, n int, mass float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.recording {
+		return
+	}
+	c.drawn = append(c.drawn, got...)
+	if n >= 0 {
+		c.n, c.mass = n, mass
+	}
+}
+
+// record starts keeping returned samples and stats afresh.
+func (c *countingConn) record() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recording, c.drawn, c.n, c.mass = true, nil, 0, 0
+}
+
+// stop ends recording and returns what was kept.
+func (c *countingConn) stop() (drawn []float64, n int, mass float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recording = false
+	return c.drawn, c.n, c.mass
 }
 
 func (c *countingConn) RangeStats(ctx context.Context, name string, lo, hi float64) (int, float64, error) {

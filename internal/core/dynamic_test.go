@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/irsgo/irs/internal/xrand"
+	"github.com/irsgo/irs/internal/xrand/xrandtest"
 )
 
 func TestDynamicBasics(t *testing.T) {
@@ -263,8 +265,14 @@ func TestSamplersAgree(t *testing.T) {
 	}
 }
 
-// TestSamplersUniformityEquivalence: on the same data and range, the three
-// implementations produce statistically indistinguishable uniform samples.
+// TestSamplersUniformityEquivalence: on the same data and range, the
+// three implementations draw the same exact law, each in-range occurrence
+// with probability 1/count. The treap and report samplers map one
+// Uint64n(count) to a key by rank, so driving that draw through every
+// value returns each occurrence once; Dynamic is a chunks.Run, whose probe
+// identifiers are in one-to-one correspondence with the occurrences
+// (internal/chunks' TestKernelPartition), so here it is checked to draw
+// only in-range keys.
 func TestSamplersUniformityEquivalence(t *testing.T) {
 	keys := make([]int, 0, 4000)
 	r := xrand.New(8)
@@ -284,40 +292,31 @@ func TestSamplersUniformityEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valueCount := map[int]int{}
+	var want []int
 	for _, k := range keys {
 		if k >= 20 && k <= 80 {
-			valueCount[k]++
+			want = append(want, k)
 		}
 	}
-	inRange := 0
-	for _, c := range valueCount {
-		inRange += c
-	}
-	const draws = 120000
-	for name, s := range map[string]Sampler[int]{"dynamic": dyn, "treap": tr, "report": rep} {
-		out, err := s.SampleAppend(make([]int, 0, draws), 20, 80, draws, r)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		counts := map[int]int{}
-		for _, v := range out {
-			counts[v]++
-		}
-		chi2 := 0.0
-		dfs := 0
-		for v, c := range valueCount {
-			exp := float64(draws) * float64(c) / float64(inRange)
-			if exp < 5 {
-				continue
+	for name, s := range map[string]Sampler[int]{"treap": tr, "report": rep} {
+		got, ok := xrandtest.ByIndex(uint64(len(want)), func(r *xrand.RNG) int {
+			out, err := s.SampleAppend(nil, 20, 80, 1, r)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			d := float64(counts[v]) - exp
-			chi2 += d * d / exp
-			dfs++
+			return out[0]
+		})
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("%s: the bounded draw's values give %v (one output each: %v), want each in-range key once", name, got, ok)
 		}
-		// Generous 0.0001-level bound for ~60 df.
-		if chi2 > 120 {
-			t.Fatalf("%s: chi-square %.1f over %d cells", name, chi2, dfs)
+	}
+	out, err := dyn.SampleAppend(nil, 20, 80, 1000, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range out {
+		if k < 20 || k > 80 {
+			t.Fatalf("dynamic: sample %d outside [20, 80]", k)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/irsgo/irs/internal/xrand"
+	"github.com/irsgo/irs/internal/xrand/xrandtest"
 )
 
 func TestStaticConstruction(t *testing.T) {
@@ -77,35 +79,27 @@ func TestStaticSampleErrors(t *testing.T) {
 	}
 }
 
+// TestStaticSampleUniform: a sample is keys[a + Uint64n(count)], so
+// driving that one bounded draw through every value it can take returns
+// each in-range key exactly once — the draw is exactly uniform.
 func TestStaticSampleUniform(t *testing.T) {
-	n := 1000
-	keys := make([]int, n)
+	keys := make([]int, 1000)
 	for i := range keys {
-		keys[i] = i
+		keys[i] = i / 3 // duplicates: each key stored three times
 	}
 	s := NewStatic(keys)
-	r := xrand.New(2)
-	const draws = 200000
-	out, err := s.Sample(100, 899, draws, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 800)
-	for _, v := range out {
-		if v < 100 || v > 899 {
-			t.Fatalf("sample %d out of range", v)
+	got, ok := xrandtest.ByIndex(uint64(s.Count(100, 299)), func(r *xrand.RNG) int {
+		out, err := s.Sample(100, 299, 1, r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		counts[v-100]++
+		return out[0]
+	})
+	if !ok {
+		t.Fatal("a one-sample draw took more than its one bounded output")
 	}
-	mean := float64(draws) / 800
-	chi2 := 0.0
-	for _, c := range counts {
-		d := float64(c) - mean
-		chi2 += d * d / mean
-	}
-	// 799 df; 0.001 critical value ~ 931.
-	if chi2 > 931 {
-		t.Fatalf("chi-square = %.1f", chi2)
+	if want := keys[300:900]; !slices.Equal(got, want) {
+		t.Fatalf("the bounded draw's values give %v, want each of %v once", got, want)
 	}
 }
 

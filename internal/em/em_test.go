@@ -1,10 +1,12 @@
 package em
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/irsgo/irs/internal/xrand"
+	"github.com/irsgo/irs/internal/xrand/xrandtest"
 )
 
 func newPool(t testing.TB, pageSize, frames int) *Pool {
@@ -271,6 +273,12 @@ func TestCountRanges(t *testing.T) {
 	}
 }
 
+// TestSampleRangeUniform: a probe draws a leaf of the range's leaf run
+// and a slot below the leaf capacity, two bounded draws, and accepts the
+// slot's key if the slot is filled and the key in range. Driving both
+// draws through every pair of values, the pairs accepted on the first
+// probe hit every in-range key exactly once — so each sample is exactly
+// uniform — and every other pair is rejected.
 func TestSampleRangeUniform(t *testing.T) {
 	pool := newPool(t, 256, 256)
 	n := 20000
@@ -278,33 +286,36 @@ func TestSampleRangeUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := xrand.New(3)
 	lo, hi := int64(2000), int64(18000)
-	out, err := tree.SampleRange(lo, hi, 64000, r)
+	li := tree.leafPos[tree.SeekGE(lo).LeafID()]
+	lj, err := tree.lastLeafLE(hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buckets := make([]int, 16)
-	span := hi - lo + 1
-	for _, k := range out {
-		if k < lo || k > hi {
-			t.Fatalf("sample %d out of range", k)
+	span, slots := uint64(lj-li+1), uint64(tree.leafCap)
+	var got []int64
+	for pos := range span {
+		for slot := range slots {
+			x, y := xrandtest.Index(pos, span), xrandtest.Index(slot, slots)
+			r, probe := xrandtest.Yielding(x, y), xrandtest.Yielding(x, y)
+			out, err := tree.SampleRange(lo, hi, 1, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe.Uint64()
+			probe.Uint64()
+			if *r == *probe { // accepted on the first probe
+				got = append(got, out[0])
+			}
 		}
-		buckets[(k-lo)*16/span]++
 	}
-	// Exact expected count per bucket.
-	valuesIn := make([]int64, 16)
-	for v := int64(0); v < span; v++ {
-		valuesIn[v*16/span]++
+	slices.Sort(got)
+	var want []int64
+	for k := lo; k <= hi; k++ {
+		want = append(want, k)
 	}
-	chi2 := 0.0
-	for b, c := range buckets {
-		exp := float64(len(out)) * float64(valuesIn[b]) / float64(span)
-		d := float64(c) - exp
-		chi2 += d * d / exp
-	}
-	if chi2 > 39.25 { // 15 df at alpha=0.001
-		t.Fatalf("chi-square = %.1f", chi2)
+	if !slices.Equal(got, want) {
+		t.Fatalf("first probes accept %d keys, want each of the %d in [%d, %d] once", len(got), len(want), lo, hi)
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"github.com/irsgo/irs/internal/weighted"
 )
@@ -87,9 +88,18 @@ type Record[K cmp.Ordered] struct {
 // KeyCodec serializes keys of one type. Append writes a key's encoding to
 // dst; Read decodes one key from the front of b and returns the rest.
 // Encodings must be self-delimiting (fixed width, or length-prefixed).
+//
+// A fixed-width codec may also set Width, the bytes Append writes per key,
+// and AppendEntries, which appends a block of snapshot entries — each key
+// as Append writes it, then its weight's 8 little-endian IEEE-754 bytes —
+// in one call. Snapshot writers then encode a block at a time instead of
+// calling Append once per entry.
 type KeyCodec[K cmp.Ordered] struct {
 	Append func(dst []byte, key K) []byte
 	Read   func(b []byte) (key K, rest []byte, err error)
+
+	Width         int
+	AppendEntries func(dst []byte, entries []Entry[K]) []byte
 }
 
 // Float64Keys encodes float64 keys as 8 little-endian IEEE-754 bytes — the
@@ -104,6 +114,18 @@ func Float64Keys() KeyCodec[float64] {
 				return 0, nil, errShortKey
 			}
 			return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
+		},
+		Width: 8,
+		AppendEntries: func(dst []byte, entries []Entry[float64]) []byte {
+			n := len(dst)
+			dst = slices.Grow(dst, 16*len(entries))[:n+16*len(entries)]
+			b := dst[n:]
+			for _, it := range entries {
+				binary.LittleEndian.PutUint64(b, math.Float64bits(it.Key))
+				binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(it.Weight))
+				b = b[16:]
+			}
+			return dst
 		},
 	}
 }

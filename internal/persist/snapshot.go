@@ -77,6 +77,22 @@ func (e *snapshotEncoder[K]) emit(block []Entry[K]) error {
 	if e.n += len(block); e.n > e.want {
 		return fmt.Errorf("persist: snapshot export exceeds the %d entries announced", e.want)
 	}
+	if e.codec.AppendEntries != nil {
+		// A run of entries that just reaches the flush level per call: the
+		// buffer is flushed at the same fill as entry by entry.
+		per := e.codec.Width + 8
+		for len(block) > 0 {
+			run := min(len(block), (snapshotFlushAt-len(e.buf)+per-1)/per)
+			e.buf = e.codec.AppendEntries(e.buf, block[:run])
+			block = block[run:]
+			if len(e.buf) >= snapshotFlushAt {
+				if err := e.flush(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 	for _, it := range block {
 		e.buf = e.codec.Append(e.buf, it.Key)
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(it.Weight))

@@ -179,3 +179,51 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	})
 }
+
+// writeLog is an io.Writer that keeps every Write call's bytes apart.
+type writeLog struct{ calls [][]byte }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.calls = append(w.calls, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestSnapshotBlockEncodingMatchesPerEntry: a codec's block encoder writes
+// the same bytes, in the same Write calls, as its per-entry Append — over
+// an export of uneven blocks several buffers long, so the encode buffer
+// fills and flushes mid-block.
+func TestSnapshotBlockEncodingMatchesPerEntry(t *testing.T) {
+	entries := make([]Entry[float64], 20_000)
+	for i := range entries {
+		entries[i] = Entry[float64]{Key: float64(i) / 7, Weight: float64(i % 5)}
+	}
+	export := func(emit func(block []Entry[float64]) error) error {
+		for i, size := 0, 1; i < len(entries); i, size = i+size, size%997+3 {
+			if err := emit(entries[i:min(i+size, len(entries))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	block := Float64Keys()
+	perEntry := block
+	perEntry.Width, perEntry.AppendEntries = 0, nil
+	var got, want writeLog
+	if err := encodeSnapshot(&got, block, KindWeighted, 9, len(entries), export); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeSnapshot(&want, perEntry, KindWeighted, 9, len(entries), export); err != nil {
+		t.Fatal(err)
+	}
+	if len(want.calls) < 4 {
+		t.Fatalf("the image took %d writes; want several buffer flushes", len(want.calls))
+	}
+	if len(got.calls) != len(want.calls) {
+		t.Fatalf("block encoding took %d writes, per-entry %d", len(got.calls), len(want.calls))
+	}
+	for i := range got.calls {
+		if !bytes.Equal(got.calls[i], want.calls[i]) {
+			t.Fatalf("write %d differs between block and per-entry encoding", i)
+		}
+	}
+}

@@ -162,7 +162,10 @@ type ReplayApplier[K cmp.Ordered] struct {
 }
 
 // Apply applies one recovered record. Weight updates are skipped on
-// unweighted datasets (they cannot be logged there either). rec.Entries is
+// unweighted datasets (they cannot be logged there either); an update to a
+// weight weighted.ValidWeight rejects (one above weighted.MaxWeight, logged
+// before that cap existed) fails recovery with ErrInvalidWeight, as an
+// insert of one does. rec.Entries is
 // only read during the call, so persist's reused decode buffers are safe
 // to pass through.
 func (ra *ReplayApplier[K]) Apply(ds Dataset[K], rec persist.Record[K]) error {
@@ -178,6 +181,9 @@ func (ra *ReplayApplier[K]) Apply(ds Dataset[K], rec persist.Record[K]) error {
 	case persist.OpUpdate:
 		if !ds.Weighted() {
 			return nil
+		}
+		if err := validItems(rec.Entries, true); err != nil {
+			return err
 		}
 		ds.UpdateWeights(rec.Entries)
 	}

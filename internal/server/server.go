@@ -78,8 +78,8 @@ var (
 	// transport failures in it so clients get one typed, transport-invariant
 	// answer for "a partition is down".
 	ErrUnavailable = errors.New("server: upstream node unavailable")
-	// ErrInvalidWeight: an insert carried a negative, NaN, or infinite
-	// weight for a weighted dataset.
+	// ErrInvalidWeight: an insert or update carried a negative, NaN, or
+	// above-weighted.MaxWeight weight for a weighted dataset.
 	ErrInvalidWeight = weighted.ErrInvalidWeight
 )
 

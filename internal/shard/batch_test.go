@@ -19,7 +19,7 @@ type manySampler interface {
 	RangeStats(lo, hi float64) (int, float64)
 }
 
-// largeT is the large-t input of the batch and chi-square tests: enough
+// largeT is the large-t input of the batch tests: enough
 // samples per query or batch that every overlapping shard draws many, on
 // the same sequential path as a small query. (Subtest names that mention
 // parallelQueryMin refer to this size.)
@@ -136,7 +136,8 @@ func TestSampleManyIsAViewOfSampleManyAppend(t *testing.T) {
 
 // TestSampleManyStatsAppendReportsRangeStats: every query's reported
 // (N, Mass), read in the sampling pass under the batch's locks, equals what
-// RangeStats reports for the same range — on a batch mixing wide, empty,
+// RangeStats reports for the same range and what a scan of the stored keys
+// and weights gives — on a batch mixing wide, empty,
 // inverted and zero-weight ranges, on both instantiations, with a small and
 // a large wide T, and on an all-inverted batch. Stale values in stats are
 // overwritten, the queries are left as they were, and the samples are
@@ -202,6 +203,23 @@ func TestSampleManyStatsAppendReportsRangeStats(t *testing.T) {
 						}
 						if stats[i] != want {
 							t.Errorf("query %d [%v, %v]: reported %+v, RangeStats %+v", i, q.Lo, q.Hi, stats[i], want)
+						}
+						// RangeStats is the same stage-1 code at t = 0, so
+						// the test's own slices are the independent oracle.
+						// Every weight is a multiple of 1/2, so sums are exact.
+						var brute QueryStats
+						for j, k := range keys {
+							if k >= q.Lo && k <= q.Hi {
+								brute.N++
+								if name == "weighted" {
+									brute.Mass += items[j].Weight
+								} else {
+									brute.Mass++
+								}
+							}
+						}
+						if stats[i] != brute {
+							t.Errorf("query %d [%v, %v]: reported %+v, the stored keys give %+v", i, q.Lo, q.Hi, stats[i], brute)
 						}
 					}
 				}

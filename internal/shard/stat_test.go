@@ -5,78 +5,35 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/stats"
 	"github.com/irsgo/irs/internal/workload"
 	"github.com/irsgo/irs/internal/xrand"
 )
 
-// The statistical contract of the sharded sampler: splitting a query's t
-// samples over shards by a count-proportional multinomial must leave each
-// sample exactly uniform over the whole range. These tests compare the
-// Concurrent sampler's empirical distribution against the exact cell
-// probabilities computed from a Static built on identical data, with fixed
-// RNG seeds (so a pass is deterministic) and a generous significance level
-// (so the fixed stream is far from the rejection boundary).
+// The distributional contract of the sharded sampler: splitting a query's
+// t samples over shards by a count-proportional multinomial must leave each
+// sample exactly uniform over the whole range. These tests check it
+// exactly, with checkSplitExact (exact_test.go), on the shapes the
+// sampled suites used: workload distributions over six shards, a small
+// multiset of unequal occupancies, the batch path, and eight shards. The
+// positions of a large-t query draw their shards independently from one
+// alias table and each shard's segment is i.i.d. (internal/split's
+// TestSplitMatchesReference and TestDrawScatterProperties), so the
+// one-sample law is the whole law.
 
-// statAlpha is deliberately small: any genuine partition-induced bias moves
-// the statistic by orders of magnitude, while a 1e-4 significance keeps the
-// fixed-seed streams far from the rejection boundary.
-const statAlpha = 1e-4
-
-// chiSquareAgainstStatic draws total samples from c over [lo, hi], buckets
-// them into cells of equal key-width, and chi-square-tests the counts
-// against the exact cell probabilities under the Static reference.
-func chiSquareAgainstStatic(t *testing.T, draw func(t int, rng *xrand.RNG) []float64, ref *core.Static[float64], lo, hi float64, cells, total int, seed uint64) {
-	t.Helper()
-	width := (hi - lo) / float64(cells)
-	probs := make([]float64, cells)
-	rangeCount := ref.Count(lo, hi)
-	if rangeCount == 0 {
-		t.Fatal("reference range is empty")
+// quantileBounds returns the keys at the given fractions of sorted.
+func quantileBounds(sorted []float64, fracs ...float64) []float64 {
+	out := make([]float64, len(fracs))
+	for i, f := range fracs {
+		out[i] = sorted[min(int(f*float64(len(sorted))), len(sorted)-1)]
 	}
-	for i := range probs {
-		cellLo := lo + float64(i)*width
-		cellHi := lo + float64(i+1)*width
-		// Cells partition [lo, hi]: count keys in [cellLo, cellHi) except
-		// the last cell, which is closed to include hi itself.
-		n := ref.Count(cellLo, cellHi)
-		if i < cells-1 {
-			n -= ref.Count(cellHi, cellHi)
-		}
-		probs[i] = float64(n) / float64(rangeCount)
-	}
-
-	rng := xrand.New(seed)
-	counts := make([]int, cells)
-	out := draw(total, rng)
-	if len(out) != total {
-		t.Fatalf("drew %d samples, want %d", len(out), total)
-	}
-	for _, k := range out {
-		if k < lo || k > hi {
-			t.Fatalf("sample %g outside [%g, %g]", k, lo, hi)
-		}
-		cell := int((k - lo) / width)
-		if cell >= cells {
-			cell = cells - 1
-		}
-		counts[cell]++
-	}
-
-	res, err := stats.ChiSquareTest(counts, probs, statAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject {
-		t.Fatalf("chi-square rejects uniformity: stat=%.2f df=%d critical=%.2f (alpha=%g)",
-			res.Stat, res.DF, res.Critical, res.Alpha)
-	}
+	return out
 }
 
 // TestConcurrentUniformityMatchesStatic is the headline check: sampling a
 // range that spans several shards (including partially covered boundary
-// shards) is distributed exactly like sampling the Static reference.
+// shards) draws every key with its multiplicity over the range's count,
+// the Static reference's law, exactly.
 func TestConcurrentUniformityMatchesStatic(t *testing.T) {
 	for _, dist := range []workload.Distribution{workload.Uniform, workload.Clustered} {
 		t.Run(string(dist), func(t *testing.T) {
@@ -88,28 +45,18 @@ func TestConcurrentUniformityMatchesStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := core.NewStatic(keys)
-			// A range from inside the second shard to inside the fifth:
-			// two partially covered shards plus fully covered middles.
-			lo, hi := sorted[len(sorted)/4], sorted[(4*len(sorted))/5]
-			chiSquareAgainstStatic(t, func(n int, r *xrand.RNG) []float64 {
-				out, err := c.Sample(lo, hi, n, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			}, ref, lo, hi, 64, 200_000, 102)
+			// From inside the second shard to inside the fifth: two
+			// partially covered shards plus fully covered middles.
+			checkShards(t, string(dist), &c.engine, keys, unitWeight, quantileBounds(sorted, 0, 0.25, 0.5, 0.8, 1))
 		})
 	}
 }
 
-// TestConcurrentUniformityPerKey checks the distribution at the finest
-// granularity: over a small multiset, every stored occurrence must be
-// equally likely, which also catches any bias between shards of unequal
-// occupancy.
+// TestConcurrentUniformityPerKey checks the finest granularity: over a
+// small multiset split five ways so shard occupancies differ, every stored
+// occurrence is equally likely.
 func TestConcurrentUniformityPerKey(t *testing.T) {
-	// 200 distinct integer keys with multiplicities 1..4, split 5 ways so
-	// shard occupancies differ.
+	// 200 distinct integer keys with multiplicities 1..4.
 	var all []float64
 	for k := 0; k < 200; k++ {
 		for m := 0; m <= k%4; m++ {
@@ -120,32 +67,11 @@ func TestConcurrentUniformityPerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.NewStatic(all)
-	probs := make([]float64, 200)
-	for k := range probs {
-		probs[k] = float64(ref.Count(float64(k), float64(k))) / float64(len(all))
-	}
-	rng := xrand.New(103)
-	counts := make([]int, 200)
-	const total = 150_000
-	out, err := c.Sample(0, 199, total, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range out {
-		counts[int(k)]++
-	}
-	res, err := stats.ChiSquareTest(counts, probs, statAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject {
-		t.Fatalf("per-key chi-square rejects: stat=%.2f df=%d critical=%.2f", res.Stat, res.DF, res.Critical)
-	}
+	checkShards(t, "per key", &c.engine, all, unitWeight, []float64{0, 37, 80, 81, 150, 199})
 }
 
-// TestSampleManyUniformity pushes the same check through the batch path,
-// many queries drawing in turn from one RNG.
+// TestSampleManyUniformity: the batch path draws with the same exact law
+// (checkSplitExact drives SampleManyAppend as well as Sample).
 func TestSampleManyUniformity(t *testing.T) {
 	rng := xrand.New(107)
 	keys := workload.Keys(workload.Uniform, 25_000, rng)
@@ -153,32 +79,10 @@ func TestSampleManyUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewStaticFromSorted(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := keys[len(keys)/10], keys[(9*len(keys))/10]
-	chiSquareAgainstStatic(t, func(n int, r *xrand.RNG) []float64 {
-		// Split the draw across a batch of identical queries.
-		const per = 1000
-		queries := make([]Query[float64], n/per)
-		for i := range queries {
-			queries[i] = Query[float64]{Lo: lo, Hi: hi, T: per}
-		}
-		results, err := c.SampleMany(queries, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []float64
-		for _, res := range results {
-			out = append(out, res...)
-		}
-		return out
-	}, ref, lo, hi, 64, 200_000, 108)
+	checkShards(t, "batch", &c.engine, keys, unitWeight, quantileBounds(keys, 0.1, 0.9))
 }
 
-// TestParallelSampleUniformity draws in large-t queries, each spread over
-// all eight shards, and checks the distribution is unaffected.
+// TestParallelSampleUniformity: a range spread over all eight shards.
 func TestParallelSampleUniformity(t *testing.T) {
 	rng := xrand.New(109)
 	keys := workload.Keys(workload.Uniform, 25_000, rng)
@@ -186,26 +90,7 @@ func TestParallelSampleUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewStaticFromSorted(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := keys[100], keys[len(keys)-100]
-	chiSquareAgainstStatic(t, func(n int, r *xrand.RNG) []float64 {
-		var out []float64
-		for len(out) < n {
-			chunk := n - len(out)
-			if chunk > 2*largeT {
-				chunk = 2 * largeT
-			}
-			got, err := c.Sample(lo, hi, chunk, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, got...)
-		}
-		return out
-	}, ref, lo, hi, 48, 160_000, 110)
+	checkShards(t, "eight shards", &c.engine, keys, unitWeight, []float64{keys[100], keys[len(keys)-100]})
 }
 
 // TestIndependenceAcrossQueries repeats one query and checks the paired

@@ -10,14 +10,12 @@ import (
 	"github.com/irsgo/irs/internal/xrand"
 )
 
-// The statistical contract of the weighted sharded sampler: splitting a
+// The distributional contract of the weighted sharded sampler: splitting a
 // query's t samples over shards by a multinomial proportional to per-shard
 // range *weight* must leave each sample exactly weight-proportional over
-// the whole range. These tests compare WeightedConcurrent's empirical
-// distribution against the exact per-key probabilities computed from a
-// WeightedSegmentAlias built on identical data, with fixed RNG seeds (so a
-// pass is deterministic) and the same generous significance level as the
-// unweighted suite.
+// the whole range. checkSplitExact (exact_test.go) checks the shard law
+// exactly; inside a shard the treap's law is exact on its own
+// (internal/weighted's TestTreapRunExact).
 
 // makeWeightedItems builds a deterministic dataset with duplicate keys,
 // zero weights, and weight ratios up to ~e^6.
@@ -34,54 +32,10 @@ func makeWeightedItems(n, keySpan int, seed uint64) []weighted.Item[int] {
 	return items
 }
 
-// chiSquareAgainstSegAlias draws total samples via draw over [lo, hi] and
-// chi-square-tests per-key frequencies against the exact weight proportions
-// of the WeightedSegmentAlias reference.
-func chiSquareAgainstSegAlias(t *testing.T, draw func(n int, rng *xrand.RNG) []int, ref *weighted.SegmentAlias[int], lo, hi, total int, seed uint64) {
-	t.Helper()
-	rangeW := ref.TotalWeight(lo, hi)
-	if rangeW <= 0 {
-		t.Fatal("reference range has no weight")
-	}
-	keys := hi - lo + 1
-	probs := make([]float64, keys)
-	psum := 0.0
-	for k := 0; k < keys; k++ {
-		probs[k] = ref.TotalWeight(lo+k, lo+k) / rangeW
-		psum += probs[k]
-	}
-	for i := range probs { // remove FP drift so the probs sum to exactly 1
-		probs[i] /= psum
-	}
-
-	rng := xrand.New(seed)
-	out := draw(total, rng)
-	if len(out) != total {
-		t.Fatalf("drew %d samples, want %d", len(out), total)
-	}
-	counts := make([]int, keys)
-	for _, k := range out {
-		if k < lo || k > hi {
-			t.Fatalf("sample %d outside [%d, %d]", k, lo, hi)
-		}
-		if ref.TotalWeight(k, k) <= 0 {
-			t.Fatalf("sampled zero-weight key %d", k)
-		}
-		counts[k-lo]++
-	}
-	res, err := stats.ChiSquareTest(counts, probs, statAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject {
-		t.Fatalf("chi-square rejects weight-proportionality: stat=%.2f df=%d critical=%.2f (alpha=%g)",
-			res.Stat, res.DF, res.Critical, res.Alpha)
-	}
-}
-
 // TestWeightedConcurrentMatchesSegmentAlias is the headline check: sampling
-// a range that spans several shards (boundary shards partially covered) is
-// distributed exactly like the static weighted reference on the same items.
+// a range that spans several shards (boundary shards partially covered)
+// draws each shard with its weight share exactly, and the engine's count
+// and weight agree with the static weighted reference on the same items.
 func TestWeightedConcurrentMatchesSegmentAlias(t *testing.T) {
 	items := makeWeightedItems(25_000, 1200, 301)
 	wc, err := NewWeightedFromItems(items, 6, 302)
@@ -99,74 +53,28 @@ func TestWeightedConcurrentMatchesSegmentAlias(t *testing.T) {
 	if got, want := wc.Count(lo, hi), ref.Count(lo, hi); got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
-	chiSquareAgainstSegAlias(t, func(n int, r *xrand.RNG) []int {
-		out, err := wc.Sample(lo, hi, n, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}, ref, lo, hi, 200_000, 303)
+	checkShards(t, "weighted", &wc.engine, items, itemWeight, []int{0, lo, hi, 1199})
 }
 
-// TestWeightedSampleManyMatchesSegmentAlias pushes the same check through
-// the batch path.
+// TestWeightedSampleManyMatchesSegmentAlias: the batch path, five shards.
 func TestWeightedSampleManyMatchesSegmentAlias(t *testing.T) {
 	items := makeWeightedItems(20_000, 1000, 307)
 	wc, err := NewWeightedFromItems(items, 5, 308)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := weighted.NewSegmentAlias(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := 80, 870
-	chiSquareAgainstSegAlias(t, func(n int, r *xrand.RNG) []int {
-		const per = 1000
-		queries := make([]Query[int], n/per)
-		for i := range queries {
-			queries[i] = Query[int]{Lo: lo, Hi: hi, T: per}
-		}
-		results, err := wc.SampleMany(queries, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []int
-		for _, res := range results {
-			out = append(out, res...)
-		}
-		return out
-	}, ref, lo, hi, 200_000, 309)
+	checkShards(t, "weighted batch", &wc.engine, items, itemWeight, []int{80, 870})
 }
 
-// TestWeightedParallelSampleMatchesSegmentAlias draws in large-t queries,
-// each spread over all eight shards.
+// TestWeightedParallelSampleMatchesSegmentAlias: a range spread over all
+// eight shards.
 func TestWeightedParallelSampleMatchesSegmentAlias(t *testing.T) {
 	items := makeWeightedItems(20_000, 1000, 311)
 	wc, err := NewWeightedFromItems(items, 8, 312)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := weighted.NewSegmentAlias(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := 10, 990
-	chiSquareAgainstSegAlias(t, func(n int, r *xrand.RNG) []int {
-		var out []int
-		for len(out) < n {
-			chunk := n - len(out)
-			if chunk > 2*largeT {
-				chunk = 2 * largeT
-			}
-			got, err := wc.Sample(lo, hi, chunk, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, got...)
-		}
-		return out
-	}, ref, lo, hi, 160_000, 313)
+	checkShards(t, "weighted, eight shards", &wc.engine, items, itemWeight, []int{10, 990})
 }
 
 // TestWeightedIndependenceAcrossQueries repeats one query and checks the
@@ -219,26 +127,21 @@ func TestWeightedUpdateWeightShiftsDistribution(t *testing.T) {
 	if got := wc.TotalWeight(0, 99); math.Abs(got-196) > 1e-9 {
 		t.Fatalf("TotalWeight = %v, want 196", got)
 	}
+	// The update moved key 7's shard's share to 97/196 exactly (within
+	// the treap, key 7 then has 97 of its shard's weight; exact_test.go in
+	// internal/weighted).
+	items := make([]weighted.Item[int], 100)
+	for k := range items {
+		items[k] = weighted.Item[int]{Key: k, Weight: 1}
+	}
+	items[7].Weight = 97
+	checkShards(t, "after update", &wc.engine, items, itemWeight, []int{0, 7, 99})
 	rng := xrand.New(332)
-	out, err := wc.Sample(0, 99, 100_000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sevens := 0
-	for _, k := range out {
-		if k == 7 {
-			sevens++
-		}
-	}
-	frac := float64(sevens) / float64(len(out))
-	if frac < 0.47 || frac > 0.52 { // exact proportion 97/196 ~ 0.4949
-		t.Fatalf("updated key frequency %.4f, want ~0.495", frac)
-	}
 	// Zeroing removes the key from sampling entirely.
 	if ok, err := wc.UpdateWeight(7, 0); err != nil || !ok {
 		t.Fatalf("zeroing: %v %v", ok, err)
 	}
-	out, err = wc.Sample(0, 99, 20_000, rng)
+	out, err := wc.Sample(0, 99, 20_000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,9 @@ func NewWeighted[K cmp.Ordered](target int, seed uint64) *WeightedConcurrent[K] 
 // NewWeightedFromItems bulk-loads a WeightedConcurrent from items in any
 // order, learning equi-depth split points so each of the (up to) shards
 // shards starts with an equal share of the keys. Returns
-// weighted.ErrInvalidWeight if any weight is negative, NaN, or infinite,
-// and core.ErrNaNKey if any key is NaN. The input is not retained or
-// modified.
+// weighted.ErrInvalidWeight if any weight is negative, NaN, or above
+// weighted.MaxWeight, and core.ErrNaNKey if any key is NaN. The input is
+// not retained or modified.
 func NewWeightedFromItems[K cmp.Ordered](items []weighted.Item[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
 	if err := validateItems(items); err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ func NewWeightedFromItems[K cmp.Ordered](items []weighted.Item[K], shards int, s
 // for snapshot exports, which are written in key order. Returns
 // weighted.ErrUnsortedItems if the order does not hold (a NaN key is in no
 // order) and weighted.ErrInvalidWeight if any weight is negative, NaN, or
-// infinite. The input is not retained or modified.
+// above weighted.MaxWeight. The input is not retained or modified.
 func NewWeightedFromSortedItems[K cmp.Ordered](items []weighted.Item[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
 	for i, it := range items {
 		if !weighted.ValidWeight(it.Weight) {
@@ -242,7 +242,7 @@ func (w *WeightedConcurrent[K]) InsertBatch(items []weighted.Item[K]) error {
 
 // UpdateWeight sets the weight of one occurrence of key, reporting whether
 // the key was present. Only the owning shard is write-locked. Returns
-// weighted.ErrInvalidWeight for negative, NaN, or infinite weights.
+// weighted.ErrInvalidWeight for a weight weighted.ValidWeight rejects.
 func (w *WeightedConcurrent[K]) UpdateWeight(key K, weight float64) (bool, error) {
 	if !weighted.ValidWeight(weight) {
 		return false, weighted.ErrInvalidWeight

@@ -2,12 +2,13 @@ package split
 
 import (
 	"math"
+	"math/big"
 	"slices"
 	"testing"
 
 	"github.com/irsgo/irs/internal/alias"
-	"github.com/irsgo/irs/internal/stats"
 	"github.com/irsgo/irs/internal/xrand"
+	"github.com/irsgo/irs/internal/xrand/xrandtest"
 )
 
 // randomMasses draws one of the mass vectors the kernel must survive: up
@@ -203,37 +204,65 @@ func TestSplitMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTalliesFollowMasses: the per-part sample counts are multinomial in
-// the masses (chi-square at alpha = 0.001, fixed seed).
-func TestTalliesFollowMasses(t *testing.T) {
-	masses := []float64{5, 0, 1, 3, 0, 0.5, 10, 2.5}
-	total := 0.0
+// planLaw returns the exact law of the part one output position draws
+// from masses: Draw consumes one alias draw per position, so driving it
+// through every column and both sides of every threshold counts the grid
+// points each part receives.
+func planLaw(t *testing.T, masses []float64) map[int]*big.Rat {
+	t.Helper()
+	columns := 0
 	for _, m := range masses {
-		total += m
+		if m > 0 {
+			columns++
+		}
 	}
-	probs := make([]float64, len(masses))
-	for i, m := range masses {
-		probs[i] = m / total
-	}
-	const draws = 4000
-	counts := make([]int, len(masses))
-	rng := xrand.New(4)
 	var p Plan
-	for round := 0; round < 50; round++ {
-		if err := p.Draw(masses, draws, rng); err != nil {
+	return xrandtest.AliasLaw(columns, func(r *xrand.RNG) int {
+		if err := p.Draw(masses, 1, r); err != nil {
 			t.Fatal(err)
 		}
 		for i := range masses {
-			from, to := p.Seg(i)
-			counts[i] += to - from
+			if from, to := p.Seg(i); to > from {
+				return i
+			}
 		}
-	}
-	gof, err := stats.ChiSquareTest(counts, probs, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gof.Reject {
-		t.Fatalf("tallies %v do not follow masses %v: chi2 = %.2f > %.2f (df %d)", counts, masses, gof.Stat, gof.Critical, gof.DF)
+		t.Fatal("no part received the position")
+		return -1
+	})
+}
+
+// TestTalliesFollowMasses: each output position draws part i with
+// probability masses[i]/Σmasses, exactly up to four units of 2⁻⁵³ (the
+// alias table's bound; see internal/alias), and a zero-mass part with probability
+// exactly zero — for zeros, subnormals, masses near 1e300 and ratios of
+// 2⁵³. Positions draw one after another from the caller's RNG, two outputs
+// each (TestSplitMatchesReference), so the tallies are multinomial.
+func TestTalliesFollowMasses(t *testing.T) {
+	for _, masses := range [][]float64{
+		{5, 0, 1, 3, 0, 0.5, 10, 2.5},
+		{0, 5e-324, 1, 3e-310, 0},
+		{1e300, 0, 3e300, 1, 2e300},
+		{1, 0x1p53, 0, 0x1p53 - 1},
+		{0, 0, 7},
+	} {
+		total := new(big.Rat)
+		for _, m := range masses {
+			total.Add(total, xrandtest.Exact(m))
+		}
+		law := planLaw(t, masses)
+		for i, m := range masses {
+			p, ok := law[i]
+			if m == 0 {
+				if ok && p.Sign() != 0 {
+					t.Fatalf("%v: zero-mass part %d drawn with probability %v", masses, i, p)
+				}
+				continue
+			}
+			want := new(big.Rat).Quo(xrandtest.Exact(m), total)
+			if d := xrandtest.Ulps(p, want); d > 4 {
+				t.Fatalf("%v: part %d drawn with probability %s, want %s: off by %.3g·2⁻⁵³", masses, i, p.FloatString(20), want.FloatString(20), d)
+			}
+		}
 	}
 }
 

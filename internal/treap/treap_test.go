@@ -1,11 +1,13 @@
 package treap
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"github.com/irsgo/irs/internal/xrand"
+	"github.com/irsgo/irs/internal/xrand/xrandtest"
 )
 
 func TestEmpty(t *testing.T) {
@@ -222,31 +224,29 @@ func TestSampleBoundsAndMembership(t *testing.T) {
 	}
 }
 
+// TestSampleUniformity: a sample is Select(a + Uint64n(count)), so
+// driving that one bounded draw through every value it can take returns
+// each in-range key exactly once — the draw is exactly uniform.
 func TestSampleUniformity(t *testing.T) {
 	tr := New[int](12)
 	const n = 50
 	for i := 0; i < n; i++ {
 		tr.Insert(i)
+		tr.Insert(i) // each key stored twice
 	}
-	r := xrand.New(13)
-	const draws = 100000
-	counts := make([]int, n)
-	samples, ok := tr.SampleAppend(make([]int, 0, draws), 0, n-1, draws, r)
-	if !ok {
-		t.Fatal("sample failed")
+	got, ok := xrandtest.ByIndex(uint64(tr.Count(10, 39)), func(r *xrand.RNG) int {
+		out, ok := tr.SampleAppend(nil, 10, 39, 1, r)
+		if !ok {
+			t.Fatal("sample failed")
+		}
+		return out[0]
+	})
+	var want []int
+	for k := 10; k <= 39; k++ {
+		want = append(want, k, k)
 	}
-	for _, s := range samples {
-		counts[s]++
-	}
-	expected := float64(draws) / n
-	chi2 := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	// 49 df, 0.001 critical value ~ 85.4.
-	if chi2 > 85.4 {
-		t.Fatalf("chi-square = %.1f", chi2)
+	if !ok || !slices.Equal(got, want) {
+		t.Fatalf("the bounded draw's values give %v (one output each: %v), want each occurrence once", got, ok)
 	}
 }
 

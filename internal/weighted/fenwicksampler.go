@@ -2,7 +2,6 @@ package weighted
 
 import (
 	"cmp"
-	"math"
 
 	"github.com/irsgo/irs/internal/fenwick"
 	"github.com/irsgo/irs/internal/xrand"
@@ -78,9 +77,9 @@ func (f *Fenwick[K]) WeightByRank(i int) float64 { return f.w.Get(i) }
 func (f *Fenwick[K]) KeyByRank(i int) K { return f.keys[i] }
 
 // SetWeightByRank updates the weight of the item with sorted rank i in
-// O(log n). Returns ErrInvalidWeight for negative, NaN, or infinite values.
+// O(log n). Returns ErrInvalidWeight for a weight ValidWeight rejects.
 func (f *Fenwick[K]) SetWeightByRank(i int, weight float64) error {
-	if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
+	if !ValidWeight(weight) {
 		return ErrInvalidWeight
 	}
 	f.w.Set(i, weight)

@@ -8,10 +8,10 @@ import (
 	"github.com/irsgo/irs/internal/xrand"
 )
 
-// TestTreapChurnUniformity is the dynamic statistical check: after a long
-// interleaved insert/delete/UpdateWeight workload — not just a static
-// build — the treap's sampling distribution must still match the exact
-// weight proportions of the surviving items. Keys are kept unique so the
+// TestTreapChurnUniformity is the dynamic check: after a long interleaved
+// insert/delete/UpdateWeight workload — not just a static build — the
+// treap's exact law (exact_test.go) must still match the weight
+// proportions of the surviving items. Keys are kept unique so the
 // model knows exactly which occurrence an UpdateWeight touched.
 func TestTreapChurnUniformity(t *testing.T) {
 	r := xrand.New(501)
@@ -91,33 +91,11 @@ func TestTreapChurnUniformity(t *testing.T) {
 		t.Fatalf("TotalWeight = %v, want %v", got, total)
 	}
 
-	const draws = 300_000
-	out, err := tr.SampleAppend(make([]int, 0, draws), lo, hi, draws, r)
-	if err != nil {
-		t.Fatal(err)
+	items := make([]Item[int], 0, len(model))
+	for k, w := range model {
+		items = append(items, Item[int]{Key: k, Weight: w})
 	}
-	counts := map[int]int{}
-	for _, k := range out {
-		w, ok := keyW[k]
-		if !ok || w <= 0 {
-			t.Fatalf("sampled key %d with model weight %g", k, w)
-		}
-		counts[k]++
-	}
-	chi2, df := 0.0, 0
-	for k, w := range keyW {
-		exp := draws * w / total
-		if exp < 10 {
-			continue
-		}
-		d := float64(counts[k]) - exp
-		chi2 += d * d / exp
-		df++
-	}
-	// Wilson–Hilferty-style generous bound, as in the static agreement test.
-	if lim := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > lim {
-		t.Fatalf("post-churn chi-square %.1f over %d cells (limit %.1f)", chi2, df, lim)
-	}
+	checkTreap(t, "post-churn", tr, items, lo, hi)
 }
 
 // TestTreapFromSortedItemsMatchesIncremental: the O(n) spine build must

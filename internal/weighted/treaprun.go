@@ -1,7 +1,6 @@
 package weighted
 
 import (
-	"math"
 	"sort"
 
 	"cmp"
@@ -262,7 +261,7 @@ func NewTreapFromSortedItems[K cmp.Ordered](seed uint64, items []Item[K]) (*Trea
 	var spine []*wnode[K] // the rightmost root-to-leaf path, root first
 	var prev K
 	for i, it := range items {
-		if it.Weight < 0 || math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
+		if !ValidWeight(it.Weight) {
 			return nil, ErrInvalidWeight
 		}
 		if it.Key != it.Key {

@@ -2,7 +2,6 @@ package weighted
 
 import (
 	"cmp"
-	"math"
 
 	"github.com/irsgo/irs/internal/core"
 	"github.com/irsgo/irs/internal/xrand"
@@ -115,10 +114,10 @@ func wmerge[K cmp.Ordered](l, r *wnode[K]) *wnode[K] {
 }
 
 // Insert adds an item (duplicate keys allowed). Returns ErrInvalidWeight
-// for negative, NaN, or infinite weights and core.ErrNaNKey for a NaN key,
+// for a weight ValidWeight rejects and core.ErrNaNKey for a NaN key,
 // storing nothing.
 func (t *Treap[K]) Insert(key K, weight float64) error {
-	if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
+	if !ValidWeight(weight) {
 		return ErrInvalidWeight
 	}
 	if key != key {
@@ -162,7 +161,7 @@ func wdelete[K cmp.Ordered](n *wnode[K], key K, deleted *bool) *wnode[K] {
 // UpdateWeight sets the weight of one occurrence of key, reporting whether
 // the key was present. Returns ErrInvalidWeight for bad weights.
 func (t *Treap[K]) UpdateWeight(key K, weight float64) (bool, error) {
-	if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
+	if !ValidWeight(weight) {
 		return false, ErrInvalidWeight
 	}
 	// Descend to the node, then fix sums on the way back up.

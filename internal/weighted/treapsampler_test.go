@@ -78,37 +78,19 @@ func TestTreapBasicOps(t *testing.T) {
 	}
 }
 
+// TestTreapProportionalSampling: a treap's draws over a range with a
+// zero-weight key follow the weights exactly (up to lawBound units of
+// 2⁻⁵³; see exact_test.go), and sampling leaves the tree intact.
 func TestTreapProportionalSampling(t *testing.T) {
-	tr, err := NewTreapFromItems[int](6, []Item[int]{
-		{10, 1}, {20, 2}, {30, 3}, {40, 4}, {50, 10}, {60, 0},
-	})
+	items := []Item[int]{{10, 1}, {20, 2}, {30, 3}, {40, 4}, {50, 10}, {60, 0}}
+	tr, err := NewTreapFromItems[int](6, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := xrand.New(7)
-	const draws = 300000
-	out, err := tr.SampleAppend(make([]int, 0, draws), 20, 60, draws, r)
-	if err != nil {
+	checkTreap(t, "[20, 60]", tr, items, 20, 60)
+	if _, err := tr.SampleAppend(nil, 20, 60, 1000, xrand.New(7)); err != nil {
 		t.Fatal(err)
 	}
-	weights := map[int]float64{20: 2, 30: 3, 40: 4, 50: 10}
-	counts := map[int]int{}
-	for _, k := range out {
-		if k == 60 {
-			t.Fatal("sampled zero-weight key")
-		}
-		counts[k]++
-	}
-	chi2 := 0.0
-	for k, w := range weights {
-		exp := draws * w / 19
-		d := float64(counts[k]) - exp
-		chi2 += d * d / exp
-	}
-	if chi2 > 16.3 { // 3 df at alpha=0.001
-		t.Fatalf("chi-square %.1f, counts %v", chi2, counts)
-	}
-	// The structure must be intact after the split/merge queries.
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +230,10 @@ func TestTreapPropertySampleMembership(t *testing.T) {
 	}
 }
 
-// TestTreapMatchesStaticSamplers: the dynamic treap's distribution matches
-// the static Fenwick sampler on identical data.
+// TestTreapMatchesStaticSamplers: on identical data (duplicate keys
+// included) the dynamic treap and the static Fenwick sampler both draw
+// every key with its weight share,
+// exactly up to lawBound units of 2⁻⁵³.
 func TestTreapMatchesStaticSamplers(t *testing.T) {
 	items := makeItems(1500, 15)
 	tr, err := NewTreapFromItems(16, items)
@@ -260,40 +244,9 @@ func TestTreapMatchesStaticSamplers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := xrand.New(17)
 	lo, hi := 100, 600
-	keyW := map[int]float64{}
-	total := 0.0
-	for _, it := range items {
-		if it.Key >= lo && it.Key <= hi {
-			keyW[it.Key] += it.Weight
-			total += it.Weight
-		}
-	}
-	const draws = 200000
-	for name, s := range map[string]Sampler[int]{"treap": tr, "fenwick": fen} {
-		out, err := s.SampleAppend(make([]int, 0, draws), lo, hi, draws, r)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		counts := map[int]int{}
-		for _, k := range out {
-			counts[k]++
-		}
-		chi2, df := 0.0, 0
-		for k, w := range keyW {
-			exp := draws * w / total
-			if exp < 10 {
-				continue
-			}
-			d := float64(counts[k]) - exp
-			chi2 += d * d / exp
-			df++
-		}
-		if lim := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > lim {
-			t.Fatalf("%s: chi2 %.1f over %d cells (limit %.1f)", name, chi2, df, lim)
-		}
-	}
+	checkTreap(t, "treap", tr, items, lo, hi)
+	checkLaw(t, "fenwick", fenwickLaw(fen, lo, hi), wantLaw(items, lo, hi))
 }
 
 func TestTreapInterfaceCompliance(t *testing.T) {

@@ -20,14 +20,14 @@
 //   - NaiveCDF — the baseline: materializes the range's cumulative weights
 //     per query (O(|range|)), then O(log |range|) per sample.
 //
-// All samplers validate weights at construction: negative, NaN, or infinite
-// weights are rejected; zero weights are allowed and never sampled.
+// All samplers validate weights at construction: negative, NaN, or weights
+// above MaxWeight (2⁹⁶⁰, infinity included) are rejected; zero weights are
+// allowed and never sampled.
 package weighted
 
 import (
 	"cmp"
 	"errors"
-	"math"
 	"slices"
 	"sort"
 
@@ -44,9 +44,9 @@ var (
 	ErrZeroWeightRange = errors.New("weighted: query range has zero total weight")
 	// ErrInvalidCount is returned for negative sample counts.
 	ErrInvalidCount = errors.New("weighted: negative sample count")
-	// ErrInvalidWeight is returned at construction for negative, NaN, or
-	// infinite weights.
-	ErrInvalidWeight = errors.New("weighted: weight is negative, NaN, or infinite")
+	// ErrInvalidWeight is returned for a weight ValidWeight rejects:
+	// negative, NaN, or above MaxWeight (infinity included).
+	ErrInvalidWeight = errors.New("weighted: weight is negative, NaN, or above 2^960")
 	// ErrUnsortedItems is returned by FromSorted constructors when the
 	// input items are not in non-decreasing key order.
 	ErrUnsortedItems = errors.New("weighted: items are not sorted by key")
@@ -60,9 +60,16 @@ type Item[K cmp.Ordered] struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// ValidWeight reports whether w is a usable weight: finite and
-// non-negative (NaN is rejected because NaN >= 0 is false).
-func ValidWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 0) }
+// MaxWeight is the largest admissible weight, 2⁹⁶⁰. Fewer than 2⁵³ weights
+// of at most 2⁹⁶⁰ sum to below 2¹⁰¹³ however the additions round, so no
+// range mass, shard mass or alias-table total can overflow float64: an
+// infinite mass would make every draw land on the last span, and the
+// cross-shard split would fail.
+const MaxWeight = 0x1p960
+
+// ValidWeight reports whether w is an admissible weight: in [0, MaxWeight]
+// (NaN is rejected because NaN >= 0 is false).
+func ValidWeight(w float64) bool { return w >= 0 && w <= MaxWeight }
 
 // Sampler is the interface shared by every weighted IRS implementation.
 type Sampler[K cmp.Ordered] interface {
@@ -90,7 +97,7 @@ type prepared[K cmp.Ordered] struct {
 func prepare[K cmp.Ordered](items []Item[K]) (prepared[K], error) {
 	own := append([]Item[K](nil), items...)
 	for _, it := range own {
-		if it.Weight < 0 || math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
+		if !ValidWeight(it.Weight) {
 			return prepared[K]{}, ErrInvalidWeight
 		}
 		if it.Key != it.Key {

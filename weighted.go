@@ -23,10 +23,14 @@ type WeightedSampler[K cmp.Ordered] = weighted.Sampler[K]
 var (
 	// ErrZeroWeightRange: the range holds keys but their total weight is 0.
 	ErrZeroWeightRange = weighted.ErrZeroWeightRange
-	// ErrInvalidWeight: a construction-time weight was negative, NaN, or
-	// infinite.
+	// ErrInvalidWeight: a weight was negative, NaN, or above MaxWeight
+	// (infinity included).
 	ErrInvalidWeight = weighted.ErrInvalidWeight
 )
+
+// MaxWeight is the largest admissible weight, 2⁹⁶⁰: below it no range's
+// total weight can overflow float64.
+const MaxWeight = weighted.MaxWeight
 
 // WeightedSegmentAlias samples in worst-case O(1) per draw after an
 // O(log n) query setup, paying O(n log n) space (an alias table per segment

@@ -44,7 +44,7 @@ func NewWeightedConcurrent[K cmp.Ordered](shards int, seed uint64) *WeightedConc
 // NewWeightedConcurrentFromItems bulk-loads a WeightedConcurrent from items
 // in any order, learning equi-depth split points so each shard starts with
 // an equal share of the keys. Returns ErrInvalidWeight if any weight is
-// negative, NaN, or infinite, and ErrNaNKey if any key is NaN.
+// negative, NaN, or above MaxWeight, and ErrNaNKey if any key is NaN.
 func NewWeightedConcurrentFromItems[K cmp.Ordered](items []WeightedItem[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
 	return shard.NewWeightedFromItems(items, shards, seed)
 }
@@ -55,7 +55,7 @@ func NewWeightedConcurrentFromItems[K cmp.Ordered](items []WeightedItem[K], shar
 // key-ordered inputs like recovered snapshots. Returns
 // ErrUnsortedWeightedItems if the order does not hold (a NaN key is in no
 // order) and
-// ErrInvalidWeight if any weight is negative, NaN, or infinite. The input
+// ErrInvalidWeight if any weight is negative, NaN, or above MaxWeight. The input
 // is not retained or modified.
 func NewWeightedConcurrentFromSortedItems[K cmp.Ordered](items []WeightedItem[K], shards int, seed uint64) (*WeightedConcurrent[K], error) {
 	return shard.NewWeightedFromSortedItems(items, shards, seed)
